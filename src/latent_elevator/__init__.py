@@ -26,7 +26,6 @@ from .denoiser import (  # noqa: F401
     Condition,
     Denoiser,
     NULL_CONDITION,
-    analytic_eps,
     cfg_eps,
     make_t2i_toy,
     make_t2v_toy,
@@ -37,13 +36,11 @@ from .sampler import (  # noqa: F401
     ddim_invert_step,
     ddim_sample,
     ddim_step,
-    sdedit,
     step_sigma,
 )
 from .freqfilter import LowPassMask, gaussian_mask, identity_mask, lpff  # noqa: F401
 from .attention import (  # noqa: F401
     AttentionParams,
-    attention,
     first_only_cross_frame,
     make_attention_params,
     wrap_crossframe,
@@ -51,10 +48,8 @@ from .attention import (  # noqa: F401
 from .elevate import (  # noqa: F401
     ElevatorPlan,
     baseline_sample,
-    derive_plan,
     elevate_sample,
     elevate_spatial,
-    make_default_plan,
     refine_temporal,
     trace_violations,
 )
@@ -67,3 +62,4 @@ from .metrics import (  # noqa: F401
     spectrum_distance,
 )
 from .videoio import load_latent, render_frames, save_latent  # noqa: F401
+from .harness import make_default_plan  # noqa: F401

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         config["mode"] = args.mode
         if args.seeds:
             config["seeds"] = parse_seeds(args.seeds)
-        if args.jobs:
+        if args.jobs is not None:
             config["jobs"] = args.jobs
         if args.check:
             config["check"] = True

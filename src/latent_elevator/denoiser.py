@@ -100,17 +100,6 @@ class AnalyticDenoiser:
         return np.fft.ifft2(back, axes=(-2, -1), norm="ortho").real
 
 
-def analytic_eps(
-    prior: GaussianPrior,
-    z_t: np.ndarray,
-    t: int,
-    cond: Condition | None,
-    s: NoiseSchedule,
-) -> np.ndarray:
-    """One-shot exact noise prediction; loops should hold an AnalyticDenoiser."""
-    return AnalyticDenoiser(prior).predict_eps(z_t, t, cond, s)
-
-
 def cfg_eps(
     model: Denoiser,
     z_t: np.ndarray,

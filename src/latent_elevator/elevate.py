@@ -16,22 +16,18 @@ hand-off discipline is mechanically checkable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import make_attention_params, wrap_crossframe
-from .denoiser import Denoiser, cfg_eps, make_t2i_toy, make_t2v_toy
-from .freqfilter import TEMPORAL, LowPassMask, gaussian_mask, lpff
+from .denoiser import Denoiser, cfg_eps
+from .freqfilter import LowPassMask, lpff
 from .sampler import SamplerConfig, ddim_invert, ddim_step, sdedit_chain
 from .schedule import (
     NoiseSchedule,
     TimestepGrid,
     forward_diffuse,
-    make_schedule,
     project_clean,
-    select_refine_steps,
-    select_timesteps,
     snr_matched_timestep,
 )
 
@@ -40,29 +36,32 @@ INVERSION_STRATEGIES = ("ddim", "same_noise", "random_noise")
 
 @dataclass(frozen=True)
 class ElevatorPlan:
-    """Everything one elevated sampling run needs, immutably."""
+    """Everything one elevated sampling run needs, immutably.
+
+    ``harness.build_plan`` is the one place a plan is built from a config;
+    derive variants of a plan with ``dataclasses.replace``.
+    """
 
     shape: tuple
     t2v_model: Denoiser
     t2v_schedule: NoiseSchedule
     t2i_model: Denoiser
+    # Model for the clean projections and the inversion inside refining:
+    # the uninflated posterior, because a clean projection divides by
+    # sqrt(alpha_bar) and any systematic epsilon miscalibration (such as
+    # the cross-frame blend) gets amplified without bound as alpha_bar -> 0.
+    t2i_project_model: Denoiser
     t2i_schedule: NoiseSchedule
     grid: TimestepGrid
     n_sdedit: int
     filter_mask: LowPassMask
-    filter_axes: tuple = (TEMPORAL,)
-    filter_every_refine: bool = True
-    cfg_t2v: SamplerConfig = field(default_factory=SamplerConfig)
-    cfg_t2i: SamplerConfig = field(default_factory=SamplerConfig)
-    seed: int = 0
-    inversion: str = "ddim"
-    snr_match: bool = False
-    # Model for the clean projections and the inversion inside refining.
-    # Defaults to t2i_model; the default plan passes the uninflated
-    # posterior here because a clean projection divides by sqrt(alpha_bar)
-    # and any systematic epsilon miscalibration (such as the cross-frame
-    # blend) gets amplified without bound as alpha_bar -> 0.
-    t2i_project_model: Denoiser | None = None
+    filter_axes: tuple
+    filter_every_refine: bool
+    cfg_t2v: SamplerConfig
+    cfg_t2i: SamplerConfig
+    seed: int
+    inversion: str
+    snr_match: bool
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
@@ -142,7 +141,7 @@ def refine_temporal(
     if t not in plan.grid.refine_set:
         raise ValueError(f"step not refinable: {t} not in refine_set")
     s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
-    projector = plan.t2i_project_model or plan.t2i_model
+    projector = plan.t2i_project_model
 
     eps_i = cfg_eps(projector, z_t, t, plan.cfg_t2i.guidance, s_i)
     clean = project_clean(z_t, eps_i, t, s_i)
@@ -223,7 +222,7 @@ def baseline_sample(
     grid: TimestepGrid,
     cfg: SamplerConfig,
     seed: int,
-    shape: tuple = (16, 4, 16, 16),
+    shape: tuple,
     model_tag: str = "t2v",
 ) -> tuple:
     """Plain single-model chain from seeded noise, same trace format.
@@ -269,65 +268,3 @@ def trace_violations(trace: list) -> list:
         clean_between = r["space"] == "clean"
         last_model = r["model"]
     return violations
-
-
-def make_default_plan(**overrides) -> ElevatorPlan:
-    """The canonical desk-scale recipe.
-
-    16x4x16x16 latents, T = 1000 on both sides (image side linear betas,
-    video side scaled-linear so the cross-schedule machinery is always
-    exercised), 50 sampling steps with 5 refining steps, 9 video-model
-    iterations per refinement, quarter-band temporal Gaussian filter, and
-    a 0.3 cross-frame attention blend. Any field can be overridden.
-    """
-    shape = overrides.pop("shape", (16, 4, 16, 16))
-    f, c, h, w = shape
-    t2i_schedule = overrides.pop(
-        "t2i_schedule", make_schedule("linear_beta", 1000, beta_start=1e-4, beta_end=2e-2)
-    )
-    t2v_schedule = overrides.pop(
-        "t2v_schedule",
-        make_schedule("scaled_linear_beta", 1000, beta_start=1e-4, beta_end=2e-2),
-    )
-    t2v_model = overrides.pop("t2v_model", make_t2v_toy(f, c, h, w))
-    t2i_model = overrides.pop("t2i_model", None)
-    if t2i_model is None:
-        mix = overrides.pop("crossframe_mix", 0.3)
-        params = make_attention_params(c, seed=overrides.pop("attention_seed", 1234))
-        base = make_t2i_toy(f, c, h, w)
-        t2i_model = wrap_crossframe(base, params, mix)
-        overrides.setdefault("t2i_project_model", base)
-    else:
-        overrides.pop("crossframe_mix", None)
-        overrides.pop("attention_seed", None)
-    grid = overrides.pop("grid", None)
-    if grid is None:
-        grid = select_refine_steps(
-            select_timesteps(t2i_schedule, overrides.pop("num_steps", 50)),
-            overrides.pop("num_refine_steps", 5),
-        )
-    else:
-        overrides.pop("num_steps", None)
-        overrides.pop("num_refine_steps", None)
-    mask = overrides.pop("filter_mask", None)
-    if mask is None:
-        mask = gaussian_mask(f, overrides.pop("filter_d0", 0.25), spatial_shape=(h, w))
-    else:
-        overrides.pop("filter_d0", None)
-    plan = ElevatorPlan(
-        shape=shape,
-        t2v_model=t2v_model,
-        t2v_schedule=t2v_schedule,
-        t2i_model=t2i_model,
-        t2i_schedule=t2i_schedule,
-        grid=grid,
-        n_sdedit=overrides.pop("n_sdedit", 9),
-        filter_mask=mask,
-        **overrides,
-    )
-    return plan
-
-
-def derive_plan(plan: ElevatorPlan, **changes) -> ElevatorPlan:
-    """A copy of the plan with the given fields replaced."""
-    return replace(plan, **changes)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from . import __version__
 from .attention import make_attention_params, wrap_crossframe
 from .denoiser import AnalyticDenoiser, Condition
 from .elevate import (
+    INVERSION_STRATEGIES,
     ElevatorPlan,
     baseline_sample,
     elevate_sample,
@@ -32,7 +34,7 @@ from .metrics import MetricReport, compute_report
 from .sampler import SamplerConfig, ddim_invert, ddim_sample
 from .schedule import make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
-from .videoio import render_frames, save_latent
+from .videoio import RENDER_CHANNELS, render_frames, save_latent
 
 MODES = (
     "baseline_t2v",
@@ -100,14 +102,27 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def resolve_config(config: dict | None = None) -> dict:
-    """Materialize every default; reject unknown keys and bad modes."""
+    """Materialize every default; reject, before any compute, unknown keys
+    and any value a run would fail on."""
     resolved = _deep_merge(DEFAULT_CONFIG, config or {})
     if resolved["mode"] not in MODES:
         raise ValueError(f"invalid config: unknown mode {resolved['mode']!r}")
-    if not resolved["seeds"]:
+    seeds = resolved["seeds"]
+    if not seeds:
         raise ValueError("invalid config: seeds must be nonempty")
-    if resolved["plan"]["inversion"] not in ("ddim", "same_noise", "random_noise"):
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"invalid config: duplicate seeds in {seeds} would share output files")
+    if int(resolved["jobs"]) < 1:
+        raise ValueError(f"invalid config: jobs must be >= 1, got {resolved['jobs']}")
+    if resolved["plan"]["inversion"] not in INVERSION_STRATEGIES:
         raise ValueError("invalid config: unknown inversion strategy")
+    frames, channels = resolved["shape"][:2]
+    if frames < 2:
+        raise ValueError(f"invalid config: shape needs >= 2 frames, got {frames}")
+    if resolved["render"] and channels not in RENDER_CHANNELS:
+        raise ValueError(
+            f"invalid config: render needs channels in {RENDER_CHANNELS}, got {channels}"
+        )
     return resolved
 
 
@@ -115,45 +130,23 @@ def _build_schedule(cfg: dict):
     return make_schedule(cfg["kind"], cfg["total_steps"], **cfg["params"])
 
 
-def _build_grid(resolved: dict, num_steps: int | None = None, refine: int | None = None):
-    t2i = _build_schedule(resolved["schedules"]["t2i"])
-    plan_cfg = resolved["plan"]
-    grid = select_timesteps(t2i, plan_cfg["num_steps"] if num_steps is None else num_steps)
-    k = plan_cfg["num_refine_steps"] if refine is None else refine
-    return select_refine_steps(grid, k)
-
-
-def _build_models(resolved: dict):
+def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
+    """Build the models and the full plan from a resolved config (the JSON
+    form of an ElevatorPlan) plus per-variant adjustments: ``num_steps``,
+    ``num_refine_steps``, ``inversion``, ``filter_axes`` and
+    ``identity_filter``."""
     f, c, h, w = resolved["shape"]
+    plan_cfg, filt = resolved["plan"], resolved["plan"]["filter"]
     pv, pi = resolved["priors"]["t2v"], resolved["priors"]["t2i"]
     t2v_prior = make_gp_prior(f, c, h, w, pv["rho"], pv["spectrum_kind"], pv["variance_scale"])
     t2i_prior = make_gp_prior(f, c, h, w, pi["rho"], pi["spectrum_kind"], pi["variance_scale"])
-    t2v_model = AnalyticDenoiser(t2v_prior)
     t2i_analytic = AnalyticDenoiser(t2i_prior)
-    params = make_attention_params(c, seed=resolved["plan"]["attention_seed"])
-    t2i_model = wrap_crossframe(t2i_analytic, params, resolved["plan"]["crossframe_mix"])
-    return {
-        "t2v_prior": t2v_prior,
-        "t2i_prior": t2i_prior,
-        "t2v_model": t2v_model,
-        "t2i_analytic": t2i_analytic,
-        "t2i_model": t2i_model,
-    }
-
-
-def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
-    """Reconstruct the full plan from a resolved config (the JSON form of
-    an ElevatorPlan) plus per-variant adjustments."""
-    f, c, h, w = resolved["shape"]
-    plan_cfg = resolved["plan"]
-    models = _build_models(resolved)
-    grid = _build_grid(
-        resolved,
-        num_steps=variant.get("num_steps"),
-        refine=variant.get("num_refine_steps"),
+    params = make_attention_params(c, seed=plan_cfg["attention_seed"])
+    t2i_schedule = _build_schedule(resolved["schedules"]["t2i"])
+    grid = select_refine_steps(
+        select_timesteps(t2i_schedule, variant.get("num_steps", plan_cfg["num_steps"])),
+        variant.get("num_refine_steps", plan_cfg["num_refine_steps"]),
     )
-    filt = plan_cfg["filter"]
-    axes = tuple(variant.get("filter_axes", filt["axes"]))
     if variant.get("identity_filter"):
         mask = identity_mask(f, spatial_shape=(h, w))
     else:
@@ -161,22 +154,37 @@ def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
     guidance = Condition(guidance_scale=plan_cfg["guidance_scale"])
     return ElevatorPlan(
         shape=(f, c, h, w),
-        t2v_model=models["t2v_model"],
+        t2v_model=AnalyticDenoiser(t2v_prior),
         t2v_schedule=_build_schedule(resolved["schedules"]["t2v"]),
-        t2i_model=models["t2i_model"],
-        t2i_schedule=_build_schedule(resolved["schedules"]["t2i"]),
+        t2i_model=wrap_crossframe(t2i_analytic, params, plan_cfg["crossframe_mix"]),
+        t2i_project_model=t2i_analytic,
+        t2i_schedule=t2i_schedule,
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
         filter_mask=mask,
-        filter_axes=axes,
+        filter_axes=tuple(variant.get("filter_axes", filt["axes"])),
         filter_every_refine=filt["apply_every_refine"],
-        cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"], guidance=guidance, seed=seed),
-        cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"], guidance=guidance, seed=seed),
+        cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"], guidance=guidance),
+        cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"], guidance=guidance),
         seed=seed,
         inversion=variant.get("inversion", plan_cfg["inversion"]),
         snr_match=plan_cfg["snr_match"],
-        t2i_project_model=models["t2i_analytic"],
     )
+
+
+def make_default_plan(**overrides) -> ElevatorPlan:
+    """The ``DEFAULT_CONFIG`` recipe as a plan, with overrides.
+
+    ``seed``, ``shape`` and any key of ``DEFAULT_CONFIG["plan"]`` go through
+    the config; every other keyword replaces an ``ElevatorPlan`` field.
+    """
+    seed = overrides.pop("seed", 0)
+    # a plan renders nothing, so the render channel check does not apply
+    config = {"render": False, "plan": {k: overrides.pop(k) for k in list(overrides)
+                                        if k in DEFAULT_CONFIG["plan"]}}
+    if "shape" in overrides:
+        config["shape"] = list(overrides.pop("shape"))
+    return replace(build_plan(resolve_config(config), seed), **overrides)
 
 
 def _variants_for(resolved: dict) -> list:
@@ -224,30 +232,24 @@ def _variants_for(resolved: dict) -> list:
 def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
     """Execute one (variant, seed) cell and write its artifacts."""
     t_start = time.perf_counter()
-    models = _build_models(resolved)
+    adjust = {k: v for k, v in variant.items() if k not in ("name", "kind", "model")}
+    if variant["kind"] != "elevate":
+        adjust["num_refine_steps"] = 0
+    plan = build_plan(resolved, seed, **adjust)
     extra: dict = {}
     if variant["kind"] == "elevate":
-        plan = build_plan(resolved, seed, **{k: v for k, v in variant.items()
-                                             if k not in ("name", "kind")})
         z, trace = elevate_sample(plan)
     elif variant["kind"] == "baseline":
-        num_steps = variant.get("num_steps", resolved["plan"]["num_steps"])
-        grid = _build_grid(resolved, num_steps=num_steps, refine=0)
         which = variant["model"]
-        sched = _build_schedule(resolved["schedules"][which])
-        model = models["t2v_model"] if which == "t2v" else models["t2i_model"]
-        cfg = SamplerConfig(
-            eta=resolved["plan"][f"eta_{which}"],
-            guidance=Condition(guidance_scale=resolved["plan"]["guidance_scale"]),
-            seed=seed,
-        )
-        z, trace = baseline_sample(model, sched, grid, cfg, seed,
-                                   shape=tuple(resolved["shape"]), model_tag=which)
+        if which == "t2v":
+            model, sched, cfg = plan.t2v_model, plan.t2v_schedule, plan.cfg_t2v
+        else:
+            model, sched, cfg = plan.t2i_model, plan.t2i_schedule, plan.cfg_t2i
+        z, trace = baseline_sample(model, sched, plan.grid, cfg, seed,
+                                   shape=plan.shape, model_tag=which)
     elif variant["kind"] == "roundtrip":
-        sched = _build_schedule(resolved["schedules"]["t2i"])
-        grid = _build_grid(resolved, refine=0)
-        model = models["t2i_analytic"]
-        z0 = sample_prior(models["t2i_prior"], np.random.default_rng(seed))
+        model, sched, grid = plan.t2i_project_model, plan.t2i_schedule, plan.grid
+        z0 = sample_prior(model.prior, np.random.default_rng(seed))
         z_top = ddim_invert(model, z0, grid, grid.steps[0], sched)
         z = ddim_sample(model, z_top, grid, sched, SamplerConfig(eta=0.0))
         extra["roundtrip_rel_err"] = float(
@@ -265,8 +267,8 @@ def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
             fh.write(json.dumps(record) + "\n")
     report = compute_report(
         z,
-        models["t2v_prior"],
-        models["t2i_prior"],
+        plan.t2v_model.prior,
+        plan.t2i_project_model.prior,
         cutoff=resolved["metrics"]["flicker_cutoff"],
         band=resolved["metrics"]["detail_band"],
     )
@@ -420,9 +422,10 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         "wall_clock_s": time.perf_counter() - t_start,
         "files": {},
     }
-    manifest_path = out / "manifest.json"
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path != manifest_path:
-            manifest["files"][str(path.relative_to(out))] = sha256_file(path)
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    names = [csv_path.name]
+    for r in runs:
+        names += [r["latent"], r["trace"], *r["renders"]]
+    for name in sorted(names):
+        manifest["files"][name] = sha256_file(out / name)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return manifest

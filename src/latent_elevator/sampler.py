@@ -23,7 +23,7 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Stochasticity, guidance, and the seed of the owning run.
+    """Stochasticity and guidance of one model's steps.
 
     ``eta`` scales the per-step noise: 0 is the deterministic sampler, 1
     recovers ancestral sampling.
@@ -31,7 +31,6 @@ class SamplerConfig:
 
     eta: float = 0.0
     guidance: Condition = field(default_factory=Condition)
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -169,27 +168,3 @@ def sdedit_chain(
         cur = nxt
     return z, cur
 
-
-def sdedit(
-    model: Denoiser,
-    z_clean: np.ndarray,
-    t: int,
-    n_steps: int,
-    grid: TimestepGrid,
-    s: NoiseSchedule,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple:
-    """Partially re-noise a clean latent to ``t`` and denoise ``n_steps``
-    grid positions under the model's prior. Returns ``(latent, t_out)``
-    where ``t_out`` is the grid step ``n_steps`` below ``t`` (0 when the
-    grid is exhausted); the caller projects to clean from there.
-    """
-    idx = grid.index_of(t)
-    remaining = len(grid.steps) - idx
-    if not 1 <= n_steps <= remaining:
-        raise ValueError(f"n_steps out of range: {n_steps} not in [1, {remaining}]")
-    chain = list(grid.steps[idx : idx + n_steps + 1])
-    if len(chain) < n_steps + 1:
-        chain.append(0)
-    return sdedit_chain(model, z_clean, chain, s, cfg, rng)

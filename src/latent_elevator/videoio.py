@@ -25,6 +25,8 @@ MAGIC = b"ELVT"
 VERSION = 1
 HEADER_SIZE = 32
 _MAX_ELEMENTS = 1 << 31
+# Channel counts render_frames can map to RGB.
+RENDER_CHANNELS = (1, 3, 4)
 
 # Fixed projection used to visualize 4-channel latents as RGB.
 FOUR_TO_THREE = np.array(
@@ -78,14 +80,14 @@ def render_frames(v: np.ndarray, path_prefix, vmin: float | None = None,
     if v.ndim != 4:
         raise ValueError(f"expected (F, C, H, W) latent, got shape {v.shape}")
     f, c, h, w = v.shape
+    if c not in RENDER_CHANNELS:
+        raise ValueError(f"unsupported channels: {c} (need one of {RENDER_CHANNELS})")
     if c == 1:
         rgb = np.repeat(v, 3, axis=1)
     elif c == 3:
         rgb = v
-    elif c == 4:
-        rgb = np.einsum("rc,fchw->frhw", FOUR_TO_THREE, v)
     else:
-        raise ValueError(f"unsupported channels: {c} (need 1, 3, or 4)")
+        rgb = np.einsum("rc,fchw->frhw", FOUR_TO_THREE, v)
     lo = float(rgb.min()) if vmin is None else vmin
     hi = float(rgb.max()) if vmax is None else vmax
     span = hi - lo if hi > lo else 1.0

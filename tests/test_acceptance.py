@@ -25,7 +25,6 @@ from latent_elevator import (
     NULL_CONDITION,
     SamplerConfig,
     TimestepGrid,
-    attention,
     baseline_sample,
     ddim_invert,
     ddim_sample,
@@ -42,6 +41,7 @@ from latent_elevator import (
     select_timesteps,
     wrap_crossframe,
 )
+from latent_elevator.attention import attention
 from latent_elevator.harness import run as harness_run
 from latent_elevator.metrics import compute_report
 from latent_elevator.schedule import NoiseSchedule

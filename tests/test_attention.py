@@ -4,12 +4,12 @@ import pytest
 from latent_elevator import (
     AttentionParams,
     NULL_CONDITION,
-    attention,
     first_only_cross_frame,
     make_attention_params,
     make_t2i_toy,
     wrap_crossframe,
 )
+from latent_elevator.attention import attention
 
 
 def naive_attention(q, k, v):
@@ -175,3 +175,12 @@ class TestCrossFrameWrapper:
         base = make_t2i_toy(2, 4, 4, 4)
         with pytest.raises(ValueError, match="mix"):
             wrap_crossframe(base, make_attention_params(4), mix=1.5)
+
+
+def test_submodule_import_is_not_shadowed():
+    # ``import pkg.mod as m`` binds the package attribute ``mod``; a
+    # re-exported function of the same name would hide the module
+    import latent_elevator.attention as module
+
+    wrapped = wrap_crossframe(make_t2i_toy(2, 4, 4, 4), make_attention_params(4), 0.5)
+    assert type(wrapped) is module.CrossFrameDenoiser

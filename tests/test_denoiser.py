@@ -5,7 +5,6 @@ from latent_elevator import (
     AnalyticDenoiser,
     Condition,
     NULL_CONDITION,
-    analytic_eps,
     cfg_eps,
     forward_diffuse,
     make_t2i_toy,
@@ -48,7 +47,7 @@ class TestAnalyticEps:
         # flat unit prior: eps_hat = sqrt(1 - ab) * z; at ab = 0.5 that is z / sqrt(2)
         s = half_alpha_schedule()
         z = rng.standard_normal((4, 2, 4, 4))
-        out = analytic_eps(std_normal_prior, z, 1, NULL_CONDITION, s)
+        out = AnalyticDenoiser(std_normal_prior).predict_eps(z, 1, NULL_CONDITION, s)
         np.testing.assert_allclose(out, z / np.sqrt(2), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -76,8 +75,8 @@ class TestAnalyticEps:
         shifted = make_gp_prior(3, 2, 4, 4, rho=0.6, spectrum_kind="broadband",
                                 mean=delta)
         z = rng.standard_normal(prior.shape)
-        a = analytic_eps(prior, z, 400, Condition(shift=delta), sched_t2i)
-        b = analytic_eps(shifted, z, 400, NULL_CONDITION, sched_t2i)
+        a = AnalyticDenoiser(prior).predict_eps(z, 400, Condition(shift=delta), sched_t2i)
+        b = AnalyticDenoiser(shifted).predict_eps(z, 400, NULL_CONDITION, sched_t2i)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_degenerate_prior_at_mean(self, sched_t2i, rng):
@@ -85,7 +84,7 @@ class TestAnalyticEps:
         prior = make_gp_prior(2, 1, 4, 4, variance_scale=0.0, mean=mean)
         t = 300
         z = np.sqrt(sched_t2i.alpha_bar[t]) * mean
-        out = analytic_eps(prior, z, t, NULL_CONDITION, sched_t2i)
+        out = AnalyticDenoiser(prior).predict_eps(z, t, NULL_CONDITION, sched_t2i)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_deterministic_bitwise(self, sched_t2i, rng):

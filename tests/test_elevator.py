@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from latent_elevator import (
     baseline_sample,
     ddim_sample,
     ddim_step,
-    derive_plan,
     elevate_sample,
     elevate_spatial,
     forward_diffuse,
@@ -44,21 +45,21 @@ class TestPlanValidation:
     def test_mismatched_total_steps(self, small_plan):
         other = make_schedule("linear_beta", 500, beta_start=1e-4, beta_end=2e-2)
         with pytest.raises(ValueError, match="share total_steps"):
-            derive_plan(small_plan, t2v_schedule=other)
+            replace(small_plan, t2v_schedule=other)
 
     def test_unknown_inversion(self, small_plan):
         with pytest.raises(ValueError, match="inversion strategy"):
-            derive_plan(small_plan, inversion="oracle")
+            replace(small_plan, inversion="oracle")
 
     def test_sdedit_depth(self, small_plan):
         deep = frozenset({small_plan.grid.steps[-1]})
         grid = TimestepGrid(steps=small_plan.grid.steps, refine_set=deep)
         with pytest.raises(ValueError, match="exceeds grid depth"):
-            derive_plan(small_plan, grid=grid)
+            replace(small_plan, grid=grid)
 
     def test_mask_length(self, small_plan):
         with pytest.raises(ValueError, match="mask length"):
-            derive_plan(small_plan, filter_mask=identity_mask(4))
+            replace(small_plan, filter_mask=identity_mask(4))
 
 
 class TestRefineTemporal:
@@ -147,12 +148,12 @@ class TestRefineTemporal:
         t = max(small_plan.grid.refine_set)
         z_t = rng.standard_normal(SMALL)
         for strategy in ("same_noise", "random_noise"):
-            plan = derive_plan(small_plan, inversion=strategy)
+            plan = replace(small_plan, inversion=strategy)
             out = refine_temporal(z_t, t, plan, np.random.default_rng(3))
             assert out.shape == SMALL
             assert np.all(np.isfinite(out))
-        plan = derive_plan(small_plan, inversion="same_noise", n_sdedit=0,
-                           filter_mask=identity_mask(SMALL[0], SMALL[2:]))
+        plan = replace(small_plan, inversion="same_noise", n_sdedit=0,
+                       filter_mask=identity_mask(SMALL[0], SMALL[2:]))
         out = refine_temporal(z_t, t, plan, np.random.default_rng(3))
         # shared forward noise: frame differences carry only the clean content
         s = plan.t2i_schedule
@@ -268,7 +269,7 @@ class TestElevateSample:
         t2v = AnalyticDenoiser(prior)
         base = make_default_plan(shape=SMALL, t2v_model=t2v,
                                  t2v_schedule=sched_t2i, seed=4)
-        matched = derive_plan(base, snr_match=True)
+        matched = replace(base, snr_match=True)
         a, _ = elevate_sample(base)
         b, _ = elevate_sample(matched)
         np.testing.assert_array_equal(a, b)

@@ -48,6 +48,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="seeds"):
             resolve_config({"seeds": []})
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            resolve_config({"jobs": jobs})
+
+    def test_duplicate_seeds(self):
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            resolve_config({"seeds": [0, 0]})
+
+    def test_single_frame_shape(self):
+        with pytest.raises(ValueError, match="frames"):
+            resolve_config({"shape": [1, 4, 8, 8], "render": False})
+
+    def test_render_needs_supported_channels(self):
+        with pytest.raises(ValueError, match="channels"):
+            resolve_config({"shape": [4, 2, 8, 8]})
+        resolve_config({"shape": [4, 2, 8, 8], "render": False})
+
     def test_defaults_not_mutated(self):
         before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
         resolve_config({"plan": {"num_steps": 3}})
@@ -101,6 +119,13 @@ class TestRunModes:
         assert set(manifest["files"]) == on_disk
         for rel, digest in manifest["files"].items():
             assert sha256_file(tmp_path / rel) == digest
+
+    def test_manifest_ignores_files_it_did_not_write(self, tmp_path):
+        (tmp_path / "stale.txt").write_text("left over from an earlier run")
+        manifest = run(tiny("baseline_t2v", seeds=[0]), output_dir=tmp_path)
+        row = manifest["runs"][0]
+        assert set(manifest["files"]) == {
+            "metrics.csv", row["latent"], row["trace"], *row["renders"]}
 
     def test_reproducible_across_reruns(self, tmp_path):
         m1 = run(tiny("elevate", seeds=[3]), output_dir=tmp_path / "a")
@@ -193,6 +218,10 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert {r["seed"] for r in manifest["runs"]} == {0, 1}
+
+    def test_cli_forwards_jobs_zero(self, tmp_path, capsys):
+        assert main(["baseline_t2v", "--jobs", "0", "--output", str(tmp_path)]) == 2
+        assert "jobs" in capsys.readouterr().err
 
     def test_cli_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -11,10 +11,10 @@ from latent_elevator import (
     ddim_step,
     forward_diffuse,
     project_clean,
-    sdedit,
     select_timesteps,
     step_sigma,
 )
+from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
 from latent_elevator.synth import make_gp_prior, sample_prior
 
@@ -234,8 +234,8 @@ class TestSdedit:
     def test_full_depth_reaches_zero(self, sched_t2i, rng):
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 10)
-        z, t_out = sdedit(den, rng.standard_normal(SHAPE), grid.steps[0],
-                          len(grid.steps), grid, sched_t2i, SamplerConfig(), rng)
+        z, t_out = sdedit_chain(den, rng.standard_normal(SHAPE), [*grid.steps, 0],
+                                sched_t2i, SamplerConfig(), rng)
         assert t_out == 0
         assert np.all(np.isfinite(z))
 
@@ -245,8 +245,8 @@ class TestSdedit:
         t = grid.steps[3]
         z0 = np.random.default_rng(2).standard_normal(SHAPE)
         eps = np.random.default_rng(5).standard_normal(SHAPE)
-        out, t_out = sdedit(ConstantModel(eps), z0, t, 1, grid, sched_t2i,
-                            SamplerConfig(), np.random.default_rng(5))
+        out, t_out = sdedit_chain(ConstantModel(eps), z0, [t, grid.steps[4]], sched_t2i,
+                                  SamplerConfig(), np.random.default_rng(5))
         assert t_out == grid.steps[4]
         np.testing.assert_allclose(project_clean(out, eps, t_out, sched_t2i), z0,
                                    rtol=1e-6, atol=1e-9)
@@ -258,13 +258,12 @@ class TestSdedit:
         prior = make_gp_prior(*SHAPE, variance_scale=1e-6, mean=mean)
         den = AnalyticDenoiser(prior)
         grid = select_timesteps(sched_t2i, 10)
-        t = grid.steps[4]
+        chain = list(grid.steps[4:8])  # three hops down the grid
         wins = 0
         for seed in range(50):
             rng = np.random.default_rng(seed + 100)
             z_in = mean + rng.standard_normal(SHAPE)
-            out, t_out = sdedit(den, z_in, t, 3, grid, sched_t2i,
-                                SamplerConfig(), rng)
+            out, t_out = sdedit_chain(den, z_in, chain, sched_t2i, SamplerConfig(), rng)
             eps_hat = den.predict_eps(out, t_out, None, sched_t2i)
             clean = project_clean(out, eps_hat, t_out, sched_t2i)
             if np.linalg.norm(clean - mean) < np.linalg.norm(z_in - mean):
@@ -276,8 +275,7 @@ class TestSdedit:
         grid = select_timesteps(sched_t2i, 10)
         z = rng.standard_normal(SHAPE)
         with pytest.raises(ValueError, match="not on the grid"):
-            sdedit(den, z, 123, 1, grid, sched_t2i, SamplerConfig(), rng)
-        with pytest.raises(ValueError, match="out of range"):
-            sdedit(den, z, grid.steps[-1], 2, grid, sched_t2i, SamplerConfig(), rng)
-        with pytest.raises(ValueError, match="out of range"):
-            sdedit(den, z, grid.steps[0], 0, grid, sched_t2i, SamplerConfig(), rng)
+            grid.index_of(123)  # where a chain down the grid from 123 would start
+        with pytest.raises(ValueError, match="order violation"):
+            sdedit_chain(den, z, [grid.steps[4], grid.steps[2]], sched_t2i,
+                         SamplerConfig(), rng)
