@@ -21,15 +21,7 @@ from .schedule import (  # noqa: F401
     snr_matched_timestep,
 )
 from .synth import GaussianPrior, make_gp_prior, sample_prior  # noqa: F401
-from .denoiser import (  # noqa: F401
-    AnalyticDenoiser,
-    Condition,
-    Denoiser,
-    NULL_CONDITION,
-    cfg_eps,
-    make_t2i_toy,
-    make_t2v_toy,
-)
+from .denoiser import AnalyticDenoiser, Denoiser  # noqa: F401
 from .sampler import (  # noqa: F401
     SamplerConfig,
     ddim_invert,
@@ -41,9 +33,9 @@ from .sampler import (  # noqa: F401
 from .freqfilter import LowPassMask, gaussian_mask, identity_mask, lpff  # noqa: F401
 from .attention import (  # noqa: F401
     AttentionParams,
+    CrossFrameDenoiser,
     first_only_cross_frame,
     make_attention_params,
-    wrap_crossframe,
 )
 from .elevate import (  # noqa: F401
     ElevatorPlan,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Condition, Denoiser
+from .denoiser import Denoiser
 from .schedule import NoiseSchedule
 
 
@@ -120,10 +120,8 @@ class CrossFrameDenoiser:
         self.params = params
         self.mix = mix
 
-    def predict_eps(
-        self, z: np.ndarray, t: int, cond: Condition | None, s: NoiseSchedule
-    ) -> np.ndarray:
-        eps = self.base.predict_eps(z, t, cond, s)
+    def predict_eps(self, z: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
+        eps = self.base.predict_eps(z, t, s)
         if self.mix == 0.0:
             return eps
         f, c, h, w = eps.shape
@@ -133,7 +131,3 @@ class CrossFrameDenoiser:
         attended = first_only_cross_frame(tokens, self.params)
         attended = attended.reshape(f, h, w, c).transpose(0, 3, 1, 2)
         return (1.0 - self.mix) * eps + self.mix * attended
-
-
-def wrap_crossframe(base: Denoiser, params: AttentionParams, mix: float) -> CrossFrameDenoiser:
-    return CrossFrameDenoiser(base, params, mix)

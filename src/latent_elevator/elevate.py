@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Denoiser, cfg_eps
-from .freqfilter import LowPassMask, lpff
+from .denoiser import Denoiser
+from .freqfilter import LowPassMask, check_axes, lpff
 from .sampler import SamplerConfig, ddim_invert, ddim_step, sdedit_chain
 from .schedule import (
+    ALPHA_BAR_FLOOR,
     NoiseSchedule,
     TimestepGrid,
     forward_diffuse,
@@ -65,11 +66,19 @@ class ElevatorPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
-        object.__setattr__(self, "filter_axes", tuple(self.filter_axes))
+        object.__setattr__(self, "filter_axes", check_axes(self.filter_axes))
         if self.t2v_schedule.total_steps != self.t2i_schedule.total_steps:
             raise ValueError(
                 "plan invalid: schedules must share total_steps for index alignment"
             )
+        # every grid starts at T, where the first clean projection happens
+        for name, sched in (("t2v", self.t2v_schedule), ("t2i", self.t2i_schedule)):
+            ab_T = sched.alpha_bar[-1]
+            if ab_T < ALPHA_BAR_FLOOR:
+                raise ValueError(
+                    f"plan invalid: {name} schedule {sched.kind!r} has alpha_bar[T] = "
+                    f"{ab_T:.3g}, below the floor {ALPHA_BAR_FLOOR}"
+                )
         if self.inversion not in INVERSION_STRATEGIES:
             raise ValueError(f"plan invalid: unknown inversion strategy {self.inversion!r}")
         if self.n_sdedit < 0:
@@ -143,7 +152,7 @@ def refine_temporal(
     s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
     projector = plan.t2i_project_model
 
-    eps_i = cfg_eps(projector, z_t, t, plan.cfg_t2i.guidance, s_i)
+    eps_i = projector.predict_eps(z_t, t, s_i)
     clean = project_clean(z_t, eps_i, t, s_i)
     _trace_record(trace, timestep=t, phase="refine.project", model="t2i",
                   schedule="t2i", space="clean", z=clean)
@@ -160,7 +169,7 @@ def refine_temporal(
         _trace_record(trace, timestep=t_out, phase="refine.sdedit", model="t2v",
                       schedule="t2v", space="noise", z=z_v)
         if t_out > 0:
-            eps_v = cfg_eps(plan.t2v_model, z_v, t_out, plan.cfg_t2v.guidance, s_v)
+            eps_v = plan.t2v_model.predict_eps(z_v, t_out, s_v)
             clean = project_clean(z_v, eps_v, t_out, s_v)
         else:
             clean = z_v

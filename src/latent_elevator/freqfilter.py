@@ -8,7 +8,6 @@ per frame and channel. Gains are capped at 1 and the DC gain is pinned to
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ class LowPassMask:
 
     gains: np.ndarray
     spatial_gains: np.ndarray | None = None
-    d0: float = math.inf
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=np.float64)
@@ -58,13 +56,11 @@ def gaussian_mask(
     frames: int,
     d0: float,
     spatial_shape: tuple | None = None,
-    spatial_d0: float | None = None,
 ) -> LowPassMask:
     """Gaussian gains ``exp(-f^2 / (2 d0^2))`` over normalized frequency.
 
-    ``spatial_shape=(H, W)`` adds a matching 2-D mask (cutoff
-    ``spatial_d0``, defaulting to ``d0``) for the spatial-temporal
-    variant.
+    ``spatial_shape=(H, W)`` adds a 2-D mask with the same cutoff for the
+    spatial-temporal variant.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -75,29 +71,32 @@ def gaussian_mask(
     gains[0] = 1.0
     spatial = None
     if spatial_shape is not None:
-        sd0 = d0 if spatial_d0 is None else spatial_d0
-        if not sd0 > 0:
-            raise ValueError(f"invalid d0: {sd0}")
         h, w = spatial_shape
         fy = np.fft.fftfreq(h)
         fx = np.fft.fftfreq(w)
         f2 = fy[:, None] ** 2 + fx[None, :] ** 2
-        spatial = np.exp(-f2 / (2.0 * sd0 ** 2))
+        spatial = np.exp(-f2 / (2.0 * d0 ** 2))
         spatial[0, 0] = 1.0
-    return LowPassMask(gains=gains, spatial_gains=spatial, d0=d0)
+    return LowPassMask(gains=gains, spatial_gains=spatial)
 
 
 def identity_mask(frames: int, spatial_shape: tuple | None = None) -> LowPassMask:
     """All-ones mask; filtering with it is the identity."""
     spatial = None if spatial_shape is None else np.ones(spatial_shape)
-    return LowPassMask(gains=np.ones(frames), spatial_gains=spatial, d0=math.inf)
+    return LowPassMask(gains=np.ones(frames), spatial_gains=spatial)
+
+
+def check_axes(axes) -> tuple:
+    """The filter axes as a tuple: temporal, optionally also spatial."""
+    axes = tuple(axes)
+    if TEMPORAL not in axes or not set(axes) <= {TEMPORAL, SPATIAL}:
+        raise ValueError(f"axes must be (temporal,) or (temporal, spatial), got {axes}")
+    return axes
 
 
 def lpff(video: np.ndarray, mask: LowPassMask, axes=(TEMPORAL,)) -> np.ndarray:
     """Apply the mask along the selected axes; output is real, same shape."""
-    axes = tuple(axes)
-    if TEMPORAL not in axes or not set(axes) <= {TEMPORAL, SPATIAL}:
-        raise ValueError(f"axes must be (temporal,) or (temporal, spatial), got {axes}")
+    axes = check_axes(axes)
     if video.ndim != 4:
         raise ValueError(f"expected (F, C, H, W) video, got shape {video.shape}")
     if mask.gains.shape[0] != video.shape[0]:

@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import make_attention_params, wrap_crossframe
-from .denoiser import AnalyticDenoiser, Condition
+from .attention import CrossFrameDenoiser, make_attention_params
+from .denoiser import AnalyticDenoiser
 from .elevate import (
-    INVERSION_STRATEGIES,
     ElevatorPlan,
     baseline_sample,
     elevate_sample,
@@ -77,7 +76,6 @@ DEFAULT_CONFIG = {
         "filter": {"d0": 0.25, "axes": ["temporal"], "apply_every_refine": True},
         "eta_t2v": 0.0,
         "eta_t2i": 0.0,
-        "guidance_scale": 1.0,
         "crossframe_mix": 0.3,
         "attention_seed": 1234,
         "inversion": "ddim",
@@ -103,7 +101,8 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 def resolve_config(config: dict | None = None) -> dict:
     """Materialize every default; reject, before any compute, unknown keys
-    and any value a run would fail on."""
+    and any value a run would fail on. Every variant's plan is built once,
+    for the first seed, so a plan error surfaces here rather than mid-run."""
     resolved = _deep_merge(DEFAULT_CONFIG, config or {})
     if resolved["mode"] not in MODES:
         raise ValueError(f"invalid config: unknown mode {resolved['mode']!r}")
@@ -114,8 +113,6 @@ def resolve_config(config: dict | None = None) -> dict:
         raise ValueError(f"invalid config: duplicate seeds in {seeds} would share output files")
     if int(resolved["jobs"]) < 1:
         raise ValueError(f"invalid config: jobs must be >= 1, got {resolved['jobs']}")
-    if resolved["plan"]["inversion"] not in INVERSION_STRATEGIES:
-        raise ValueError("invalid config: unknown inversion strategy")
     frames, channels = resolved["shape"][:2]
     if frames < 2:
         raise ValueError(f"invalid config: shape needs >= 2 frames, got {frames}")
@@ -123,6 +120,11 @@ def resolve_config(config: dict | None = None) -> dict:
         raise ValueError(
             f"invalid config: render needs channels in {RENDER_CHANNELS}, got {channels}"
         )
+    for variant in _variants_for(resolved):
+        try:
+            build_plan(resolved, seeds[0], **_plan_adjustments(variant))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"invalid config: {variant['name']}: {err}") from err
     return resolved
 
 
@@ -151,21 +153,20 @@ def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
         mask = identity_mask(f, spatial_shape=(h, w))
     else:
         mask = gaussian_mask(f, filt["d0"], spatial_shape=(h, w))
-    guidance = Condition(guidance_scale=plan_cfg["guidance_scale"])
     return ElevatorPlan(
         shape=(f, c, h, w),
         t2v_model=AnalyticDenoiser(t2v_prior),
         t2v_schedule=_build_schedule(resolved["schedules"]["t2v"]),
-        t2i_model=wrap_crossframe(t2i_analytic, params, plan_cfg["crossframe_mix"]),
+        t2i_model=CrossFrameDenoiser(t2i_analytic, params, plan_cfg["crossframe_mix"]),
         t2i_project_model=t2i_analytic,
         t2i_schedule=t2i_schedule,
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
         filter_mask=mask,
-        filter_axes=tuple(variant.get("filter_axes", filt["axes"])),
+        filter_axes=variant.get("filter_axes", filt["axes"]),
         filter_every_refine=filt["apply_every_refine"],
-        cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"], guidance=guidance),
-        cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"], guidance=guidance),
+        cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"]),
+        cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"]),
         seed=seed,
         inversion=variant.get("inversion", plan_cfg["inversion"]),
         snr_match=plan_cfg["snr_match"],
@@ -229,13 +230,18 @@ def _variants_for(resolved: dict) -> list:
     raise ValueError(f"invalid config: unknown mode {mode!r}")
 
 
-def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
-    """Execute one (variant, seed) cell and write its artifacts."""
-    t_start = time.perf_counter()
+def _plan_adjustments(variant: dict) -> dict:
+    """The ``build_plan`` keywords of one variant; only elevate refines."""
     adjust = {k: v for k, v in variant.items() if k not in ("name", "kind", "model")}
     if variant["kind"] != "elevate":
         adjust["num_refine_steps"] = 0
-    plan = build_plan(resolved, seed, **adjust)
+    return adjust
+
+
+def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
+    """Execute one (variant, seed) cell and write its artifacts."""
+    t_start = time.perf_counter()
+    plan = build_plan(resolved, seed, **_plan_adjustments(variant))
     extra: dict = {}
     if variant["kind"] == "elevate":
         z, trace = elevate_sample(plan)

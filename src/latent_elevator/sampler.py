@@ -7,11 +7,11 @@ at all, so deterministic runs are seed-independent by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Condition, Denoiser, NULL_CONDITION, cfg_eps
+from .denoiser import Denoiser
 from .schedule import (
     ALPHA_BAR_FLOOR,
     NoiseSchedule,
@@ -23,14 +23,13 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Stochasticity and guidance of one model's steps.
+    """Stochasticity of one model's steps.
 
     ``eta`` scales the per-step noise: 0 is the deterministic sampler, 1
     recovers ancestral sampling.
     """
 
     eta: float = 0.0
-    guidance: Condition = field(default_factory=Condition)
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -70,7 +69,7 @@ def ddim_step(
     portion of the variance is filled with fresh noise.
     """
     _check_order(t, t_prev, s)
-    eps_hat = cfg_eps(model, z_t, t, cfg.guidance, s)
+    eps_hat = model.predict_eps(z_t, t, s)
     z0_hat = project_clean(z_t, eps_hat, t, s)
     sigma = step_sigma(s, t, t_prev, cfg.eta)
     ab_prev = s.alpha_bar[t_prev]
@@ -89,7 +88,6 @@ def ddim_invert_step(
     t_from: int,
     t_to: int,
     s: NoiseSchedule,
-    cond: Condition | None = None,
 ) -> np.ndarray:
     """One deterministic inversion hop from ``t_from`` up to ``t_to``.
 
@@ -98,7 +96,7 @@ def ddim_invert_step(
     both to project the current latent to clean and to re-noise it.
     """
     _check_order(t_to, t_from, s)
-    eps_hat = cfg_eps(model, z, t_to, cond, s)
+    eps_hat = model.predict_eps(z, t_to, s)
     ab_from = s.alpha_bar[t_from]
     ab_to = s.alpha_bar[t_to]
     if ab_from < ALPHA_BAR_FLOOR:
@@ -130,20 +128,15 @@ def ddim_invert(
     grid: TimestepGrid,
     target_t: int,
     s: NoiseSchedule,
-    cond: Condition | None = None,
 ) -> np.ndarray:
-    """Invert a clean latent up the grid to ``target_t``.
-
-    Traverses the grid ascending from 0; the null condition is the
-    default, preserving content rather than steering it.
-    """
+    """Invert a clean latent up the grid to ``target_t``, traversing it
+    ascending from 0."""
     if target_t not in grid.steps:
         raise ValueError(f"target timestep {target_t} is not on the grid")
-    cond = NULL_CONDITION if cond is None else cond
     ascending = [0] + [t for t in reversed(grid.steps) if t <= target_t]
     z = z0
     for a, b in zip(ascending[:-1], ascending[1:]):
-        z = ddim_invert_step(model, z, a, b, s, cond)
+        z = ddim_invert_step(model, z, a, b, s)
     return z
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from latent_elevator import make_schedule
+from latent_elevator import AnalyticDenoiser, make_schedule
+from latent_elevator.harness import DEFAULT_CONFIG
 from latent_elevator.synth import make_gp_prior
 
 
@@ -24,6 +25,15 @@ def rng():
 def std_normal_prior():
     # rho=0, flat unit spectrum, zero mean: the identity-covariance prior
     return make_gp_prior(4, 2, 4, 4, rho=0.0, spectrum_kind="flat")
+
+
+def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
+    """Analytic denoiser over the default recipe's ``"t2v"`` or ``"t2i"``
+    prior at ``shape``."""
+    p = DEFAULT_CONFIG["priors"][which]
+    return AnalyticDenoiser(
+        make_gp_prior(*shape, p["rho"], p["spectrum_kind"], p["variance_scale"])
+    )
 
 
 def dft_matrix(n: int) -> np.ndarray:

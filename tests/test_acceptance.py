@@ -22,7 +22,7 @@ import pytest
 
 from latent_elevator import (
     AnalyticDenoiser,
-    NULL_CONDITION,
+    CrossFrameDenoiser,
     SamplerConfig,
     TimestepGrid,
     baseline_sample,
@@ -36,10 +36,8 @@ from latent_elevator import (
     lpff,
     make_attention_params,
     make_default_plan,
-    make_t2i_toy,
     project_clean,
     select_timesteps,
-    wrap_crossframe,
 )
 from latent_elevator.attention import attention
 from latent_elevator.harness import run as harness_run
@@ -47,7 +45,7 @@ from latent_elevator.metrics import compute_report
 from latent_elevator.schedule import NoiseSchedule
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import dft_matrix
+from conftest import dft_matrix, recipe_denoiser
 from test_attention import naive_attention
 from test_denoiser import oracle_eps
 from test_freqfilter import dft_filter_oracle
@@ -140,7 +138,7 @@ def test_criterion_1_equation_oracles(sched_t2i):
                       kind="linear_beta", params={})
 
     class Ones:
-        def predict_eps(self, z, t, cond, sched):
+        def predict_eps(self, z, t, sched):
             return np.ones_like(z)
 
     out = ddim_step(Ones(), np.ones((1, 1, 2, 2)), 2, 1, s, SamplerConfig())
@@ -171,7 +169,7 @@ def test_criterion_1_equation_oracles(sched_t2i):
         t = int(rng.integers(1, 1001))
         z = rng.standard_normal((4, 2, 4, 4))
         np.testing.assert_allclose(
-            den.predict_eps(z, t, NULL_CONDITION, sched_t2i),
+            den.predict_eps(z, t, sched_t2i),
             oracle_eps(prior, z, t, sched_t2i),
             rtol=1e-5, atol=1e-8,
         )
@@ -357,12 +355,12 @@ def test_criterion_8_degenerate_equivalences(sched_t2i):
     bit_identical = np.array_equal(z_elev, z_base)
 
     # a zero-mix wrapper is bit-identical to its base
-    base = make_t2i_toy(4, 4, 8, 8)
-    wrapped = wrap_crossframe(base, make_attention_params(4), mix=0.0)
+    base = recipe_denoiser("t2i", (4, 4, 8, 8))
+    wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.0)
     z = np.random.default_rng(3).standard_normal((4, 4, 8, 8))
     wrapper_identity = np.array_equal(
-        wrapped.predict_eps(z, 500, NULL_CONDITION, sched_t2i),
-        base.predict_eps(z, 500, NULL_CONDITION, sched_t2i),
+        wrapped.predict_eps(z, 500, sched_t2i),
+        base.predict_eps(z, 500, sched_t2i),
     )
 
     # deterministic sampling ignores the random stream entirely

@@ -3,13 +3,13 @@ import pytest
 
 from latent_elevator import (
     AttentionParams,
-    NULL_CONDITION,
+    CrossFrameDenoiser,
     first_only_cross_frame,
     make_attention_params,
-    make_t2i_toy,
-    wrap_crossframe,
 )
 from latent_elevator.attention import attention
+
+from conftest import recipe_denoiser
 
 
 def naive_attention(q, k, v):
@@ -120,33 +120,33 @@ class TestFirstOnlyCrossFrame:
 
 class TestCrossFrameWrapper:
     def test_mix_zero_is_bitwise_identity(self, sched_t2i, rng):
-        base = make_t2i_toy(4, 4, 8, 8)
-        wrapped = wrap_crossframe(base, make_attention_params(4), mix=0.0)
+        base = recipe_denoiser("t2i", (4, 4, 8, 8))
+        wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.0)
         z = rng.standard_normal((4, 4, 8, 8))
         np.testing.assert_array_equal(
-            wrapped.predict_eps(z, 300, NULL_CONDITION, sched_t2i),
-            base.predict_eps(z, 300, NULL_CONDITION, sched_t2i),
+            wrapped.predict_eps(z, 300, sched_t2i),
+            base.predict_eps(z, 300, sched_t2i),
         )
 
     def test_mix_one_identical_frames_share_prediction(self, sched_t2i, rng):
-        base = make_t2i_toy(4, 4, 8, 8)
-        wrapped = wrap_crossframe(base, make_attention_params(4), mix=1.0)
+        base = recipe_denoiser("t2i", (4, 4, 8, 8))
+        wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=1.0)
         frame = rng.standard_normal((1, 4, 8, 8))
         z = np.repeat(frame, 4, axis=0)
-        out = wrapped.predict_eps(z, 300, NULL_CONDITION, sched_t2i)
+        out = wrapped.predict_eps(z, 300, sched_t2i)
         for i in range(1, 4):
             np.testing.assert_allclose(out[i], out[0], rtol=1e-9, atol=1e-12)
 
     def test_mix_one_reduces_adjacent_frame_spread(self, sched_t2i):
         """Frame-0 anchoring shrinks the spread of per-frame predictions:
         median over 50 random latents."""
-        base = make_t2i_toy(6, 4, 8, 8)
+        base = recipe_denoiser("t2i", (6, 4, 8, 8))
         params = make_attention_params(4, seed=2)
-        plain = wrap_crossframe(base, params, mix=0.0)
-        anchored = wrap_crossframe(base, params, mix=1.0)
+        plain = CrossFrameDenoiser(base, params, mix=0.0)
+        anchored = CrossFrameDenoiser(base, params, mix=1.0)
 
         def spread(model, z):
-            eps = model.predict_eps(z, 400, NULL_CONDITION, sched_t2i)
+            eps = model.predict_eps(z, 400, sched_t2i)
             return np.mean(np.linalg.norm(np.diff(eps, axis=0), axis=(1, 2)))
 
         diffs = []
@@ -156,25 +156,24 @@ class TestCrossFrameWrapper:
         assert np.median(diffs) > 0
 
     def test_shape_and_determinism(self, sched_t2i, rng):
-        base = make_t2i_toy(3, 4, 4, 4)
-        wrapped = wrap_crossframe(base, make_attention_params(4), mix=0.5)
+        base = recipe_denoiser("t2i", (3, 4, 4, 4))
+        wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.5)
         z = rng.standard_normal((3, 4, 4, 4))
-        a = wrapped.predict_eps(z, 100, NULL_CONDITION, sched_t2i)
-        b = wrapped.predict_eps(z, 100, NULL_CONDITION, sched_t2i)
+        a = wrapped.predict_eps(z, 100, sched_t2i)
+        b = wrapped.predict_eps(z, 100, sched_t2i)
         assert a.shape == z.shape
         np.testing.assert_array_equal(a, b)
 
     def test_incompatible_channel_width(self, sched_t2i, rng):
-        base = make_t2i_toy(3, 4, 4, 4)
-        wrapped = wrap_crossframe(base, make_attention_params(3), mix=0.5)
+        base = recipe_denoiser("t2i", (3, 4, 4, 4))
+        wrapped = CrossFrameDenoiser(base, make_attention_params(3), mix=0.5)
         with pytest.raises(ValueError, match="incompatible shape"):
-            wrapped.predict_eps(rng.standard_normal((3, 4, 4, 4)), 100,
-                                NULL_CONDITION, sched_t2i)
+            wrapped.predict_eps(rng.standard_normal((3, 4, 4, 4)), 100, sched_t2i)
 
     def test_mix_bounds(self):
-        base = make_t2i_toy(2, 4, 4, 4)
+        base = recipe_denoiser("t2i", (2, 4, 4, 4))
         with pytest.raises(ValueError, match="mix"):
-            wrap_crossframe(base, make_attention_params(4), mix=1.5)
+            CrossFrameDenoiser(base, make_attention_params(4), mix=1.5)
 
 
 def test_submodule_import_is_not_shadowed():
@@ -182,5 +181,4 @@ def test_submodule_import_is_not_shadowed():
     # re-exported function of the same name would hide the module
     import latent_elevator.attention as module
 
-    wrapped = wrap_crossframe(make_t2i_toy(2, 4, 4, 4), make_attention_params(4), 0.5)
-    assert type(wrapped) is module.CrossFrameDenoiser
+    assert module.CrossFrameDenoiser is CrossFrameDenoiser

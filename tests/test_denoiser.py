@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from latent_elevator import (
-    AnalyticDenoiser,
-    Condition,
-    NULL_CONDITION,
-    cfg_eps,
-    forward_diffuse,
-    make_t2i_toy,
-    make_t2v_toy,
-)
+from latent_elevator import AnalyticDenoiser, forward_diffuse
+from latent_elevator.harness import build_plan, resolve_config
 from latent_elevator.schedule import NoiseSchedule
 from latent_elevator.synth import make_gp_prior, sample_prior, spatial_frequency_grid
 
-from conftest import dense_covariance
+from conftest import dense_covariance, recipe_denoiser
 
 
 def oracle_eps(prior, z, t, s, shift=None):
@@ -42,12 +35,18 @@ def band_fraction(x, cut=0.25):
     return e[f > cut].sum() / e.sum()
 
 
+def plan_priors(shape):
+    """The video and image priors ``build_plan`` makes at ``shape``."""
+    plan = build_plan(resolve_config({"shape": list(shape), "render": False}), 0)
+    return plan.t2v_model.prior, plan.t2i_project_model.prior
+
+
 class TestAnalyticEps:
     def test_standard_normal_closed_form(self, std_normal_prior, rng):
         # flat unit prior: eps_hat = sqrt(1 - ab) * z; at ab = 0.5 that is z / sqrt(2)
         s = half_alpha_schedule()
         z = rng.standard_normal((4, 2, 4, 4))
-        out = AnalyticDenoiser(std_normal_prior).predict_eps(z, 1, NULL_CONDITION, s)
+        out = AnalyticDenoiser(std_normal_prior).predict_eps(z, 1, s)
         np.testing.assert_allclose(out, z / np.sqrt(2), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -66,7 +65,7 @@ class TestAnalyticEps:
             t = int(r.integers(1, 1001))
             z = r.standard_normal(shape)
             expected = oracle_eps(prior, z, t, sched_t2i)
-            got = den.predict_eps(z, t, NULL_CONDITION, sched_t2i)
+            got = den.predict_eps(z, t, sched_t2i)
             np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-8)
 
     def test_mean_shift_equivariance(self, sched_t2i, rng):
@@ -75,32 +74,34 @@ class TestAnalyticEps:
         shifted = make_gp_prior(3, 2, 4, 4, rho=0.6, spectrum_kind="broadband",
                                 mean=delta)
         z = rng.standard_normal(prior.shape)
-        a = AnalyticDenoiser(prior).predict_eps(z, 400, Condition(shift=delta), sched_t2i)
-        b = AnalyticDenoiser(shifted).predict_eps(z, 400, NULL_CONDITION, sched_t2i)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+        np.testing.assert_allclose(
+            AnalyticDenoiser(shifted).predict_eps(z, 400, sched_t2i),
+            oracle_eps(prior, z, 400, sched_t2i, shift=delta),
+            rtol=1e-5, atol=1e-8,
+        )
 
     def test_degenerate_prior_at_mean(self, sched_t2i, rng):
         mean = rng.standard_normal((2, 1, 4, 4))
         prior = make_gp_prior(2, 1, 4, 4, variance_scale=0.0, mean=mean)
         t = 300
         z = np.sqrt(sched_t2i.alpha_bar[t]) * mean
-        out = AnalyticDenoiser(prior).predict_eps(z, t, NULL_CONDITION, sched_t2i)
+        out = AnalyticDenoiser(prior).predict_eps(z, t, sched_t2i)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_deterministic_bitwise(self, sched_t2i, rng):
-        den = make_t2v_toy(4, 2, 4, 4)
+        den = recipe_denoiser("t2v", (4, 2, 4, 4))
         z = rng.standard_normal((4, 2, 4, 4))
-        a = den.predict_eps(z, 500, NULL_CONDITION, sched_t2i)
-        b = den.predict_eps(z, 500, NULL_CONDITION, sched_t2i)
+        a = den.predict_eps(z, 500, sched_t2i)
+        b = den.predict_eps(z, 500, sched_t2i)
         np.testing.assert_array_equal(a, b)
         assert a.shape == z.shape
 
     def test_validation(self, sched_t2i):
-        den = make_t2i_toy(2, 1, 4, 4)
+        den = recipe_denoiser("t2i", (2, 1, 4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            den.predict_eps(np.zeros((2, 1, 4, 5)), 10, NULL_CONDITION, sched_t2i)
+            den.predict_eps(np.zeros((2, 1, 4, 5)), 10, sched_t2i)
         with pytest.raises(ValueError, match="timestep out of range"):
-            den.predict_eps(np.zeros((2, 1, 4, 4)), 0, NULL_CONDITION, sched_t2i)
+            den.predict_eps(np.zeros((2, 1, 4, 4)), 0, sched_t2i)
 
     def test_bayes_optimality_margin(self, sched_t2i):
         """Mean squared noise-prediction error of the exact posterior is
@@ -122,7 +123,7 @@ class TestAnalyticEps:
             eps = rng.standard_normal(z0.shape)
             z_t = forward_diffuse(z0, t, eps, sched_t2i)
             mse = lambda pred: float(np.mean((eps - pred) ** 2))
-            analytic = mse(den.predict_eps(z_t, t, NULL_CONDITION, sched_t2i))
+            analytic = mse(den.predict_eps(z_t, t, sched_t2i))
             others = min(mse(np.zeros_like(eps)), mse(z_t))
             assert analytic < others, (t, analytic, others)
             if t <= 500:
@@ -130,66 +131,54 @@ class TestAnalyticEps:
 
 
 class TestGuidance:
-    def test_w1_is_conditional(self, sched_t2i, rng):
-        den = make_t2i_toy(2, 1, 4, 4)
-        z = rng.standard_normal((2, 1, 4, 4))
-        cond = Condition(shift=rng.standard_normal((2, 1, 4, 4)), guidance_scale=1.0)
-        np.testing.assert_array_equal(
-            cfg_eps(den, z, 100, cond, sched_t2i),
-            den.predict_eps(z, 100, cond, sched_t2i),
-        )
-
-    def test_w0_is_unconditional(self, sched_t2i, rng):
-        den = make_t2i_toy(2, 1, 4, 4)
-        z = rng.standard_normal((2, 1, 4, 4))
-        cond = Condition(shift=rng.standard_normal((2, 1, 4, 4)), guidance_scale=0.0)
-        np.testing.assert_array_equal(
-            cfg_eps(den, z, 100, cond, sched_t2i),
-            den.predict_eps(z, 100, NULL_CONDITION, sched_t2i),
-        )
-
-    def test_null_ignores_scale(self, sched_t2i, rng):
-        den = make_t2i_toy(2, 1, 4, 4)
-        z = rng.standard_normal((2, 1, 4, 4))
-        for w in (0.0, 1.0, 7.5):
-            np.testing.assert_array_equal(
-                cfg_eps(den, z, 100, Condition(guidance_scale=w), sched_t2i),
-                den.predict_eps(z, 100, NULL_CONDITION, sched_t2i),
-            )
-
     def test_extrapolation(self, sched_t2i, rng):
-        den = make_t2i_toy(2, 1, 4, 4)
-        z = rng.standard_normal((2, 1, 4, 4))
-        shift = rng.standard_normal((2, 1, 4, 4))
-        w = 3.0
-        uncond = den.predict_eps(z, 100, NULL_CONDITION, sched_t2i)
-        cond = den.predict_eps(z, 100, Condition(shift=shift), sched_t2i)
-        got = cfg_eps(den, z, 100, Condition(shift=shift, guidance_scale=w), sched_t2i)
-        np.testing.assert_allclose(got, uncond + w * (cond - uncond), rtol=1e-12)
+        """Classifier-free guidance needs no code of its own: blending two
+        predictions at weight w gives the prediction of the prior whose
+        mean is the same blend of the two means."""
+        shape = (3, 2, 4, 4)
+        m0, m1 = rng.standard_normal(shape), rng.standard_normal(shape)
 
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError, match="guidance_scale"):
-            Condition(guidance_scale=-0.1)
+        def denoiser(mean):
+            return AnalyticDenoiser(
+                make_gp_prior(*shape, rho=0.6, spectrum_kind="broadband", mean=mean))
+
+        z = rng.standard_normal(shape)
+        for t in (100, 400, 900):
+            eps0 = denoiser(m0).predict_eps(z, t, sched_t2i)
+            eps1 = denoiser(m1).predict_eps(z, t, sched_t2i)
+            for w in (0.0, 1.0, 3.0):
+                np.testing.assert_allclose(
+                    eps0 + w * (eps1 - eps0),
+                    denoiser(m0 + w * (m1 - m0)).predict_eps(z, t, sched_t2i),
+                    rtol=1e-12, atol=1e-12,
+                )
 
 
 class TestToyModels:
+    def test_recipe_helper_matches_build_plan(self):
+        t2v, t2i = plan_priors((4, 2, 8, 8))
+        assert recipe_denoiser("t2v", (4, 2, 8, 8)).prior.to_dict() == t2v.to_dict()
+        assert recipe_denoiser("t2i", (4, 2, 8, 8)).prior.to_dict() == t2i.to_dict()
+
     def test_t2v_prior_frame_correlation(self):
-        den = make_t2v_toy(4, 1, 4, 4, rho=0.9)
+        prior, _ = plan_priors((4, 1, 4, 4))
+        assert prior.temporal_rho == 0.9
         rng = np.random.default_rng(2)
         a, b = [], []
         for _ in range(1000):
-            x = sample_prior(den.prior, rng)
+            x = sample_prior(prior, rng)
             a.append(x[:-1].ravel())
             b.append(x[1:].ravel())
         corr = np.corrcoef(np.concatenate(a), np.concatenate(b))[0, 1]
         assert corr == pytest.approx(0.9, abs=0.02)
 
     def test_rho_zero_independent_frames(self):
-        den = make_t2v_toy(4, 1, 4, 4, rho=0.0)
+        _, prior = plan_priors((4, 1, 4, 4))
+        assert prior.temporal_rho == 0.0
         rng = np.random.default_rng(2)
         a, b = [], []
         for _ in range(1000):
-            x = sample_prior(den.prior, rng)
+            x = sample_prior(prior, rng)
             a.append(x[:-1].ravel())
             b.append(x[1:].ravel())
         corr = np.corrcoef(np.concatenate(a), np.concatenate(b))[0, 1]
@@ -197,11 +186,10 @@ class TestToyModels:
 
     def test_t2i_has_more_highband_energy(self):
         # band-energy oracle over 200 samples of each prior
-        t2v = make_t2v_toy(4, 2, 8, 8)
-        t2i = make_t2i_toy(4, 2, 8, 8)
+        t2v, t2i = plan_priors((4, 2, 8, 8))
         rng = np.random.default_rng(6)
-        hv = np.median([band_fraction(sample_prior(t2v.prior, rng)) for _ in range(200)])
-        hi = np.median([band_fraction(sample_prior(t2i.prior, rng)) for _ in range(200)])
+        hv = np.median([band_fraction(sample_prior(t2v, rng)) for _ in range(200)])
+        hi = np.median([band_fraction(sample_prior(t2i, rng)) for _ in range(200)])
         assert hi > hv
 
     def test_flat_spectrum_band_energy_matches_bin_fraction(self):
@@ -212,7 +200,7 @@ class TestToyModels:
         assert np.mean(fracs) == pytest.approx((f > 0.25).mean(), rel=0.1)
 
     def test_single_frame_equals_spatial_field(self):
-        den = make_t2i_toy(1, 1, 8, 8)
+        den = recipe_denoiser("t2i", (1, 1, 8, 8))
         rng = np.random.default_rng(4)
         x = sample_prior(den.prior, rng)
         # same draw shaped directly by the spatial factor alone

@@ -20,7 +20,6 @@ from latent_elevator import (
     refine_temporal,
     trace_violations,
 )
-from latent_elevator.denoiser import cfg_eps
 from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
@@ -85,7 +84,7 @@ class TestRefineTemporal:
             t = max(plan.grid.refine_set)
             z_t = rng.standard_normal(SMALL)
             clean_in = project_clean(
-                z_t, cfg_eps(exact, z_t, t, None, sched_t2i), t, sched_t2i
+                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
             z_back = sample_down(exact, refine_temporal(z_t, t, plan, rng), t,
                                  plan.grid, sched_t2i)
@@ -107,7 +106,7 @@ class TestRefineTemporal:
             # replay the refiner's internals with an identical stream
             rng2 = np.random.default_rng(seed + 50)
             clean = project_clean(
-                z_t, cfg_eps(exact, z_t, t, None, sched_t2i), t, sched_t2i
+                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
             from latent_elevator.freqfilter import lpff
             clean = lpff(clean, plan.filter_mask, plan.filter_axes)
@@ -115,7 +114,7 @@ class TestRefineTemporal:
             chain = list(plan.grid.steps[idx: idx + plan.n_sdedit + 1])
             z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain,
                                       plan.t2v_schedule, plan.cfg_t2v, rng2)
-            eps_v = cfg_eps(plan.t2v_model, z_v, t_out, None, plan.t2v_schedule)
+            eps_v = plan.t2v_model.predict_eps(z_v, t_out, plan.t2v_schedule)
             clean2 = project_clean(z_v, eps_v, t_out, plan.t2v_schedule)
 
             z_back = sample_down(exact, z_tilde, t, plan.grid, sched_t2i)
@@ -133,11 +132,11 @@ class TestRefineTemporal:
             z0 = sample_prior(prior_i, rng)
             z_t = forward_diffuse(z0, t, rng.standard_normal(SMALL), sched_t2i)
             clean_in = project_clean(
-                z_t, cfg_eps(exact, z_t, t, None, sched_t2i), t, sched_t2i
+                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
             z_tilde = refine_temporal(z_t, t, plan, rng)
             clean_out = project_clean(
-                z_tilde, cfg_eps(exact, z_tilde, t, None, sched_t2i), t, sched_t2i
+                z_tilde, exact.predict_eps(z_tilde, t, sched_t2i), t, sched_t2i
             )
             gains.append(frame_consistency(clean_out) - frame_consistency(clean_in))
         assert np.median(gains) > 0
@@ -158,7 +157,7 @@ class TestRefineTemporal:
         # shared forward noise: frame differences carry only the clean content
         s = plan.t2i_schedule
         exact = plan.t2i_project_model
-        clean = project_clean(z_t, cfg_eps(exact, z_t, t, None, s), t, s)
+        clean = project_clean(z_t, exact.predict_eps(z_t, t, s), t, s)
         resid = out - np.sqrt(s.alpha_bar[t]) * clean
         np.testing.assert_allclose(resid[1:], resid[:-1], rtol=1e-9, atol=1e-12)
 
@@ -185,10 +184,10 @@ class TestElevateSpatial:
             zv = sample_prior(prior_v, rng)
             z_t = forward_diffuse(zv, t, rng.standard_normal(SMALL), sched_t2i)
             before = spatial_detail(project_clean(
-                z_t, cfg_eps(exact, z_t, t, None, sched_t2i), t, sched_t2i))
+                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i))
             z_next = elevate_spatial(z_t, t, t_prev, small_plan, rng)
             after = spatial_detail(project_clean(
-                z_next, cfg_eps(exact, z_next, t_prev, None, sched_t2i),
+                z_next, exact.predict_eps(z_next, t_prev, sched_t2i),
                 t_prev, sched_t2i))
             diffs.append(after - before)
         assert np.median(diffs) > 0

@@ -66,9 +66,49 @@ class TestConfig:
             resolve_config({"shape": [4, 2, 8, 8]})
         resolve_config({"shape": [4, 2, 8, 8], "render": False})
 
+    def test_guidance_scale_is_not_a_knob(self):
+        # guidance is a mean shift of the prior, not a plan setting
+        with pytest.raises(ValueError, match="unknown key 'plan.guidance_scale'"):
+            resolve_config({"plan": {"guidance_scale": 3.0}})
+
+    def test_cosine_schedule_rejected_up_front(self):
+        # alpha_bar[T] of the 1000-step cosine schedule is 2.4e-9, below the
+        # clean-projection floor, and every grid starts at T
+        with pytest.raises(ValueError, match="t2i schedule 'cosine'"):
+            resolve_config({"schedules": {"t2i": {"kind": "cosine"}}})
+
+    def test_short_cosine_schedule_runs(self, tmp_path):
+        cfg = tiny("elevate", seeds=[0], render=False)
+        cfg["schedules"] = {"t2i": {"kind": "cosine", "total_steps": 400},
+                            "t2v": {"total_steps": 400}}
+        manifest = run(cfg, output_dir=tmp_path)
+        assert manifest["runs"][0]["trace_violations"] == []
+
+    def test_ablate_steps_beyond_schedule_writes_nothing(self, tmp_path):
+        cfg = tiny("ablate_steps", seeds=[0], render=False)
+        cfg["ablate_steps"] = {"step_counts": [50, 2000]}
+        with pytest.raises(ValueError, match="baseline_t2v_2000: num_steps out of range"):
+            run(cfg, output_dir=tmp_path / "out")
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("plan,match", [
+        ({"eta_t2v": 1.5}, "eta"),
+        ({"crossframe_mix": 2.0}, "mix"),
+        ({"n_sdedit": 60}, "n_sdedit"),
+        ({"filter": {"d0": 0}}, "d0"),
+        ({"filter": {"axes": ["spatial"]}}, "axes"),
+    ])
+    def test_plan_errors_rejected_up_front(self, plan, match):
+        with pytest.raises(ValueError, match=f"invalid config: elevate: .*{match}"):
+            resolve_config({"plan": plan})
+
     def test_defaults_not_mutated(self):
         before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
-        resolve_config({"plan": {"num_steps": 3}})
+        resolve_config({"plan": {"num_steps": 30}})
+        # 3 steps cannot hold the default 5 refining steps: rejected, and
+        # the rejection leaves the defaults alone too
+        with pytest.raises(ValueError, match="refine count"):
+            resolve_config({"plan": {"num_steps": 3}})
         assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
 
     def test_plan_roundtrips_through_config(self):
@@ -83,6 +123,56 @@ class TestConfig:
         za, _ = elevate_sample(plan_a)
         zb, _ = elevate_sample(plan_b)
         np.testing.assert_array_equal(za, zb)
+
+
+def plan_leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from plan_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+# One alternative value per leaf of DEFAULT_CONFIG["plan"].
+KNOB_ALTERNATIVES = {
+    "num_steps": 20,
+    "num_refine_steps": 3,
+    "n_sdedit": 4,
+    "eta_t2v": 0.5,
+    "eta_t2i": 0.5,
+    "crossframe_mix": 0.6,
+    "attention_seed": 7,
+    "inversion": "same_noise",
+    "snr_match": True,
+    "filter.d0": 0.1,
+    "filter.axes": ["temporal", "spatial"],
+    "filter.apply_every_refine": False,
+}
+
+
+class TestNoDeadKnobs:
+    KNOB_CONFIG = {"mode": "elevate", "shape": [4, 4, 8, 8], "seeds": [0], "render": False}
+
+    def latent_checksum(self, out, plan=None):
+        cfg = dict(self.KNOB_CONFIG, plan=plan or {})
+        return run(cfg, output_dir=out)["files"]["elevate_seed0000.elvt"]
+
+    @pytest.fixture(scope="class")
+    def default_checksum(self, tmp_path_factory):
+        return self.latent_checksum(tmp_path_factory.mktemp("default"))
+
+    def test_every_plan_leaf_has_an_alternative(self):
+        assert set(KNOB_ALTERNATIVES) == set(plan_leaves(DEFAULT_CONFIG["plan"]))
+
+    @pytest.mark.parametrize("leaf", sorted(KNOB_ALTERNATIVES))
+    def test_knob_changes_the_latent(self, leaf, default_checksum, tmp_path):
+        plan: dict = {}
+        *parents, key = leaf.split(".")
+        node = plan
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = KNOB_ALTERNATIVES[leaf]
+        assert self.latent_checksum(tmp_path, plan) != default_checksum
 
 
 class TestRunModes:

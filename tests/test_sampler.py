@@ -27,7 +27,7 @@ class ConstantModel:
     def __init__(self, value):
         self.value = value
 
-    def predict_eps(self, z, t, cond, s):
+    def predict_eps(self, z, t, s):
         return np.broadcast_to(self.value, z.shape).copy()
 
 
@@ -192,7 +192,7 @@ class TestSamplingLoops:
         np.testing.assert_array_equal(
             out, ddim_step(den, z, 700, 0, sched_t2i, SamplerConfig())
         )
-        eps = den.predict_eps(z, 700, None, sched_t2i)
+        eps = den.predict_eps(z, 700, sched_t2i)
         np.testing.assert_allclose(out, project_clean(z, eps, 700, sched_t2i),
                                    rtol=1e-12)
 
@@ -264,7 +264,7 @@ class TestSdedit:
             rng = np.random.default_rng(seed + 100)
             z_in = mean + rng.standard_normal(SHAPE)
             out, t_out = sdedit_chain(den, z_in, chain, sched_t2i, SamplerConfig(), rng)
-            eps_hat = den.predict_eps(out, t_out, None, sched_t2i)
+            eps_hat = den.predict_eps(out, t_out, sched_t2i)
             clean = project_clean(out, eps_hat, t_out, sched_t2i)
             if np.linalg.norm(clean - mean) < np.linalg.norm(z_in - mean):
                 wins += 1
