@@ -30,7 +30,7 @@ from .sampler import (  # noqa: F401
     ddim_step,
     step_sigma,
 )
-from .freqfilter import LowPassMask, gaussian_mask, identity_mask, lpff  # noqa: F401
+from .freqfilter import LowPassMask, gaussian_mask, lpff  # noqa: F401
 from .attention import (  # noqa: F401
     AttentionParams,
     CrossFrameDenoiser,

@@ -19,7 +19,7 @@ from .schedule import NoiseSchedule
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Query/key/value projection matrices, each ``d_in x d``."""
+    """Query/key/value projection matrices, each ``width x width``."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -32,74 +32,52 @@ class AttentionParams:
             object.__setattr__(self, name, m)
             if m.ndim != 2 or not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} must be a finite 2-D matrix")
-        if not self.w_q.shape == self.w_k.shape == self.w_v.shape:
-            raise ValueError("projection matrices must share one shape")
+        # square, so attended tokens blend back into the C-wide prediction
+        if not self.w_q.shape == self.w_k.shape == self.w_v.shape == self.w_q.shape[::-1]:
+            raise ValueError("projection matrices must share one shape, and be square")
 
     @property
-    def d_in(self) -> int:
+    def width(self) -> int:
         return self.w_q.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.w_q.shape[1]
 
-
-def make_attention_params(d_in: int, d: int | None = None, seed: int = 0) -> AttentionParams:
+def make_attention_params(width: int, seed: int = 0) -> AttentionParams:
     """Seeded random orthonormal projections; orthonormality keeps token
     scales stable in the absence of trained weights."""
-    d = d_in if d is None else d
-    if d > d_in:
-        raise ValueError("d must not exceed d_in for orthonormal columns")
     rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(3):
-        q, _ = np.linalg.qr(rng.standard_normal((d_in, d_in)))
-        mats.append(q[:, :d])
+    mats = [np.linalg.qr(rng.standard_normal((width, width)))[0] for _ in range(3)]
     return AttentionParams(*mats)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise ``softmax(q k^T / sqrt(d)) v`` for 2-D operands."""
+    """Row-wise ``softmax(q k^T / sqrt(d)) v`` for 2-D keys and values,
+    broadcast over the leading axes of ``q``."""
     q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("attention operands must be 2-D")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"shape mismatch: query width {q.shape[1]} vs key width {k.shape[1]}")
+    if q.ndim < 2 or k.ndim != 2 or v.ndim != 2:
+        raise ValueError("attention needs 2-D keys and values and queries of ndim >= 2")
+    if q.shape[-1] != k.shape[1]:
+        raise ValueError(f"shape mismatch: query width {q.shape[-1]} vs key width {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"shape mismatch: {k.shape[0]} keys vs {v.shape[0]} values")
     if k.shape[0] < 1:
         raise ValueError("need at least one key/value row")
-    weights = _softmax(q @ k.T / np.sqrt(q.shape[1]))
+    logits = q @ k.T / np.sqrt(q.shape[-1])
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
     return weights @ v
 
 
-def first_only_cross_frame(frames, params: AttentionParams) -> np.ndarray:
+def first_only_cross_frame(frames: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Attend every frame's tokens to frame 0's keys and values.
 
-    ``frames`` is an ``(F, n, d_in)`` stack of token matrices (or a
-    sequence of equal-shaped matrices). Frame 0's output is its own
-    self-attention.
+    ``frames`` is an ``(F, n, width)`` stack of token matrices. Frame 0's
+    output is its own self-attention.
     """
-    if not isinstance(frames, np.ndarray):
-        shapes = {np.asarray(f).shape for f in frames}
-        if len(shapes) > 1:
-            raise ValueError(f"ragged frames: token matrices differ in shape {shapes}")
-        frames = np.stack([np.asarray(f) for f in frames])
     if frames.ndim != 3:
-        raise ValueError(f"expected (F, n, d_in) tokens, got shape {frames.shape}")
-    if frames.shape[2] != params.d_in:
-        raise ValueError(f"shape mismatch: token width {frames.shape[2]} vs {params.d_in}")
-    q = frames @ params.w_q                      # (F, n, d)
-    k0 = frames[0] @ params.w_k                  # (n, d)
-    v0 = frames[0] @ params.w_v
-    weights = _softmax(q @ k0.T / np.sqrt(params.d))
-    return weights @ v0
+        raise ValueError(f"expected (F, n, width) tokens, got shape {frames.shape}")
+    if frames.shape[2] != params.width:
+        raise ValueError(f"shape mismatch: token width {frames.shape[2]} vs {params.width}")
+    return attention(frames @ params.w_q, frames[0] @ params.w_k, frames[0] @ params.w_v)
 
 
 class CrossFrameDenoiser:
@@ -114,8 +92,6 @@ class CrossFrameDenoiser:
     def __init__(self, base: Denoiser, params: AttentionParams, mix: float):
         if not 0.0 <= mix <= 1.0:
             raise ValueError(f"mix must be in [0, 1], got {mix}")
-        if params.d != params.d_in:
-            raise ValueError("incompatible shape: need square projections to blend tokens")
         self.base = base
         self.params = params
         self.mix = mix
@@ -125,8 +101,8 @@ class CrossFrameDenoiser:
         if self.mix == 0.0:
             return eps
         f, c, h, w = eps.shape
-        if c != self.params.d_in:
-            raise ValueError(f"incompatible shape: {c} channels vs width {self.params.d_in}")
+        if c != self.params.width:
+            raise ValueError(f"incompatible shape: {c} channels vs width {self.params.width}")
         tokens = eps.transpose(0, 2, 3, 1).reshape(f, h * w, c)
         attended = first_only_cross_frame(tokens, self.params)
         attended = attended.reshape(f, h, w, c).transpose(0, 3, 1, 2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser
-from .freqfilter import LowPassMask, check_axes, lpff
+from .freqfilter import LowPassMask, lpff
 from .sampler import SamplerConfig, ddim_invert, ddim_step, sdedit_chain
 from .schedule import (
     ALPHA_BAR_FLOOR,
@@ -56,7 +56,6 @@ class ElevatorPlan:
     grid: TimestepGrid
     n_sdedit: int
     filter_mask: LowPassMask
-    filter_axes: tuple
     filter_every_refine: bool
     cfg_t2v: SamplerConfig
     cfg_t2i: SamplerConfig
@@ -66,7 +65,6 @@ class ElevatorPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
-        object.__setattr__(self, "filter_axes", check_axes(self.filter_axes))
         if self.t2v_schedule.total_steps != self.t2i_schedule.total_steps:
             raise ValueError(
                 "plan invalid: schedules must share total_steps for index alignment"
@@ -159,7 +157,7 @@ def refine_temporal(
 
     first_refine = t == max(plan.grid.refine_set)
     if plan.filter_every_refine or first_refine:
-        clean = lpff(clean, plan.filter_mask, plan.filter_axes)
+        clean = lpff(clean, plan.filter_mask)
         _trace_record(trace, timestep=t, phase="refine.lpff", model=None,
                       schedule=None, space="clean", z=clean)
 

@@ -59,8 +59,8 @@ def gaussian_mask(
 ) -> LowPassMask:
     """Gaussian gains ``exp(-f^2 / (2 d0^2))`` over normalized frequency.
 
-    ``spatial_shape=(H, W)`` adds a 2-D mask with the same cutoff for the
-    spatial-temporal variant.
+    ``spatial_shape=(H, W)`` adds 2-D gains with the same cutoff, which
+    make ``lpff`` filter over (H, W) as well.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -80,12 +80,6 @@ def gaussian_mask(
     return LowPassMask(gains=gains, spatial_gains=spatial)
 
 
-def identity_mask(frames: int, spatial_shape: tuple | None = None) -> LowPassMask:
-    """All-ones mask; filtering with it is the identity."""
-    spatial = None if spatial_shape is None else np.ones(spatial_shape)
-    return LowPassMask(gains=np.ones(frames), spatial_gains=spatial)
-
-
 def check_axes(axes) -> tuple:
     """The filter axes as a tuple: temporal, optionally also spatial."""
     axes = tuple(axes)
@@ -94,9 +88,9 @@ def check_axes(axes) -> tuple:
     return axes
 
 
-def lpff(video: np.ndarray, mask: LowPassMask, axes=(TEMPORAL,)) -> np.ndarray:
-    """Apply the mask along the selected axes; output is real, same shape."""
-    axes = check_axes(axes)
+def lpff(video: np.ndarray, mask: LowPassMask) -> np.ndarray:
+    """Apply the mask along the frame axis, then over (H, W) when it has
+    spatial gains; output is real, same shape."""
     if video.ndim != 4:
         raise ValueError(f"expected (F, C, H, W) video, got shape {video.shape}")
     if mask.gains.shape[0] != video.shape[0]:
@@ -105,9 +99,7 @@ def lpff(video: np.ndarray, mask: LowPassMask, axes=(TEMPORAL,)) -> np.ndarray:
         )
     freq = np.fft.fft(video, axis=0) * mask.gains[:, None, None, None]
     out = np.fft.ifft(freq, axis=0).real
-    if SPATIAL in axes:
-        if mask.spatial_gains is None:
-            raise ValueError("mask shape mismatch: no spatial gains on this mask")
+    if mask.spatial_gains is not None:
         if mask.spatial_gains.shape != video.shape[2:]:
             raise ValueError(
                 f"mask shape mismatch: spatial gains {mask.spatial_gains.shape} "

@@ -12,6 +12,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -28,8 +29,8 @@ from .elevate import (
     elevate_sample,
     trace_violations,
 )
-from .freqfilter import SPATIAL, TEMPORAL, gaussian_mask, identity_mask
-from .metrics import MetricReport, compute_report
+from .freqfilter import SPATIAL, TEMPORAL, check_axes, gaussian_mask
+from .metrics import MetricReport, check_thresholds, compute_report
 from .sampler import SamplerConfig, ddim_invert, ddim_sample
 from .schedule import make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
@@ -92,11 +93,32 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ValueError(f"invalid config: unknown key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"invalid config: {where} must be a mapping, got {value!r}")
             out[key] = _deep_merge(base[key], value, where)
         else:
-            out[key] = copy.deepcopy(value)
+            out[key] = _leaf(base[key], value, where)
     return out
+
+
+def _leaf(default, value, where: str):
+    """``value`` as a leaf of ``default``'s type: a bool is not an int, an
+    int stands for a float, a list takes a list or tuple of its default's
+    element type, and the ``None`` output_dir takes a string."""
+    if isinstance(default, list):
+        if isinstance(value, (list, tuple)):
+            return [_leaf(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(default, float):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif default is None:
+        if value is None or isinstance(value, str):
+            return value
+    elif type(value) is type(default):
+        return value
+    raise ValueError(f"invalid config: {where} must have the type of its default "
+                     f"{default!r}, got {value!r}")
 
 
 def resolve_config(config: dict | None = None) -> dict:
@@ -107,22 +129,40 @@ def resolve_config(config: dict | None = None) -> dict:
     if resolved["mode"] not in MODES:
         raise ValueError(f"invalid config: unknown mode {resolved['mode']!r}")
     seeds = resolved["seeds"]
-    if not seeds:
-        raise ValueError("invalid config: seeds must be nonempty")
+    if not seeds or min(seeds) < 0:
+        raise ValueError(f"invalid config: seeds must be nonempty and >= 0, got {seeds}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"invalid config: duplicate seeds in {seeds} would share output files")
-    if int(resolved["jobs"]) < 1:
+    if resolved["jobs"] < 1:
         raise ValueError(f"invalid config: jobs must be >= 1, got {resolved['jobs']}")
-    frames, channels = resolved["shape"][:2]
+    shape = resolved["shape"]
+    if len(shape) != 4:
+        raise ValueError(f"invalid config: shape must be [F, C, H, W], got {shape}")
+    frames, channels, height, width = shape
     if frames < 2:
         raise ValueError(f"invalid config: shape needs >= 2 frames, got {frames}")
+    if channels < 1 or min(height, width) < 2:
+        raise ValueError(f"invalid config: shape needs C >= 1 and H, W >= 2, got {shape}")
     if resolved["render"] and channels not in RENDER_CHANNELS:
         raise ValueError(
             f"invalid config: render needs channels in {RENDER_CHANNELS}, got {channels}"
         )
+    for name, prior in resolved["priors"].items():
+        if not prior["variance_scale"] > 0:  # zero mean: all-zero latents
+            raise ValueError(f"invalid config: priors.{name}.variance_scale must be > 0, "
+                             f"got {prior['variance_scale']}")
+    try:
+        check_thresholds(shape, **resolved["metrics"])
+    except ValueError as err:
+        raise ValueError(f"invalid config: metrics.{err}") from err
+    counts = resolved["ablate_steps"]["step_counts"]
+    if resolved["mode"] == "ablate_steps" and (len(counts) < 2 or len(set(counts)) < len(counts)):
+        raise ValueError(
+            f"invalid config: ablate_steps.step_counts needs >= 2 distinct counts, got {counts}"
+        )
     for variant in _variants_for(resolved):
         try:
-            build_plan(resolved, seeds[0], **_plan_adjustments(variant))
+            build_plan(_deep_merge(resolved, {"plan": variant["plan"]}), seeds[0])
         except (TypeError, ValueError) as err:
             raise ValueError(f"invalid config: {variant['name']}: {err}") from err
     return resolved
@@ -132,11 +172,10 @@ def _build_schedule(cfg: dict):
     return make_schedule(cfg["kind"], cfg["total_steps"], **cfg["params"])
 
 
-def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
-    """Build the models and the full plan from a resolved config (the JSON
-    form of an ElevatorPlan) plus per-variant adjustments: ``num_steps``,
-    ``num_refine_steps``, ``inversion``, ``filter_axes`` and
-    ``identity_filter``."""
+def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
+    """Build the models and the full plan from a resolved config, the JSON
+    form of an ElevatorPlan. A variant's cell passes the config with the
+    variant's ``plan`` override merged over it."""
     f, c, h, w = resolved["shape"]
     plan_cfg, filt = resolved["plan"], resolved["plan"]["filter"]
     pv, pi = resolved["priors"]["t2v"], resolved["priors"]["t2i"]
@@ -145,14 +184,11 @@ def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
     t2i_analytic = AnalyticDenoiser(t2i_prior)
     params = make_attention_params(c, seed=plan_cfg["attention_seed"])
     t2i_schedule = _build_schedule(resolved["schedules"]["t2i"])
-    grid = select_refine_steps(
-        select_timesteps(t2i_schedule, variant.get("num_steps", plan_cfg["num_steps"])),
-        variant.get("num_refine_steps", plan_cfg["num_refine_steps"]),
-    )
-    if variant.get("identity_filter"):
-        mask = identity_mask(f, spatial_shape=(h, w))
-    else:
-        mask = gaussian_mask(f, filt["d0"], spatial_shape=(h, w))
+    grid = select_refine_steps(select_timesteps(t2i_schedule, plan_cfg["num_steps"]),
+                               plan_cfg["num_refine_steps"])
+    # spatial gains are what makes lpff filter over (H, W) too
+    spatial = SPATIAL in check_axes(filt["axes"])
+    mask = gaussian_mask(f, filt["d0"], spatial_shape=(h, w) if spatial else None)
     return ElevatorPlan(
         shape=(f, c, h, w),
         t2v_model=AnalyticDenoiser(t2v_prior),
@@ -163,12 +199,11 @@ def build_plan(resolved: dict, seed: int, **variant) -> ElevatorPlan:
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
         filter_mask=mask,
-        filter_axes=variant.get("filter_axes", filt["axes"]),
         filter_every_refine=filt["apply_every_refine"],
         cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"]),
         cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"]),
         seed=seed,
-        inversion=variant.get("inversion", plan_cfg["inversion"]),
+        inversion=plan_cfg["inversion"],
         snr_match=plan_cfg["snr_match"],
     )
 
@@ -184,64 +219,44 @@ def make_default_plan(**overrides) -> ElevatorPlan:
     config = {"render": False, "plan": {k: overrides.pop(k) for k in list(overrides)
                                         if k in DEFAULT_CONFIG["plan"]}}
     if "shape" in overrides:
-        config["shape"] = list(overrides.pop("shape"))
+        config["shape"] = overrides.pop("shape")
     return replace(build_plan(resolve_config(config), seed), **overrides)
 
 
 def _variants_for(resolved: dict) -> list:
-    mode = resolved["mode"]
-    if mode == "baseline_t2v":
-        return [{"name": "baseline_t2v", "kind": "baseline", "model": "t2v"}]
-    if mode == "baseline_t2i":
-        return [{"name": "baseline_t2i", "kind": "baseline", "model": "t2i"}]
-    if mode == "elevate":
-        return [{"name": "elevate", "kind": "elevate"}]
-    if mode == "ablate_filter":
-        return [
-            {"name": "no_lpff", "kind": "elevate", "identity_filter": True},
-            {"name": "temporal", "kind": "elevate", "filter_axes": [TEMPORAL]},
-            {
-                "name": "spatial_temporal",
-                "kind": "elevate",
-                "filter_axes": [TEMPORAL, SPATIAL],
-            },
-        ]
-    if mode == "ablate_inversion":
-        return [
-            {"name": "same_noise", "kind": "elevate", "inversion": "same_noise"},
-            {"name": "ddim", "kind": "elevate", "inversion": "ddim"},
-            {"name": "random_noise", "kind": "elevate", "inversion": "random_noise"},
-        ]
+    """The cells of one seed: each variant's name, kind, baseline model and
+    the ``plan`` override it runs with over the resolved config."""
+    mode, plain = resolved["mode"], {"num_refine_steps": 0}  # only elevate refines
+    if mode in ("baseline_t2v", "baseline_t2i"):
+        return [{"name": mode, "kind": "baseline", "model": mode.removeprefix("baseline_"),
+                 "plan": plain}]
+    if mode == "roundtrip":
+        return [{"name": mode, "kind": "roundtrip", "plan": plain}]
     if mode == "ablate_steps":
         counts = resolved["ablate_steps"]["step_counts"]
-        variants = [
-            {"name": f"baseline_t2v_{k}", "kind": "baseline", "model": "t2v", "num_steps": k}
-            for k in counts
+        k = counts[0]
+        return [
+            *({"name": f"baseline_t2v_{n}", "kind": "baseline", "model": "t2v",
+               "plan": {**plain, "num_steps": n}} for n in counts),
+            {"name": f"baseline_t2i_{k}", "kind": "baseline", "model": "t2i",
+             "plan": {**plain, "num_steps": k}},
+            {"name": f"elevate_{k}", "kind": "elevate", "plan": {"num_steps": k}},
         ]
-        variants.append(
-            {"name": f"baseline_t2i_{counts[0]}", "kind": "baseline", "model": "t2i",
-             "num_steps": counts[0]}
-        )
-        variants.append({"name": f"elevate_{counts[0]}", "kind": "elevate",
-                         "num_steps": counts[0]})
-        return variants
-    if mode == "roundtrip":
-        return [{"name": "roundtrip", "kind": "roundtrip"}]
-    raise ValueError(f"invalid config: unknown mode {mode!r}")
-
-
-def _plan_adjustments(variant: dict) -> dict:
-    """The ``build_plan`` keywords of one variant; only elevate refines."""
-    adjust = {k: v for k, v in variant.items() if k not in ("name", "kind", "model")}
-    if variant["kind"] != "elevate":
-        adjust["num_refine_steps"] = 0
-    return adjust
+    arms = {
+        "elevate": {"elevate": {}},
+        "ablate_filter": {"no_lpff": {"filter": {"d0": math.inf}},
+                          "temporal": {"filter": {"axes": [TEMPORAL]}},
+                          "spatial_temporal": {"filter": {"axes": [TEMPORAL, SPATIAL]}}},
+        "ablate_inversion": {name: {"inversion": name}
+                             for name in ("same_noise", "ddim", "random_noise")},
+    }[mode]
+    return [{"name": name, "kind": "elevate", "plan": plan} for name, plan in arms.items()]
 
 
 def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
     """Execute one (variant, seed) cell and write its artifacts."""
     t_start = time.perf_counter()
-    plan = build_plan(resolved, seed, **_plan_adjustments(variant))
+    plan = build_plan(_deep_merge(resolved, {"plan": variant["plan"]}), seed)
     extra: dict = {}
     if variant["kind"] == "elevate":
         z, trace = elevate_sample(plan)
@@ -388,7 +403,7 @@ def run(config: dict | None = None, output_dir=None) -> dict:
     t_start = time.perf_counter()
     variants = _variants_for(resolved)
     cells = [(variant, seed) for variant in variants for seed in resolved["seeds"]]
-    jobs = int(resolved["jobs"])
+    jobs = resolved["jobs"]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [

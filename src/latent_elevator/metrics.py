@@ -94,6 +94,20 @@ def spectrum_distance(v: np.ndarray, prior: GaussianPrior) -> float:
     return float(np.abs(energy / total - spec / spec.sum()).sum())
 
 
+def check_thresholds(shape, flicker_cutoff: float, detail_band: float) -> None:
+    """Reject a threshold that measures nothing at an (F, C, H, W) shape:
+    each must keep DC below it (``>= 0``) and some bin above it (below the
+    largest frequency magnitude it thresholds)."""
+    f, _, h, w = shape
+    for name, value, top in (
+        ("flicker_cutoff", flicker_cutoff, np.abs(np.fft.fftfreq(f)).max()),
+        ("detail_band", detail_band, spatial_frequency_grid(h, w).max()),
+    ):
+        if not 0 <= value < top:
+            raise ValueError(f"{name} must lie in [0, {top:.4g}) at shape {tuple(shape)}, "
+                             f"got {value}")
+
+
 def compute_report(
     v: np.ndarray,
     t2v_prior: GaussianPrior,

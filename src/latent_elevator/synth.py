@@ -73,7 +73,7 @@ class GaussianPrior:
             raise ValueError("invalid prior: spectrum must satisfy S[k] == S[-k]")
         if not abs(self.temporal_rho) < 1:
             raise ValueError("invalid prior: |temporal_rho| must be < 1")
-        if self.variance_scale < 0:
+        if not self.variance_scale >= 0:
             raise ValueError("invalid prior: variance_scale must be >= 0")
 
     def to_dict(self) -> dict:

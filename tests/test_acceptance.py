@@ -32,7 +32,6 @@ from latent_elevator import (
     elevate_sample,
     forward_diffuse,
     gaussian_mask,
-    identity_mask,
     lpff,
     make_attention_params,
     make_default_plan,
@@ -74,13 +73,12 @@ class RunsCache:
             z, _ = elevate_sample(plan)
             return z
         if variant == "no_lpff":
-            plan = make_default_plan(seed=seed,
-                                     filter_mask=identity_mask(16, (16, 16)))
+            plan = make_default_plan(seed=seed, filter={"d0": float("inf")})
             z, _ = elevate_sample(plan)
             return z
         if variant == "spatial_temporal":
             plan = make_default_plan(seed=seed,
-                                     filter_axes=("temporal", "spatial"))
+                                     filter={"axes": ["temporal", "spatial"]})
             z, _ = elevate_sample(plan)
             return z
         plan = make_default_plan(seed=seed)

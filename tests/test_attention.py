@@ -65,6 +65,17 @@ class TestAttention:
                                    attention(q, k[perm], v[perm]),
                                    rtol=1e-9, atol=1e-12)
 
+    def test_broadcasts_over_leading_query_axes(self, rng):
+        q = rng.standard_normal((2, 3, 5, 4))
+        k = rng.standard_normal((6, 4))
+        v = rng.standard_normal((6, 2))
+        out = attention(q, k, v)
+        assert out.shape == (2, 3, 5, 2)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(out[i, j], attention(q[i, j], k, v),
+                                           rtol=1e-12, atol=1e-15)
+
     def test_shape_validation(self, rng):
         with pytest.raises(ValueError, match="shape mismatch"):
             attention(rng.standard_normal((3, 4)), rng.standard_normal((5, 3)),
@@ -101,16 +112,28 @@ class TestFirstOnlyCrossFrame:
             expected = naive_attention(frames[i] @ params.w_q, k0, v0)
             np.testing.assert_allclose(out[i], expected, rtol=1e-6, atol=1e-9)
 
-    def test_ragged_frames_rejected(self, rng):
-        frames = [rng.standard_normal((5, 4)), rng.standard_normal((6, 4))]
-        with pytest.raises(ValueError, match="ragged"):
-            first_only_cross_frame(frames, make_attention_params(4))
+    def test_is_attention_of_the_first_frame(self, rng):
+        # the kernel in full, one softmax over all frames' queries at once
+        params = make_attention_params(4, seed=5)
+        frames = rng.standard_normal((3, 6, 4))
+        q, k0, v0 = frames @ params.w_q, frames[0] @ params.w_k, frames[0] @ params.w_v
+        logits = q @ k0.T / np.sqrt(4)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(first_only_cross_frame(frames, params),
+                                      e / e.sum(axis=-1, keepdims=True) @ v0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="share one shape"):
             AttentionParams(np.eye(3), np.eye(3), np.eye(4))
         with pytest.raises(ValueError, match="finite"):
             AttentionParams(np.full((2, 2), np.nan), np.eye(2), np.eye(2))
+
+    def test_non_square_projections_rejected(self):
+        # attended tokens are blended back into the C-wide prediction
+        tall = np.eye(4)[:, :3]
+        with pytest.raises(ValueError, match="square"):
+            AttentionParams(tall, tall, tall)
+        assert make_attention_params(5).width == 5
 
     def test_orthonormal_projections(self):
         params = make_attention_params(6, seed=0)

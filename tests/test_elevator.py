@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from latent_elevator import (
     elevate_sample,
     elevate_spatial,
     forward_diffuse,
-    identity_mask,
+    gaussian_mask,
     make_default_plan,
     make_schedule,
     project_clean,
@@ -58,7 +59,7 @@ class TestPlanValidation:
 
     def test_mask_length(self, small_plan):
         with pytest.raises(ValueError, match="mask length"):
-            replace(small_plan, filter_mask=identity_mask(4))
+            replace(small_plan, filter_mask=gaussian_mask(4, math.inf))
 
 
 class TestRefineTemporal:
@@ -75,8 +76,7 @@ class TestRefineTemporal:
         (stateless one-call-per-hop inversion reconstructs with an error
         that is first order, O(1/K); on this 50-step grid that is about
         1.5e-2)."""
-        plan = make_default_plan(shape=SMALL, n_sdedit=0,
-                                 filter_mask=identity_mask(SMALL[0], SMALL[2:]))
+        plan = make_default_plan(shape=SMALL, n_sdedit=0, filter={"d0": math.inf})
         exact = plan.t2i_project_model
         errs = []
         for seed in range(5):
@@ -109,7 +109,7 @@ class TestRefineTemporal:
                 z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
             from latent_elevator.freqfilter import lpff
-            clean = lpff(clean, plan.filter_mask, plan.filter_axes)
+            clean = lpff(clean, plan.filter_mask)
             idx = plan.grid.index_of(t)
             chain = list(plan.grid.steps[idx: idx + plan.n_sdedit + 1])
             z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain,
@@ -152,7 +152,7 @@ class TestRefineTemporal:
             assert out.shape == SMALL
             assert np.all(np.isfinite(out))
         plan = replace(small_plan, inversion="same_noise", n_sdedit=0,
-                       filter_mask=identity_mask(SMALL[0], SMALL[2:]))
+                       filter_mask=gaussian_mask(SMALL[0], math.inf))
         out = refine_temporal(z_t, t, plan, np.random.default_rng(3))
         # shared forward noise: frame differences carry only the clean content
         s = plan.t2i_schedule

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latent_elevator import gaussian_mask, identity_mask, lpff
-from latent_elevator.freqfilter import LowPassMask
+from latent_elevator import gaussian_mask, lpff
+from latent_elevator.freqfilter import LowPassMask, check_axes
 
 
 def dft_filter_oracle(video, gains):
@@ -68,7 +68,7 @@ class TestLpff:
 
     def test_all_ones_mask_is_identity(self, rng):
         video = rng.standard_normal((6, 1, 4, 4))
-        np.testing.assert_allclose(lpff(video, identity_mask(6)), video,
+        np.testing.assert_allclose(lpff(video, gaussian_mask(6, math.inf)), video,
                                    rtol=1e-6, atol=1e-12)
 
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5), seed=st.integers(0, 2**31))
@@ -116,20 +116,33 @@ class TestLpff:
     def test_spatial_temporal_matches_composed_oracle(self, rng):
         video = rng.standard_normal((4, 2, 6, 6))
         mask = gaussian_mask(4, 0.25, spatial_shape=(6, 6))
-        out = lpff(video, mask, axes=("temporal", "spatial"))
+        out = lpff(video, mask)
         step1 = dft_filter_oracle(video, mask.gains).real
         freq = np.fft.fft2(step1, axes=(-2, -1)) * mask.spatial_gains
         expected = np.fft.ifft2(freq, axes=(-2, -1)).real
         np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-9)
+
+    def test_spatial_gains_decide_the_spatial_pass(self, rng):
+        # a temporal-only mask filters exactly as the temporal stage of the
+        # spatial-temporal one: the spatial pass runs iff the mask has gains
+        video = rng.standard_normal((4, 2, 6, 6))
+        temporal = gaussian_mask(4, 0.25)
+        both = gaussian_mask(4, 0.25, spatial_shape=(6, 6))
+        assert temporal.spatial_gains is None
+        np.testing.assert_array_equal(temporal.gains, both.gains)
+        out = lpff(video, temporal)
+        np.testing.assert_array_equal(
+            out, np.fft.ifft(np.fft.fft(video, axis=0)
+                             * both.gains[:, None, None, None], axis=0).real)
+        spatial = np.fft.ifft2(np.fft.fft2(out, axes=(-2, -1)) * both.spatial_gains,
+                               axes=(-2, -1)).real
+        np.testing.assert_array_equal(lpff(video, both), spatial)
 
     def test_shape_and_axes_validation(self, rng):
         video = rng.standard_normal((4, 1, 4, 4))
         with pytest.raises(ValueError, match="mask shape mismatch"):
             lpff(video, gaussian_mask(8, 0.2))
         with pytest.raises(ValueError, match="mask shape mismatch"):
-            lpff(video, gaussian_mask(4, 0.2), axes=("temporal", "spatial"))
-        with pytest.raises(ValueError, match="mask shape mismatch"):
-            lpff(video, gaussian_mask(4, 0.2, spatial_shape=(5, 5)),
-                 axes=("temporal", "spatial"))
+            lpff(video, gaussian_mask(4, 0.2, spatial_shape=(5, 5)))
         with pytest.raises(ValueError, match="axes"):
-            lpff(video, gaussian_mask(4, 0.2), axes=("spatial",))
+            check_axes(("spatial",))

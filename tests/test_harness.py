@@ -1,11 +1,16 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latent_elevator.cli import main, parse_seeds
 from latent_elevator.harness import (
     DEFAULT_CONFIG,
+    MODES,
     build_plan,
     resolve_config,
     run,
@@ -102,6 +107,50 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"invalid config: elevate: .*{match}"):
             resolve_config({"plan": plan})
 
+    @pytest.mark.parametrize("config,match", [
+        ({"seeds": "0"}, "seeds"),
+        ({"seeds": 3}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"seeds": [0, True]}, r"seeds\[1\]"),
+        ({"plan": {"n_sdedit": 2.5}}, "plan.n_sdedit"),
+        ({"render": "no"}, "render"),
+        ({"jobs": True}, "jobs"),
+        ({"plan": {"filter": 0.25}}, "plan.filter must be a mapping"),
+        ({"output_dir": 7}, "output_dir"),
+        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": []}}, "step_counts"),
+        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": [50]}}, "step_counts"),
+        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": [50, 50]}}, "step_counts"),
+        ({"shape": [4, 4, 1, 8]}, "H, W >= 2"),
+        ({"shape": [4, 4, 8, 1]}, "H, W >= 2"),
+        ({"priors": {"t2i": {"variance_scale": 0}}}, "priors.t2i.variance_scale"),
+        ({"priors": {"t2v": {"variance_scale": float("nan")}}}, "priors.t2v.variance_scale"),
+    ], ids=["seeds-str", "seeds-int", "seeds-negative", "seeds-bool", "n_sdedit-float",
+            "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int",
+            "step_counts-empty", "step_counts-one", "step_counts-repeated", "height-1",
+            "width-1", "variance-zero", "variance-nan"])
+    def test_configs_that_would_crash_mid_run(self, config, match):
+        with pytest.raises(ValueError, match=f"invalid config: .*{match}"):
+            resolve_config(config)
+
+    def test_leaf_types_accepted(self):
+        resolved = resolve_config({"shape": (4, 4, 8, 8), "output_dir": "runs/x",
+                                   "plan": {"filter": {"d0": 1}, "eta_t2v": 0}})
+        assert resolved["shape"] == [4, 4, 8, 8]
+        assert resolved["plan"]["filter"]["d0"] == 1.0
+        assert isinstance(resolved["plan"]["eta_t2v"], float)
+
+    @pytest.mark.parametrize("key", ["flicker_cutoff", "detail_band"])
+    @pytest.mark.parametrize("value", [-1, 0.5, 2.0])
+    def test_metric_thresholds_must_measure_something(self, key, value):
+        # at 16 frames |f| <= 0.5 and on 16 x 16 frames |f| <= 0.707, so a
+        # detail band of 0.5 still leaves the corner bins above it
+        config = {"metrics": {key: value}}
+        if key == "detail_band" and value == 0.5:
+            resolve_config(config)
+        else:
+            with pytest.raises(ValueError, match=f"invalid config: metrics.{key}"):
+                resolve_config(config)
+
     def test_defaults_not_mutated(self):
         before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
         resolve_config({"plan": {"num_steps": 30}})
@@ -173,6 +222,146 @@ class TestNoDeadKnobs:
             node = node.setdefault(name, {})
         node[key] = KNOB_ALTERNATIVES[leaf]
         assert self.latent_checksum(tmp_path, plan) != default_checksum
+
+
+# The one setting each ablation arm changes, as the plain run it equals:
+# (arm, plain mode, plan override over the resolved config).
+ARMS = {
+    "ablate_filter": [
+        ("no_lpff", "elevate", {"filter": {"d0": math.inf}}),
+        ("temporal", "elevate", {"filter": {"axes": ["temporal"]}}),
+        ("spatial_temporal", "elevate", {"filter": {"axes": ["temporal", "spatial"]}}),
+    ],
+    "ablate_inversion": [
+        (name, "elevate", {"inversion": name})
+        for name in ("same_noise", "ddim", "random_noise")
+    ],
+    "ablate_steps": [
+        ("baseline_t2v_8", "baseline_t2v", {"num_steps": 8}),
+        ("baseline_t2v_16", "baseline_t2v", {"num_steps": 16}),
+        ("baseline_t2i_8", "baseline_t2i", {"num_steps": 8}),
+        ("elevate_8", "elevate", {"num_steps": 8}),
+    ],
+}
+
+
+def merged_plan(plan, override):
+    out = json.loads(json.dumps(plan))
+    for key, value in override.items():
+        if isinstance(value, dict):
+            out[key] = merged_plan(out.get(key, {}), value)
+        else:
+            out[key] = value
+    return out
+
+
+class TestAblationArmsAreOverrides:
+    # a base whose filter axes and inversion differ from some arm's
+    BASE = dict(tiny("elevate", seeds=[0], render=False),
+                plan={**TINY["plan"], "inversion": "random_noise",
+                      "filter": {"axes": ["temporal", "spatial"], "d0": 0.2}},
+                ablate_steps={"step_counts": [8, 16]})
+
+    @pytest.fixture(scope="class")
+    def ablation_files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ablations")
+        return {mode: run(dict(self.BASE, mode=mode), output_dir=out / mode)["files"]
+                for mode in ARMS}
+
+    @pytest.mark.parametrize("mode,arm,plain,override", [
+        (mode, *arm) for mode, arms in ARMS.items() for arm in arms
+    ], ids=[f"{mode}-{arm[0]}" for mode, arms in ARMS.items() for arm in arms])
+    def test_arm_equals_plain_run_with_override(self, mode, arm, plain, override,
+                                                ablation_files, tmp_path):
+        cfg = dict(self.BASE, mode=plain, plan=merged_plan(self.BASE["plan"], override))
+        files = run(cfg, output_dir=tmp_path)["files"]
+        assert ablation_files[mode][f"{arm}_seed0000.elvt"] == files[f"{plain}_seed0000.elvt"]
+
+
+NAN = float("nan")
+# (valid, invalid) values per config path; "valid" means the right type and
+# in range on its own, invalid values include wrong types.
+LEAF_VALUES = {
+    ("plan", "num_steps"): ([2, 5, 8], [0, -1, 2.5, "8"]),
+    ("plan", "num_refine_steps"): ([0, 1, 2], [9, -1, 1.0, None]),
+    ("plan", "n_sdedit"): ([0, 1, 2, 3], [9, -1, 2.5]),
+    ("plan", "eta_t2v"): ([0.0, 0.5, 1], [1.5, -0.1, NAN, "0"]),
+    ("plan", "eta_t2i"): ([0.0, 0.5], [1.5, NAN]),
+    ("plan", "crossframe_mix"): ([0.0, 0.3, 1.0], [2.0, -1.0, NAN, True]),
+    ("plan", "attention_seed"): ([0, 7], [-1, 1.5]),
+    ("plan", "inversion"): (["ddim", "same_noise", "random_noise"], ["exact", 0]),
+    ("plan", "snr_match"): ([False, True], [0, "yes"]),
+    ("plan", "filter", "d0"): ([0.25, 0.05, 2, math.inf], [0, -1.0, NAN, "0.25"]),
+    ("plan", "filter", "axes"): ([["temporal"], ["temporal", "spatial"], ("temporal",)],
+                                 [["spatial"], [], "temporal", [1]]),
+    ("plan", "filter", "apply_every_refine"): ([True, False], [1]),
+    ("priors", "t2v", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
+    ("priors", "t2i", "variance_scale"): ([1.0, 0.5], [0.0, -1.0, NAN]),
+    ("priors", "t2v", "variance_scale"): ([1.0, 2], [0, NAN]),
+    ("priors", "t2i", "spectrum_kind"): (["broadband", "flat", "lowpass"], ["bogus"]),
+    ("schedules", "t2i", "kind"): (["linear_beta", "scaled_linear_beta", "cosine"],
+                                   ["bogus"]),
+    ("schedules", "t2v", "params", "beta_end"): ([2e-2, 1e-3, 0.5], [2.0, -1.0]),
+    ("metrics", "flicker_cutoff"): ([0.0, 0.15, 0.3], [0.5, -1, 2.0, NAN, "x"]),
+    ("metrics", "detail_band"): ([0.0, 0.1, 0.5], [0.8, 2.0, -1, NAN]),
+    ("seeds",): ([[0], [0, 1], [5]], [[-1], [0, 0], "0", 3]),
+    ("render",): ([True, False], ["no"]),
+    ("check",): ([True, False], [1]),
+    ("ablate_steps", "step_counts"): ([[2, 4], [8, 1], [2, 8, 5]],
+                                      [[3], [3, 3], [], [0, 2], [2, 2.5]]),
+}
+ALWAYS_SET = (("plan", "num_steps"), ("plan", "num_refine_steps"), ("plan", "n_sdedit"))
+
+
+@st.composite
+def small_configs(draw):
+    """A config over F in {2, 3}, C in {1, 3, 4}, H, W in 1..4 and at most
+    8 sampling steps, with the step counts and a random subset of the other
+    leaves set; each value is invalid one time in eight."""
+
+    def pick(valid, invalid):
+        return draw(st.sampled_from(invalid if draw(st.integers(0, 7)) == 0 else valid))
+
+    total_steps = draw(st.sampled_from([1000, 16, 8]))
+    config = {
+        "mode": draw(st.sampled_from(MODES)),
+        "shape": [draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 3, 4])),
+                  pick([2, 3, 4], [1]), pick([2, 3, 4], [1])],
+        "schedules": {"t2i": {"total_steps": total_steps},
+                      "t2v": {"total_steps": total_steps}},
+    }
+    others = sorted(set(LEAF_VALUES) - set(ALWAYS_SET))
+    for path in [*ALWAYS_SET, *draw(st.sets(st.sampled_from(others), max_size=4))]:
+        node = config
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = pick(*LEAF_VALUES[path])
+    return config
+
+
+# found by this test: a NaN variance passed the prior's check and a zero one
+# (the config's priors have zero mean) made all-zero latents no metric takes
+@example(config={"mode": "baseline_t2i", "shape": [2, 1, 2, 2],
+                 "plan": {"num_steps": 2, "num_refine_steps": 0, "n_sdedit": 0},
+                 "priors": {"t2i": {"variance_scale": NAN}}})
+@example(config={"mode": "baseline_t2v", "shape": [2, 1, 2, 2],
+                 "plan": {"num_steps": 2, "num_refine_steps": 0, "n_sdedit": 0},
+                 "priors": {"t2v": {"variance_scale": 0}}})
+@given(config=small_configs())
+@settings(max_examples=150, deadline=None)
+def test_config_is_rejected_or_runs_clean(config):
+    """Any config is either rejected up front with ValueError, or it runs to
+    completion with no trace violation and a manifest listing exactly the
+    files on disk."""
+    try:
+        resolve_config(config)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = run(config, output_dir=tmp)
+        assert all(r["trace_violations"] == [] for r in manifest["runs"])
+        on_disk = {p.name for p in Path(tmp).iterdir()} - {"manifest.json"}
+        assert set(manifest["files"]) == on_disk
 
 
 class TestRunModes:

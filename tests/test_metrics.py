@@ -11,6 +11,7 @@ from latent_elevator import (
     spatial_detail,
     spectrum_distance,
 )
+from latent_elevator.metrics import check_thresholds
 from latent_elevator.synth import make_gp_prior, sample_prior
 
 
@@ -147,6 +148,24 @@ class TestSpectrumDistance:
         spatial_detail(video, 0.2)
         spectrum_distance(video, prior)
         np.testing.assert_array_equal(video, copy)
+
+
+class TestThresholds:
+    def test_band_must_exclude_dc_and_keep_a_bin(self):
+        # 3 frames: |f| <= 1/3; 2 x 2 frames: |f| <= sqrt(0.5)
+        check_thresholds((3, 1, 2, 2), 0.0, 0.0)
+        check_thresholds((3, 1, 2, 2), 0.33, 0.7)
+        for cutoff in (-0.01, 1 / 3, 2.0):
+            with pytest.raises(ValueError, match="flicker_cutoff"):
+                check_thresholds((3, 1, 2, 2), cutoff, 0.1)
+        for band in (-0.01, 0.71, float("nan")):
+            with pytest.raises(ValueError, match="detail_band"):
+                check_thresholds((3, 1, 2, 2), 0.15, band)
+
+    def test_accepted_extremes_measure_a_band(self, rng):
+        video = rng.standard_normal((3, 1, 2, 2))
+        assert 0 < flicker_energy(video, 0.33) < 1
+        assert 0 < spatial_detail(video, 0.7) < 1
 
 
 class TestReport:

@@ -60,6 +60,8 @@ class TestPriorValidation:
     def test_negative_scale(self):
         with pytest.raises(ValueError, match="variance_scale"):
             make_gp_prior(2, 1, 4, 4, variance_scale=-1.0)
+        with pytest.raises(ValueError, match="variance_scale"):
+            make_gp_prior(2, 1, 4, 4, variance_scale=float("nan"))
 
     def test_serialization_roundtrip(self):
         prior = make_gp_prior(3, 2, 4, 4, rho=0.7, spectrum_kind="lowpass",
