@@ -22,6 +22,7 @@ import numpy as np
 
 from .denoiser import Denoiser
 from .freqfilter import LowPassMask, lpff
+from .metrics import frame_consistency
 from .sampler import SamplerConfig, ddim_invert, ddim_step, sdedit_chain
 from .schedule import (
     ALPHA_BAR_FLOOR,
@@ -91,29 +92,17 @@ class ElevatorPlan:
                 )
 
 
-def _trace_record(trace, *, timestep, phase, model, schedule, space, z):
-    if trace is None:
-        return
-    corr = float("nan")
-    if z.shape[0] >= 2:
-        flat = z.reshape(z.shape[0], -1)
-        norms = np.linalg.norm(flat, axis=1)
-        if np.all(norms > 0):
-            corr = float(
-                np.mean(np.sum(flat[:-1] * flat[1:], axis=1) / (norms[:-1] * norms[1:]))
-            )
-    trace.append(
-        {
-            "timestep": int(timestep),
-            "phase": phase,
-            "model": model,
-            "schedule": schedule,
-            "space": space,
-            "mean": float(z.mean()),
-            "std": float(z.std()),
-            "frame_corr": corr,
-        }
-    )
+def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
+    """Append one trace record; ``schedule`` defaults to the model's own,
+    and ``frame_corr`` is NaN where frame consistency is undefined (fewer
+    than two frames, or a zero frame)."""
+    try:
+        corr = frame_consistency(z)
+    except ValueError:
+        corr = float("nan")
+    trace.append({"timestep": int(t), "phase": phase, "model": model,
+                  "schedule": schedule or model, "space": space, "mean": float(z.mean()),
+                  "std": float(z.std()), "frame_corr": corr})
 
 
 def _sdedit_timesteps(plan: ElevatorPlan, t: int) -> list:
@@ -141,7 +130,7 @@ def refine_temporal(
     t: int,
     plan: ElevatorPlan,
     rng: np.random.Generator,
-    trace: list | None = None,
+    trace: list,
 ) -> np.ndarray:
     """Refine motion at timestep ``t`` and return a latent back in the
     image model's noise distribution at the same index."""
@@ -152,27 +141,23 @@ def refine_temporal(
 
     eps_i = projector.predict_eps(z_t, t, s_i)
     clean = project_clean(z_t, eps_i, t, s_i)
-    _trace_record(trace, timestep=t, phase="refine.project", model="t2i",
-                  schedule="t2i", space="clean", z=clean)
+    _record(trace, t, "refine.project", "t2i", "clean", clean)
 
     first_refine = t == max(plan.grid.refine_set)
     if plan.filter_every_refine or first_refine:
         clean = lpff(clean, plan.filter_mask)
-        _trace_record(trace, timestep=t, phase="refine.lpff", model=None,
-                      schedule=None, space="clean", z=clean)
+        _record(trace, t, "refine.lpff", None, "clean", clean)
 
     if plan.n_sdedit > 0:
         chain = _sdedit_timesteps(plan, t)
         z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain, s_v, plan.cfg_t2v, rng)
-        _trace_record(trace, timestep=t_out, phase="refine.sdedit", model="t2v",
-                      schedule="t2v", space="noise", z=z_v)
+        _record(trace, t_out, "refine.sdedit", "t2v", "noise", z_v)
         if t_out > 0:
             eps_v = plan.t2v_model.predict_eps(z_v, t_out, s_v)
             clean = project_clean(z_v, eps_v, t_out, s_v)
         else:
             clean = z_v
-        _trace_record(trace, timestep=t_out, phase="refine.project_t2v", model="t2v",
-                      schedule="t2v", space="clean", z=clean)
+        _record(trace, t_out, "refine.project_t2v", "t2v", "clean", clean)
 
     if plan.inversion == "ddim":
         z_out = ddim_invert(projector, clean, plan.grid, t, s_i)
@@ -183,8 +168,7 @@ def refine_temporal(
             rng.standard_normal((1,) + clean.shape[1:]), clean.shape
         )
         z_out = forward_diffuse(clean, t, noise, s_i)
-    _trace_record(trace, timestep=t, phase=f"refine.invert.{plan.inversion}",
-                  model="t2i", schedule="t2i", space="noise", z=z_out)
+    _record(trace, t, f"refine.invert.{plan.inversion}", "t2i", "noise", z_out)
     return z_out
 
 
@@ -194,13 +178,22 @@ def elevate_spatial(
     t_prev: int,
     plan: ElevatorPlan,
     rng: np.random.Generator,
-    trace: list | None = None,
+    trace: list,
 ) -> np.ndarray:
     """One denoising step under the inflated image model."""
     out = ddim_step(plan.t2i_model, z_t, t, t_prev, plan.t2i_schedule, plan.cfg_t2i, rng)
-    _trace_record(trace, timestep=t_prev, phase="elevate.step", model="t2i",
-                  schedule="t2i", space="noise" if t_prev > 0 else "clean", z=out)
+    _record(trace, t_prev, "elevate.step", "t2i", "noise" if t_prev > 0 else "clean", out)
     return out
+
+
+def _start(plan: ElevatorPlan, schedule: str) -> tuple:
+    """Seeded noise, the generator that drew it and a trace holding the
+    ``init`` record: the prologue every sampling chain shares."""
+    rng = np.random.default_rng(plan.seed)
+    z = rng.standard_normal(plan.shape)
+    trace: list = []
+    _record(trace, plan.grid.steps[0], "init", None, "noise", z, schedule)
+    return z, rng, trace
 
 
 def elevate_sample(plan: ElevatorPlan) -> tuple:
@@ -209,45 +202,29 @@ def elevate_sample(plan: ElevatorPlan) -> tuple:
     Returns ``(latent, trace)`` where the trace holds one record per phase
     per step.
     """
-    rng = np.random.default_rng(plan.seed)
-    z = rng.standard_normal(plan.shape)
-    trace: list = []
-    _trace_record(trace, timestep=plan.grid.steps[0], phase="init", model=None,
-                  schedule="t2i", space="noise", z=z)
-    steps = plan.grid.steps
-    for i, t in enumerate(steps):
+    z, rng, trace = _start(plan, "t2i")
+    for t, t_prev in plan.grid.hops():
         if t in plan.grid.refine_set:
             z = refine_temporal(z, t, plan, rng, trace)
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
         z = elevate_spatial(z, t, t_prev, plan, rng, trace)
     return z, trace
 
 
-def baseline_sample(
-    model: Denoiser,
-    s: NoiseSchedule,
-    grid: TimestepGrid,
-    cfg: SamplerConfig,
-    seed: int,
-    shape: tuple,
-    model_tag: str = "t2v",
-) -> tuple:
-    """Plain single-model chain from seeded noise, same trace format.
-
-    The latent sequence is bit-identical to ``ddim_sample`` from the same
-    seeded start; only the trace is added.
+def baseline_sample(plan: ElevatorPlan, model: str = "t2v") -> tuple:
+    """Plain chain of the plan's ``"t2v"`` or ``"t2i"`` model over its grid
+    (refining set ignored) from its seeded noise, same trace format. The
+    latent is bit-identical to ``ddim_sample`` from the same seeded start.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(shape)
-    trace: list = []
-    _trace_record(trace, timestep=grid.steps[0], phase="init", model=None,
-                  schedule=model_tag, space="noise", z=z)
-    steps = grid.steps
-    for i, t in enumerate(steps):
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
-        z = ddim_step(model, z, t, t_prev, s, cfg, rng)
-        _trace_record(trace, timestep=t_prev, phase="baseline.step", model=model_tag,
-                      schedule=model_tag, space="noise" if t_prev > 0 else "clean", z=z)
+    if model == "t2v":
+        denoiser, s, cfg = plan.t2v_model, plan.t2v_schedule, plan.cfg_t2v
+    elif model == "t2i":
+        denoiser, s, cfg = plan.t2i_model, plan.t2i_schedule, plan.cfg_t2i
+    else:
+        raise ValueError(f"unknown baseline model {model!r}: expected 't2v' or 't2i'")
+    z, rng, trace = _start(plan, model)
+    for t, t_prev in plan.grid.hops():
+        z = ddim_step(denoiser, z, t, t_prev, s, cfg, rng)
+        _record(trace, t_prev, "baseline.step", model, "noise" if t_prev > 0 else "clean", z)
     return z, trace
 
 

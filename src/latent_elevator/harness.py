@@ -15,7 +15,6 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .elevate import (
 from .freqfilter import SPATIAL, TEMPORAL, check_axes, gaussian_mask
 from .metrics import MetricReport, check_thresholds, compute_report
 from .sampler import SamplerConfig, ddim_invert, ddim_sample
-from .schedule import make_schedule, select_refine_steps, select_timesteps
+from .schedule import SCHEDULE_PARAMS, make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
 from .videoio import RENDER_CHANNELS, render_frames, save_latent
 
@@ -104,12 +103,15 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 def _leaf(default, value, where: str):
     """``value`` as a leaf of ``default``'s type: a bool is not an int, an
-    int stands for a float, a list takes a list or tuple of its default's
-    element type, and the ``None`` output_dir takes a string."""
+    int or the string ``"inf"`` (a manifest's infinity) stands for a float,
+    a list takes a list or tuple of its default's element type, and the
+    ``None`` output_dir takes a string."""
     if isinstance(default, list):
         if isinstance(value, (list, tuple)):
             return [_leaf(default[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
     elif isinstance(default, float):
+        if value == "inf":
+            return math.inf
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
     elif default is None:
@@ -124,8 +126,15 @@ def _leaf(default, value, where: str):
 def resolve_config(config: dict | None = None) -> dict:
     """Materialize every default; reject, before any compute, unknown keys
     and any value a run would fail on. Every variant's plan is built once,
-    for the first seed, so a plan error surfaces here rather than mid-run."""
-    resolved = _deep_merge(DEFAULT_CONFIG, config or {})
+    for the first seed, so a plan error surfaces here rather than mid-run.
+    A schedule keeps the default params its kind reads and those the
+    config sets, which ``make_schedule`` rejects if its kind does not."""
+    config = config or {}
+    resolved = _deep_merge(DEFAULT_CONFIG, config)
+    for name, sched in resolved["schedules"].items():
+        given = config.get("schedules", {}).get(name, {}).get("params", {})
+        reads = SCHEDULE_PARAMS.get(sched["kind"], ())
+        sched["params"] = {k: v for k, v in sched["params"].items() if k in reads or k in given}
     if resolved["mode"] not in MODES:
         raise ValueError(f"invalid config: unknown mode {resolved['mode']!r}")
     seeds = resolved["seeds"]
@@ -208,19 +217,14 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     )
 
 
-def make_default_plan(**overrides) -> ElevatorPlan:
-    """The ``DEFAULT_CONFIG`` recipe as a plan, with overrides.
-
-    ``seed``, ``shape`` and any key of ``DEFAULT_CONFIG["plan"]`` go through
-    the config; every other keyword replaces an ``ElevatorPlan`` field.
-    """
-    seed = overrides.pop("seed", 0)
+def make_default_plan(seed: int = 0, shape=None, **plan) -> ElevatorPlan:
+    """The ``DEFAULT_CONFIG`` recipe as a plan; ``shape`` and the keys of
+    ``DEFAULT_CONFIG["plan"]`` override it through the config."""
     # a plan renders nothing, so the render channel check does not apply
-    config = {"render": False, "plan": {k: overrides.pop(k) for k in list(overrides)
-                                        if k in DEFAULT_CONFIG["plan"]}}
-    if "shape" in overrides:
-        config["shape"] = overrides.pop("shape")
-    return replace(build_plan(resolve_config(config), seed), **overrides)
+    config = {"render": False, "plan": plan}
+    if shape is not None:
+        config["shape"] = shape
+    return build_plan(resolve_config(config), seed)
 
 
 def _variants_for(resolved: dict) -> list:
@@ -261,13 +265,7 @@ def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
     if variant["kind"] == "elevate":
         z, trace = elevate_sample(plan)
     elif variant["kind"] == "baseline":
-        which = variant["model"]
-        if which == "t2v":
-            model, sched, cfg = plan.t2v_model, plan.t2v_schedule, plan.cfg_t2v
-        else:
-            model, sched, cfg = plan.t2i_model, plan.t2i_schedule, plan.cfg_t2i
-        z, trace = baseline_sample(model, sched, plan.grid, cfg, seed,
-                                   shape=plan.shape, model_tag=which)
+        z, trace = baseline_sample(plan, variant["model"])
     elif variant["kind"] == "roundtrip":
         model, sched, grid = plan.t2i_project_model, plan.t2i_schedule, plan.grid
         z0 = sample_prior(model.prior, np.random.default_rng(seed))
@@ -389,6 +387,16 @@ def _run_checks(resolved: dict, agg: dict, runs: list) -> dict:
     return {"enabled": True, "passed": not failures, "failures": failures}
 
 
+def _strict_json(value):
+    """``value`` with each infinite float leaf as the string ``"inf"``,
+    which ``_leaf`` reads back, so the manifest stays standard JSON."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return "inf" if value == math.inf else value
+
+
 def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -430,7 +438,7 @@ def run(config: dict | None = None, output_dir=None) -> dict:
     manifest = {
         "tool": {"name": "latent-elevator", "version": __version__},
         "mode": resolved["mode"],
-        "resolved_config": resolved,
+        "resolved_config": _strict_json(resolved),
         # full coefficient arrays, so a foreign implementation can audit
         # the exact schedules this run used
         "schedules": {
@@ -448,5 +456,5 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         names += [r["latent"], r["trace"], *r["renders"]]
     for name in sorted(names):
         manifest["files"][name] = sha256_file(out / name)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False))
     return manifest

@@ -115,9 +115,7 @@ def ddim_sample(
 ) -> np.ndarray:
     """Run the full chain from ``grid.steps[0]`` down to a clean latent."""
     z = z_init
-    steps = grid.steps
-    for i, t in enumerate(steps):
-        t_prev = steps[i + 1] if i + 1 < len(steps) else 0
+    for t, t_prev in grid.hops():
         z = ddim_step(model, z, t, t_prev, s, cfg, rng)
     return z
 

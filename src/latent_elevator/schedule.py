@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEDULE_KINDS = ("linear_beta", "scaled_linear_beta", "cosine")
+# the params each schedule kind reads
+SCHEDULE_PARAMS = {
+    "linear_beta": ("beta_start", "beta_end"),
+    "scaled_linear_beta": ("beta_start", "beta_end"),
+    "cosine": (),
+}
 
 # alpha_bar floor below which the clean projection is refused rather than
 # returning huge, meaningless values.
@@ -39,15 +44,12 @@ def _betas_for(kind: str, total_steps: int, params: dict) -> np.ndarray:
         _check_beta_range(b0, b1)
         return np.linspace(math.sqrt(b0), math.sqrt(b1), total_steps) ** 2
     if kind == "cosine":
-        s = params.get("offset", 0.008)
-        if not 0 < s < 1:
-            raise ValueError(f"invalid params: cosine offset must be in (0, 1), got {s}")
+        s = 0.008  # the offset of Nichol & Dhariwal 2021
         ts = np.arange(total_steps + 1) / total_steps
         bar = np.cos((ts + s) / (1 + s) * math.pi / 2) ** 2
         bar = bar / bar[0]
         betas = 1.0 - bar[1:] / bar[:-1]
         return np.clip(betas, 1e-8, 0.999)
-    raise ValueError(f"invalid params: unknown schedule kind {kind!r}")
 
 
 def _check_beta_range(b0: float, b1: float) -> None:
@@ -122,14 +124,22 @@ class TimestepGrid:
         except ValueError:
             raise ValueError(f"timestep {t} is not on the grid") from None
 
+    def hops(self):
+        """``(t, t_prev)`` pairs down the grid, the last one ending at 0."""
+        return zip(self.steps, self.steps[1:] + (0,))
+
 
 def make_schedule(kind: str, total_steps: int, **params) -> NoiseSchedule:
-    """Build a schedule of the given kind; ``alpha_bar[t]`` is the running
-    product of ``1 - beta_s`` for ``s <= t``."""
+    """Build a schedule of the given kind from exactly the params that kind
+    reads; ``alpha_bar[t]`` is the running product of ``1 - beta_s`` for
+    ``s <= t``."""
     if total_steps < 1:
         raise ValueError("invalid params: total_steps must be >= 1")
-    if kind not in SCHEDULE_KINDS:
+    if kind not in SCHEDULE_PARAMS:
         raise ValueError(f"invalid params: unknown schedule kind {kind!r}")
+    if set(params) != set(SCHEDULE_PARAMS[kind]):
+        raise ValueError(f"invalid params: kind {kind!r} reads {list(SCHEDULE_PARAMS[kind])}, "
+                         f"got {sorted(params)}")
     betas = _betas_for(kind, total_steps, params)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar, kind=kind, params=params)

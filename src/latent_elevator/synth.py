@@ -76,27 +76,6 @@ class GaussianPrior:
         if not self.variance_scale >= 0:
             raise ValueError("invalid prior: variance_scale must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "mean": None if not self.mean.any() else self.mean.tolist(),
-            "temporal_rho": self.temporal_rho,
-            "spatial_spectrum": self.spatial_spectrum.tolist(),
-            "variance_scale": self.variance_scale,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "GaussianPrior":
-        shape = tuple(d["shape"])
-        mean = np.zeros(shape) if d.get("mean") is None else np.asarray(d["mean"])
-        return GaussianPrior(
-            shape=shape,
-            mean=mean,
-            temporal_rho=d["temporal_rho"],
-            spatial_spectrum=np.asarray(d["spatial_spectrum"]),
-            variance_scale=d["variance_scale"],
-        )
-
 
 def make_gp_prior(
     frames: int,

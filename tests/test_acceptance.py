@@ -24,7 +24,6 @@ from latent_elevator import (
     AnalyticDenoiser,
     CrossFrameDenoiser,
     SamplerConfig,
-    TimestepGrid,
     baseline_sample,
     ddim_invert,
     ddim_sample,
@@ -81,19 +80,12 @@ class RunsCache:
                                      filter={"axes": ["temporal", "spatial"]})
             z, _ = elevate_sample(plan)
             return z
-        plan = make_default_plan(seed=seed)
-        grid = TimestepGrid(steps=plan.grid.steps)
         if variant == "t2v50":
-            z, _ = baseline_sample(plan.t2v_model, plan.t2v_schedule, grid,
-                                   SamplerConfig(), seed, shape=SHAPE)
+            z, _ = baseline_sample(make_default_plan(seed=seed), "t2v")
         elif variant == "t2v100":
-            grid100 = select_timesteps(plan.t2v_schedule, 100)
-            z, _ = baseline_sample(plan.t2v_model, plan.t2v_schedule, grid100,
-                                   SamplerConfig(), seed, shape=SHAPE)
+            z, _ = baseline_sample(make_default_plan(seed=seed, num_steps=100), "t2v")
         elif variant == "t2i50":
-            z, _ = baseline_sample(plan.t2i_model, plan.t2i_schedule, grid,
-                                   SamplerConfig(), seed, shape=SHAPE,
-                                   model_tag="t2i")
+            z, _ = baseline_sample(make_default_plan(seed=seed), "t2i")
         else:
             raise KeyError(variant)
         return z
@@ -346,10 +338,7 @@ def test_criterion_8_degenerate_equivalences(sched_t2i):
     # refine-free elevation is bit-identical to the plain image baseline
     plan = make_default_plan(shape=(8, 2, 8, 8), num_refine_steps=0, seed=13)
     z_elev, _ = elevate_sample(plan)
-    z_base, _ = baseline_sample(plan.t2i_model, plan.t2i_schedule,
-                                TimestepGrid(steps=plan.grid.steps),
-                                plan.cfg_t2i, 13, shape=(8, 2, 8, 8),
-                                model_tag="t2i")
+    z_base, _ = baseline_sample(plan, "t2i")
     bit_identical = np.array_equal(z_elev, z_base)
 
     # a zero-mix wrapper is bit-identical to its base

@@ -21,6 +21,7 @@ from latent_elevator import (
     refine_temporal,
     trace_violations,
 )
+from latent_elevator.elevate import _record
 from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
@@ -67,7 +68,7 @@ class TestRefineTemporal:
         t = small_plan.grid.steps[1]
         assert t not in small_plan.grid.refine_set
         with pytest.raises(ValueError, match="not refinable"):
-            refine_temporal(rng.standard_normal(SMALL), t, small_plan, rng)
+            refine_temporal(rng.standard_normal(SMALL), t, small_plan, rng, [])
 
     def test_degenerate_plan_preserves_handoff_content(self, sched_t2i):
         """With no video-model iterations and an identity filter, refining
@@ -86,7 +87,7 @@ class TestRefineTemporal:
             clean_in = project_clean(
                 z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
-            z_back = sample_down(exact, refine_temporal(z_t, t, plan, rng), t,
+            z_back = sample_down(exact, refine_temporal(z_t, t, plan, rng, []), t,
                                  plan.grid, sched_t2i)
             errs.append(np.linalg.norm(z_back - clean_in) / np.linalg.norm(clean_in))
         assert max(errs) < 0.03
@@ -101,7 +102,7 @@ class TestRefineTemporal:
         t = max(plan.grid.refine_set)
         for seed in (0, 1):
             z_t = np.random.default_rng(seed).standard_normal(SMALL)
-            z_tilde = refine_temporal(z_t, t, plan, np.random.default_rng(seed + 50))
+            z_tilde = refine_temporal(z_t, t, plan, np.random.default_rng(seed + 50), [])
 
             # replay the refiner's internals with an identical stream
             rng2 = np.random.default_rng(seed + 50)
@@ -134,7 +135,7 @@ class TestRefineTemporal:
             clean_in = project_clean(
                 z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
-            z_tilde = refine_temporal(z_t, t, plan, rng)
+            z_tilde = refine_temporal(z_t, t, plan, rng, [])
             clean_out = project_clean(
                 z_tilde, exact.predict_eps(z_tilde, t, sched_t2i), t, sched_t2i
             )
@@ -148,12 +149,12 @@ class TestRefineTemporal:
         z_t = rng.standard_normal(SMALL)
         for strategy in ("same_noise", "random_noise"):
             plan = replace(small_plan, inversion=strategy)
-            out = refine_temporal(z_t, t, plan, np.random.default_rng(3))
+            out = refine_temporal(z_t, t, plan, np.random.default_rng(3), [])
             assert out.shape == SMALL
             assert np.all(np.isfinite(out))
         plan = replace(small_plan, inversion="same_noise", n_sdedit=0,
                        filter_mask=gaussian_mask(SMALL[0], math.inf))
-        out = refine_temporal(z_t, t, plan, np.random.default_rng(3))
+        out = refine_temporal(z_t, t, plan, np.random.default_rng(3), [])
         # shared forward noise: frame differences carry only the clean content
         s = plan.t2i_schedule
         exact = plan.t2i_project_model
@@ -167,7 +168,7 @@ class TestElevateSpatial:
         t, t_prev = small_plan.grid.steps[3], small_plan.grid.steps[4]
         z = rng.standard_normal(SMALL)
         np.testing.assert_array_equal(
-            elevate_spatial(z, t, t_prev, small_plan, rng),
+            elevate_spatial(z, t, t_prev, small_plan, rng, []),
             ddim_step(small_plan.t2i_model, z, t, t_prev, small_plan.t2i_schedule,
                       small_plan.cfg_t2i, rng),
         )
@@ -185,7 +186,7 @@ class TestElevateSpatial:
             z_t = forward_diffuse(zv, t, rng.standard_normal(SMALL), sched_t2i)
             before = spatial_detail(project_clean(
                 z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i))
-            z_next = elevate_spatial(z_t, t, t_prev, small_plan, rng)
+            z_next = elevate_spatial(z_t, t, t_prev, small_plan, rng, [])
             after = spatial_detail(project_clean(
                 z_next, exact.predict_eps(z_next, t_prev, sched_t2i),
                 t_prev, sched_t2i))
@@ -197,9 +198,7 @@ class TestElevateSample:
     def test_no_refine_equals_t2i_baseline_bitwise(self):
         plan = make_default_plan(shape=SMALL, num_refine_steps=0, seed=11)
         z_elev, _ = elevate_sample(plan)
-        z_base, _ = baseline_sample(plan.t2i_model, plan.t2i_schedule,
-                                    TimestepGrid(steps=plan.grid.steps),
-                                    plan.cfg_t2i, 11, shape=SMALL, model_tag="t2i")
+        z_base, _ = baseline_sample(plan, "t2i")
         np.testing.assert_array_equal(z_elev, z_base)
 
     def test_same_seed_bitwise_reproducible(self):
@@ -220,14 +219,9 @@ class TestElevateSample:
             z, _ = elevate_sample(plan)
             elev_sd.append(spectrum_distance(z, pi))
             elev_fc.append(frame_consistency(z))
-            zb, _ = baseline_sample(plan.t2v_model, plan.t2v_schedule,
-                                    TimestepGrid(steps=plan.grid.steps),
-                                    SamplerConfig(), seed, shape=SMALL)
+            zb, _ = baseline_sample(plan, "t2v")
             t2v_sd.append(spectrum_distance(zb, pi))
-            zb, _ = baseline_sample(plan.t2i_model, plan.t2i_schedule,
-                                    TimestepGrid(steps=plan.grid.steps),
-                                    SamplerConfig(), seed, shape=SMALL,
-                                    model_tag="t2i")
+            zb, _ = baseline_sample(plan, "t2i")
             t2i_fc.append(frame_consistency(zb))
         assert np.median(elev_sd) < np.median(t2v_sd)
         assert np.median(elev_fc) > np.median(t2i_fc)
@@ -266,8 +260,8 @@ class TestElevateSample:
     def test_snr_match_identity_when_schedules_equal(self, sched_t2i):
         prior = make_gp_prior(*SMALL, rho=0.9, spectrum_kind="lowpass")
         t2v = AnalyticDenoiser(prior)
-        base = make_default_plan(shape=SMALL, t2v_model=t2v,
-                                 t2v_schedule=sched_t2i, seed=4)
+        base = replace(make_default_plan(shape=SMALL, seed=4), t2v_model=t2v,
+                       t2v_schedule=sched_t2i)
         matched = replace(base, snr_match=True)
         a, _ = elevate_sample(base)
         b, _ = elevate_sample(matched)
@@ -282,27 +276,52 @@ class TestElevateSample:
 
 class TestBaseline:
     def test_equals_ddim_sample_bitwise(self, small_plan, sched_t2i):
-        grid = TimestepGrid(steps=small_plan.grid.steps)
-        z, trace = baseline_sample(small_plan.t2i_model, sched_t2i, grid,
-                                   SamplerConfig(), 3, shape=SMALL, model_tag="t2i")
+        z, trace = baseline_sample(replace(small_plan, seed=3), "t2i")
         rng = np.random.default_rng(3)
-        z_ref = ddim_sample(small_plan.t2i_model, rng.standard_normal(SMALL), grid,
-                            sched_t2i, SamplerConfig(), rng)
+        z_ref = ddim_sample(small_plan.t2i_model, rng.standard_normal(SMALL),
+                            small_plan.grid, sched_t2i, SamplerConfig(), rng)
         np.testing.assert_array_equal(z, z_ref)
         assert trace_violations(trace) == []
 
-    def test_t2v_more_consistent_than_t2i(self, small_plan, sched_t2v, sched_t2i):
-        grid = TimestepGrid(steps=small_plan.grid.steps)
+    def test_zero_refine_t2i_equals_elevate_but_for_phase(self):
+        plan = make_default_plan(shape=SMALL, num_refine_steps=0, seed=6)
+        z_elev, trace_elev = elevate_sample(plan)
+        z_base, trace_base = baseline_sample(plan, "t2i")
+        np.testing.assert_array_equal(z_base, z_elev)
+
+        def without_phase(trace):
+            return [{k: v for k, v in r.items() if k != "phase"} for r in trace]
+
+        assert without_phase(trace_base) == without_phase(trace_elev)
+        assert {r["phase"] for r in trace_base} == {"init", "baseline.step"}
+
+    def test_unknown_model_rejected(self, small_plan):
+        with pytest.raises(ValueError, match="unknown baseline model"):
+            baseline_sample(small_plan, "t2x")
+
+    def test_t2v_more_consistent_than_t2i(self, small_plan):
         fc_v, fc_i = [], []
         for seed in range(5):
-            zv, _ = baseline_sample(small_plan.t2v_model, sched_t2v, grid,
-                                    SamplerConfig(), seed, shape=SMALL)
-            zi, _ = baseline_sample(small_plan.t2i_model, sched_t2i, grid,
-                                    SamplerConfig(), seed, shape=SMALL,
-                                    model_tag="t2i")
+            plan = replace(small_plan, seed=seed)
+            zv, _ = baseline_sample(plan, "t2v")
+            zi, _ = baseline_sample(plan, "t2i")
             fc_v.append(frame_consistency(zv))
             fc_i.append(frame_consistency(zi))
         assert np.median(fc_v) > np.median(fc_i)
+
+
+class TestRecord:
+    def test_schedule_defaults_to_the_model(self):
+        trace: list = []
+        _record(trace, 5, "x", "t2v", "noise", np.ones((2, 1, 2, 2)))
+        _record(trace, 5, "init", None, "noise", np.ones((2, 1, 2, 2)), "t2i")
+        assert [r["schedule"] for r in trace] == ["t2v", "t2i"]
+        assert trace[0]["frame_corr"] == 1.0
+
+    def test_single_frame_corr_is_nan(self):
+        trace: list = []
+        _record(trace, 5, "x", "t2i", "noise", np.ones((1, 2, 4, 4)))
+        assert math.isnan(trace[0]["frame_corr"])
 
 
 class TestDefaultPlan:
@@ -323,3 +342,7 @@ class TestDefaultPlan:
         assert len(plan.grid.refine_set) == 2
         assert plan.n_sdedit == 3
         assert plan.seed == 9
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(ValueError, match="unknown key 'plan.t2v_model'"):
+            make_default_plan(shape=SMALL, t2v_model=None)

@@ -89,6 +89,20 @@ class TestConfig:
         manifest = run(cfg, output_dir=tmp_path)
         assert manifest["runs"][0]["trace_violations"] == []
 
+    def test_schedule_params_follow_the_kind(self, tmp_path):
+        cfg = tiny("elevate", seeds=[0], render=False)
+        cfg["schedules"] = {"t2i": {"kind": "cosine", "total_steps": 400},
+                            "t2v": {"total_steps": 400}}
+        resolved = resolve_config(cfg)
+        assert resolved["schedules"]["t2i"]["params"] == {}
+        assert resolved["schedules"]["t2v"]["params"] == {"beta_start": 1e-4, "beta_end": 2e-2}
+        manifest = run(cfg, output_dir=tmp_path)
+        assert manifest["schedules"]["t2i"]["params"] == {}
+        # cosine reads no betas: setting one is refused, not ignored
+        cfg["schedules"]["t2i"]["params"] = {"beta_start": 1e-4}
+        with pytest.raises(ValueError, match="invalid config: elevate: .*kind 'cosine' reads"):
+            resolve_config(cfg)
+
     def test_ablate_steps_beyond_schedule_writes_nothing(self, tmp_path):
         cfg = tiny("ablate_steps", seeds=[0], render=False)
         cfg["ablate_steps"] = {"step_counts": [50, 2000]}
@@ -414,6 +428,20 @@ class TestRunModes:
     def test_rerun_from_manifest_config(self, tmp_path):
         m1 = run(tiny("elevate", seeds=[5]), output_dir=tmp_path / "a")
         replay = json.loads(json.dumps(m1["resolved_config"]))
+        replay["output_dir"] = None
+        m2 = run(replay, output_dir=tmp_path / "b")
+        assert m1["files"] == m2["files"]
+
+    def test_manifest_is_strict_json_with_infinite_d0(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        cfg = tiny("elevate", seeds=[0], render=False,
+                   plan=dict(TINY["plan"], filter={"d0": math.inf}))
+        m1 = run(cfg, output_dir=tmp_path / "a")
+        text = (tmp_path / "a" / "manifest.json").read_text()
+        replay = json.loads(text, parse_constant=refuse)["resolved_config"]
+        assert replay["plan"]["filter"]["d0"] == "inf"
         replay["output_dir"] = None
         m2 = run(replay, output_dir=tmp_path / "b")
         assert m1["files"] == m2["files"]

@@ -64,6 +64,17 @@ class TestMakeSchedule:
         with pytest.raises(ValueError, match="invalid params"):
             make_schedule("linear_beta", 10, **params)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("cosine", {"beta_start": 1e-4}),
+        ("cosine", {"offset": 0.01}),
+        ("linear_beta", {"beta_start": 1e-4}),
+        ("scaled_linear_beta", {"beta_start": 1e-4, "beta_end": 2e-2, "offset": 0.01}),
+    ])
+    def test_params_are_the_kinds(self, kind, params):
+        # a param the kind does not read, or a missing one, is an error
+        with pytest.raises(ValueError, match=f"kind '{kind}' reads"):
+            make_schedule(kind, 10, **params)
+
     def test_invalid_kind_and_steps(self):
         with pytest.raises(ValueError, match="invalid params"):
             make_schedule("quadratic", 10, beta_start=1e-4, beta_end=2e-2)
@@ -211,6 +222,10 @@ class TestTimestepSelection:
         grid = TimestepGrid(steps=(10, 5))
         with pytest.raises(ValueError, match="out of range"):
             select_refine_steps(grid, 3)
+
+    def test_hops_end_at_zero(self):
+        grid = TimestepGrid(steps=(100, 60, 20), refine_set={100})
+        assert list(grid.hops()) == [(100, 60), (60, 20), (20, 0)]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="strictly decreasing"):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from latent_elevator.synth import (
-    GaussianPrior,
     make_gp_prior,
     sample_prior,
     spatial_frequency_grid,
@@ -62,14 +61,6 @@ class TestPriorValidation:
             make_gp_prior(2, 1, 4, 4, variance_scale=-1.0)
         with pytest.raises(ValueError, match="variance_scale"):
             make_gp_prior(2, 1, 4, 4, variance_scale=float("nan"))
-
-    def test_serialization_roundtrip(self):
-        prior = make_gp_prior(3, 2, 4, 4, rho=0.7, spectrum_kind="lowpass",
-                              variance_scale=2.5)
-        rebuilt = GaussianPrior.from_dict(prior.to_dict())
-        np.testing.assert_array_equal(rebuilt.spatial_spectrum, prior.spatial_spectrum)
-        assert rebuilt.temporal_rho == prior.temporal_rho
-        assert rebuilt.variance_scale == prior.variance_scale
 
 
 class TestSampling:
