@@ -16,6 +16,11 @@ import numpy as np
 from .denoiser import Denoiser
 from .schedule import NoiseSchedule
 
+# logits per query block: 512 KiB of float64, a quarter of a 2 MiB L2 cache;
+# at the default 16x4x16x16 shape 2^14 to 2^16 ran fastest, 2^12 and 2^18
+# about 1.3x slower
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class AttentionParams:
@@ -51,7 +56,12 @@ def make_attention_params(width: int, seed: int = 0) -> AttentionParams:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise ``softmax(q k^T / sqrt(d)) v`` for 2-D keys and values,
-    broadcast over the leading axes of ``q``."""
+    broadcast over the leading axes of ``q``.
+
+    Query rows are taken ``_BLOCK // n_keys`` at a time, so no logits array
+    larger than one block is ever held. The keys are fixed for every row,
+    so each block's softmax is exact and needs no running rescale.
+    """
     q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
     if q.ndim < 2 or k.ndim != 2 or v.ndim != 2:
         raise ValueError("attention needs 2-D keys and values and queries of ndim >= 2")
@@ -61,10 +71,20 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: {k.shape[0]} keys vs {v.shape[0]} values")
     if k.shape[0] < 1:
         raise ValueError("need at least one key/value row")
-    logits = q @ k.T / np.sqrt(q.shape[-1])
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    return weights @ v
+    n_keys, d = k.shape
+    k_t = k.T / np.sqrt(d)
+    rows = q.reshape(-1, d)
+    out = np.empty((rows.shape[0], v.shape[1]), dtype=np.result_type(rows, k_t, v))
+    step = max(1, _BLOCK // n_keys)
+    for start in range(0, rows.shape[0], step):
+        e = rows[start:start + step] @ k_t
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        block = out[start:start + step]
+        np.matmul(e, v, out=block)
+        # normalize the block's C-wide outputs, not its n_keys-wide weights
+        block /= e.sum(axis=1, keepdims=True)
+    return out.reshape(*q.shape[:-1], v.shape[1])
 
 
 def first_only_cross_frame(frames: np.ndarray, params: AttentionParams) -> np.ndarray:

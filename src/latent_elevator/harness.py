@@ -157,9 +157,10 @@ def resolve_config(config: dict | None = None) -> dict:
             f"invalid config: render needs channels in {RENDER_CHANNELS}, got {channels}"
         )
     for name, prior in resolved["priors"].items():
-        if not prior["variance_scale"] > 0:  # zero mean: all-zero latents
-            raise ValueError(f"invalid config: priors.{name}.variance_scale must be > 0, "
-                             f"got {prior['variance_scale']}")
+        # zero mean: a zero variance gives all-zero latents, an infinite one degenerate ones
+        if not 0 < prior["variance_scale"] < math.inf:
+            raise ValueError(f"invalid config: priors.{name}.variance_scale must be finite "
+                             f"and > 0, got {prior['variance_scale']}")
     try:
         check_thresholds(shape, **resolved["metrics"])
     except ValueError as err:

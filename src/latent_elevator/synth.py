@@ -73,8 +73,8 @@ class GaussianPrior:
             raise ValueError("invalid prior: spectrum must satisfy S[k] == S[-k]")
         if not abs(self.temporal_rho) < 1:
             raise ValueError("invalid prior: |temporal_rho| must be < 1")
-        if not self.variance_scale >= 0:
-            raise ValueError("invalid prior: variance_scale must be >= 0")
+        if not 0 <= self.variance_scale < np.inf:
+            raise ValueError("invalid prior: variance_scale must be finite and >= 0")
 
 
 def make_gp_prior(

@@ -138,10 +138,12 @@ class TestConfig:
         ({"shape": [4, 4, 8, 1]}, "H, W >= 2"),
         ({"priors": {"t2i": {"variance_scale": 0}}}, "priors.t2i.variance_scale"),
         ({"priors": {"t2v": {"variance_scale": float("nan")}}}, "priors.t2v.variance_scale"),
+        ({"priors": {"t2v": {"variance_scale": math.inf}}}, "priors.t2v.variance_scale"),
+        ({"priors": {"t2i": {"variance_scale": -math.inf}}}, "priors.t2i.variance_scale"),
     ], ids=["seeds-str", "seeds-int", "seeds-negative", "seeds-bool", "n_sdedit-float",
             "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int",
             "step_counts-empty", "step_counts-one", "step_counts-repeated", "height-1",
-            "width-1", "variance-zero", "variance-nan"])
+            "width-1", "variance-zero", "variance-nan", "variance-inf", "variance-minus-inf"])
     def test_configs_that_would_crash_mid_run(self, config, match):
         with pytest.raises(ValueError, match=f"invalid config: .*{match}"):
             resolve_config(config)

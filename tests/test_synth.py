@@ -62,6 +62,10 @@ class TestPriorValidation:
         with pytest.raises(ValueError, match="variance_scale"):
             make_gp_prior(2, 1, 4, 4, variance_scale=float("nan"))
 
+    def test_infinite_scale(self):
+        with pytest.raises(ValueError, match="variance_scale must be finite"):
+            make_gp_prior(2, 1, 4, 4, variance_scale=float("inf"))
+
 
 class TestSampling:
     def test_flat_pixel_variance_tracks_scale(self):
