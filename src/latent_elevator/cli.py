@@ -54,6 +54,9 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError(f"invalid config: {args.config} must hold a JSON object, "
+                                 f"got {config!r}")
         config["mode"] = args.mode
         if args.seeds:
             config["seeds"] = parse_seeds(args.seeds)

@@ -109,9 +109,7 @@ def _sdedit_timesteps(plan: ElevatorPlan, t: int) -> list:
     """Descending chain the video-side partial re-noising walks, in video
     schedule indices. Index identity by default; optionally SNR-matched."""
     idx = plan.grid.index_of(t)
-    shared = list(plan.grid.steps[idx : idx + plan.n_sdedit + 1])
-    if len(shared) < plan.n_sdedit + 1:
-        shared.append(0)
+    shared = [*plan.grid.steps, 0][idx : idx + plan.n_sdedit + 1]
     if not plan.snr_match:
         return shared
     matched = []

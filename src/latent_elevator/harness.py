@@ -2,9 +2,9 @@
 
 A run is described by one JSON config; every omitted field takes a
 documented default and the manifest records the fully resolved value, so
-any manifest can be re-run bit for bit. Per-seed runs are independent and
-execute concurrently under ``jobs > 1``, each owning its random stream
-and output files.
+any manifest can be re-run bit for bit. Cells are independent and run on
+``min(jobs, cells)`` worker processes (in-process when that is 1), each
+owning its random stream and output files.
 """
 from __future__ import annotations
 
@@ -129,7 +129,9 @@ def resolve_config(config: dict | None = None) -> dict:
     for the first seed, so a plan error surfaces here rather than mid-run.
     A schedule keeps the default params its kind reads and those the
     config sets, which ``make_schedule`` rejects if its kind does not."""
-    config = config or {}
+    config = {} if config is None else config
+    if not isinstance(config, dict):
+        raise ValueError(f"invalid config: the config must be a mapping, got {config!r}")
     resolved = _deep_merge(DEFAULT_CONFIG, config)
     for name, sched in resolved["schedules"].items():
         given = config.get("schedules", {}).get(name, {}).get("params", {})
@@ -412,9 +414,9 @@ def run(config: dict | None = None, output_dir=None) -> dict:
     t_start = time.perf_counter()
     variants = _variants_for(resolved)
     cells = [(variant, seed) for variant in variants for seed in resolved["seeds"]]
-    jobs = resolved["jobs"]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(resolved["jobs"], len(cells))  # a pool forks every worker up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_one, resolved, variant, seed, str(out))
                 for variant, seed in cells
@@ -440,10 +442,10 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         "tool": {"name": "latent-elevator", "version": __version__},
         "mode": resolved["mode"],
         "resolved_config": _strict_json(resolved),
-        # full coefficient arrays, so a foreign implementation can audit
-        # the exact schedules this run used
+        # each resolved schedule config with its full coefficient array, so a
+        # foreign implementation can audit the exact schedules this run used
         "schedules": {
-            name: _build_schedule(cfg).to_dict()
+            name: {**cfg, "alpha_bar": _build_schedule(cfg).alpha_bar.tolist()}
             for name, cfg in resolved["schedules"].items()
         },
         "runs": runs,

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser
-from .schedule import (
-    ALPHA_BAR_FLOOR,
-    NoiseSchedule,
-    TimestepGrid,
-    forward_diffuse,
-    project_clean,
-)
+from .schedule import NoiseSchedule, TimestepGrid, forward_diffuse, project_clean
 
 
 @dataclass(frozen=True)
@@ -97,12 +91,8 @@ def ddim_invert_step(
     """
     _check_order(t_to, t_from, s)
     eps_hat = model.predict_eps(z, t_to, s)
-    ab_from = s.alpha_bar[t_from]
-    ab_to = s.alpha_bar[t_to]
-    if ab_from < ALPHA_BAR_FLOOR:
-        raise ValueError(f"degenerate alpha_bar at t={t_from}")
-    z0_hat = (z - np.sqrt(1.0 - ab_from) * eps_hat) / np.sqrt(ab_from)
-    return np.sqrt(ab_to) * z0_hat + np.sqrt(1.0 - ab_to) * eps_hat
+    z0_hat = z if t_from == 0 else project_clean(z, eps_hat, t_from, s)
+    return forward_diffuse(z0_hat, t_to, eps_hat, s)
 
 
 def ddim_sample(
@@ -129,9 +119,7 @@ def ddim_invert(
 ) -> np.ndarray:
     """Invert a clean latent up the grid to ``target_t``, traversing it
     ascending from 0."""
-    if target_t not in grid.steps:
-        raise ValueError(f"target timestep {target_t} is not on the grid")
-    ascending = [0] + [t for t in reversed(grid.steps) if t <= target_t]
+    ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
     z = z0
     for a, b in zip(ascending[:-1], ascending[1:]):
         z = ddim_invert_step(model, z, a, b, s)

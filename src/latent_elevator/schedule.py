@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ SCHEDULE_PARAMS = {
 ALPHA_BAR_FLOOR = 1e-8
 
 
-def _betas_for(kind: str, total_steps: int, params: dict) -> np.ndarray:
+def _betas_for(kind: str, total_steps: int, **params) -> np.ndarray:
     if kind == "linear_beta":
         b0, b1 = params["beta_start"], params["beta_end"]
         _check_beta_range(b0, b1)
@@ -66,7 +66,6 @@ class NoiseSchedule:
     total_steps: int
     alpha_bar: np.ndarray
     kind: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         bar = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -82,22 +81,6 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must be strictly decreasing")
         if np.any(bar <= 0) or np.any(bar > 1):
             raise ValueError("alpha_bar entries must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "total_steps": self.total_steps,
-            "params": dict(self.params),
-            "alpha_bar": self.alpha_bar.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseSchedule":
-        sched = make_schedule(d["kind"], d["total_steps"], **d.get("params", {}))
-        stored = d.get("alpha_bar")
-        if stored is not None and not np.allclose(sched.alpha_bar, stored, rtol=0, atol=1e-12):
-            raise ValueError("stored alpha_bar does not match rebuilt schedule")
-        return sched
 
 
 @dataclass(frozen=True)
@@ -140,9 +123,9 @@ def make_schedule(kind: str, total_steps: int, **params) -> NoiseSchedule:
     if set(params) != set(SCHEDULE_PARAMS[kind]):
         raise ValueError(f"invalid params: kind {kind!r} reads {list(SCHEDULE_PARAMS[kind])}, "
                          f"got {sorted(params)}")
-    betas = _betas_for(kind, total_steps, params)
+    betas = _betas_for(kind, total_steps, **params)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar, kind=kind, params=params)
+    return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar, kind=kind)
 
 
 def _check_timestep(s: NoiseSchedule, t: int, lo: int) -> None:

@@ -125,7 +125,7 @@ def test_criterion_1_equation_oracles(sched_t2i):
 
     # ddim_step hand arithmetic, 1e-6
     s = NoiseSchedule(total_steps=2, alpha_bar=np.array([1.0, 0.81, 0.25]),
-                      kind="linear_beta", params={})
+                      kind="linear_beta")
 
     class Ones:
         def predict_eps(self, z, t, sched):

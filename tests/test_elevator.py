@@ -21,7 +21,7 @@ from latent_elevator import (
     refine_temporal,
     trace_violations,
 )
-from latent_elevator.elevate import _record
+from latent_elevator.elevate import _record, _sdedit_timesteps
 from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
@@ -121,6 +121,26 @@ class TestRefineTemporal:
             z_back = sample_down(exact, z_tilde, t, plan.grid, sched_t2i)
             err = np.linalg.norm(z_back - clean2) / np.linalg.norm(clean2)
             assert err < 0.03
+
+    @pytest.mark.parametrize("snr_match", [False, True])
+    def test_sdedit_chain_down_to_timestep_zero(self, snr_match):
+        """An SDEdit chain as deep as the grid below its refining step runs
+        to timestep 0, where the video model's latent is already clean."""
+        shape = (4, 4, 8, 8)
+        knobs = {"num_steps": 8, "num_refine_steps": 1, "snr_match": snr_match}
+        plan = make_default_plan(shape=shape, n_sdedit=8, **knobs)
+        (t,) = plan.grid.refine_set
+        chain = _sdedit_timesteps(plan, t)
+        assert chain[-1] == 0
+        if not snr_match:
+            assert chain == [*plan.grid.steps, 0]
+        z, trace = elevate_sample(plan)
+        for phase in ("refine.sdedit", "refine.project_t2v"):
+            assert [r["timestep"] for r in trace if r["phase"] == phase] == [0]
+        assert trace_violations(trace) == []
+        assert np.all(np.isfinite(z))
+        with pytest.raises(ValueError, match="exceeds grid depth"):
+            make_default_plan(shape=shape, n_sdedit=9, **knobs)
 
     def test_refine_raises_temporal_correlation(self, sched_t2i):
         plan = make_default_plan(shape=SMALL)

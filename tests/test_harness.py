@@ -1,12 +1,14 @@
 import json
 import math
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import latent_elevator.harness as harness
 from latent_elevator.cli import main, parse_seeds
 from latent_elevator.harness import (
     DEFAULT_CONFIG,
@@ -16,6 +18,7 @@ from latent_elevator.harness import (
     run,
     sha256_file,
 )
+from latent_elevator.schedule import make_schedule
 
 # Small, fast configuration exercised by most harness tests.
 TINY = {
@@ -140,10 +143,14 @@ class TestConfig:
         ({"priors": {"t2v": {"variance_scale": float("nan")}}}, "priors.t2v.variance_scale"),
         ({"priors": {"t2v": {"variance_scale": math.inf}}}, "priors.t2v.variance_scale"),
         ({"priors": {"t2i": {"variance_scale": -math.inf}}}, "priors.t2i.variance_scale"),
+        ([1], "must be a mapping"),
+        ("x", "must be a mapping"),
+        (3, "must be a mapping"),
     ], ids=["seeds-str", "seeds-int", "seeds-negative", "seeds-bool", "n_sdedit-float",
             "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int",
             "step_counts-empty", "step_counts-one", "step_counts-repeated", "height-1",
-            "width-1", "variance-zero", "variance-nan", "variance-inf", "variance-minus-inf"])
+            "width-1", "variance-zero", "variance-nan", "variance-inf", "variance-minus-inf",
+            "config-list", "config-str", "config-int"])
     def test_configs_that_would_crash_mid_run(self, config, match):
         with pytest.raises(ValueError, match=f"invalid config: .*{match}"):
             resolve_config(config)
@@ -397,13 +404,14 @@ class TestRunModes:
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per seed
         assert "elevate" in manifest["aggregate"]
-        # the manifest carries auditable schedules: params plus full arrays
-        from latent_elevator.schedule import NoiseSchedule
-
-        for name in ("t2i", "t2v"):
+        # the manifest carries auditable schedules: each resolved config
+        # plus the full array, which make_schedule rebuilds exactly
+        for name, cfg in manifest["resolved_config"]["schedules"].items():
             entry = manifest["schedules"][name]
-            assert len(entry["alpha_bar"]) == entry["total_steps"] + 1
-            NoiseSchedule.from_dict(entry)
+            assert entry == {**cfg, "alpha_bar": entry["alpha_bar"]}
+            assert list(entry) == ["kind", "total_steps", "params", "alpha_bar"]
+            rebuilt = make_schedule(entry["kind"], entry["total_steps"], **entry["params"])
+            assert rebuilt.alpha_bar.tolist() == entry["alpha_bar"]
 
     def test_manifest_lists_every_file_with_checksum(self, tmp_path):
         manifest = run(tiny("baseline_t2v", seeds=[0]), output_dir=tmp_path)
@@ -452,6 +460,34 @@ class TestRunModes:
         serial = run(tiny("elevate"), output_dir=tmp_path / "s")
         parallel = run(tiny("elevate", jobs=2), output_dir=tmp_path / "p")
         assert serial["files"] == parallel["files"]
+
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        built = []
+
+        class InlinePool:
+            """Records its worker count and runs each call in this process."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        run(tiny("baseline_t2v", seeds=[0], jobs=8), output_dir=tmp_path / "one")
+        assert built == []
+        manifest = run(tiny("baseline_t2v", seeds=[0, 1, 2], jobs=8),
+                       output_dir=tmp_path / "three")
+        assert built == [3]
+        assert [r["seed"] for r in manifest["runs"]] == [0, 1, 2]
 
     def test_no_refine_elevate_matches_t2i_baseline_checksums(self, tmp_path):
         cfg = tiny("elevate")
@@ -535,6 +571,13 @@ class TestCli:
     def test_cli_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"plan": {"bogus": 1}}))
+        assert main(["elevate", "--config", str(cfg_path),
+                     "--output", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_cli_list_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
         assert main(["elevate", "--config", str(cfg_path),
                      "--output", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -38,7 +38,7 @@ def zero_model():
 def custom_schedule(alpha_bar):
     return NoiseSchedule(total_steps=len(alpha_bar) - 1,
                          alpha_bar=np.asarray(alpha_bar, dtype=float),
-                         kind="linear_beta", params={})
+                         kind="linear_beta")
 
 
 class TestSigma:
