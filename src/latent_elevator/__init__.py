@@ -17,8 +17,6 @@ from .schedule import (  # noqa: F401
     project_clean,
     select_refine_steps,
     select_timesteps,
-    snr,
-    snr_matched_timestep,
 )
 from .synth import GaussianPrior, make_gp_prior, sample_prior  # noqa: F401
 from .denoiser import AnalyticDenoiser, Denoiser  # noqa: F401

@@ -18,15 +18,16 @@ from .harness import MODES, run
 def parse_seeds(spec: str) -> list:
     """Seed lists like ``0,1,2`` and ranges like ``0:20`` (half-open)."""
     seeds = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":")
-            seeds.extend(range(int(lo), int(hi)))
-        elif part:
-            seeds.append(int(part))
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        try:
+            bounds = [int(b) for b in part.split(":")]
+        except ValueError:
+            bounds = []
+        if not 1 <= len(bounds) <= 2:
+            raise ValueError(f"invalid --seeds {spec!r}: {part!r} is not N or LO:HI")
+        seeds.extend(range(*bounds) if len(bounds) == 2 else bounds)
     if not seeds:
-        raise ValueError(f"no seeds in {spec!r}")
+        raise ValueError(f"invalid --seeds {spec!r}: no seeds")
     return seeds
 
 
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"invalid config: {args.config} must hold a JSON object, "
                                  f"got {config!r}")
         config["mode"] = args.mode
-        if args.seeds:
+        if args.seeds is not None:
             config["seeds"] = parse_seeds(args.seeds)
         if args.jobs is not None:
             config["jobs"] = args.jobs
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
             or "."
         )
         manifest = run(config, output_dir=output)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     for name, stats in manifest["aggregate"].items():

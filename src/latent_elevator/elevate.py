@@ -30,7 +30,6 @@ from .schedule import (
     TimestepGrid,
     forward_diffuse,
     project_clean,
-    snr_matched_timestep,
 )
 
 INVERSION_STRATEGIES = ("ddim", "same_noise", "random_noise")
@@ -57,12 +56,10 @@ class ElevatorPlan:
     grid: TimestepGrid
     n_sdedit: int
     filter_mask: LowPassMask
-    filter_every_refine: bool
     cfg_t2v: SamplerConfig
     cfg_t2i: SamplerConfig
     seed: int
     inversion: str
-    snr_match: bool
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
@@ -106,21 +103,10 @@ def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
 
 
 def _sdedit_timesteps(plan: ElevatorPlan, t: int) -> list:
-    """Descending chain the video-side partial re-noising walks, in video
-    schedule indices. Index identity by default; optionally SNR-matched."""
+    """Descending chain the video-side partial re-noising walks: the grid's
+    own steps from ``t``, read as video schedule indices (index identity)."""
     idx = plan.grid.index_of(t)
-    shared = [*plan.grid.steps, 0][idx : idx + plan.n_sdedit + 1]
-    if not plan.snr_match:
-        return shared
-    matched = []
-    for u in shared:
-        m = 0 if u == 0 else snr_matched_timestep(plan.t2i_schedule, plan.t2v_schedule, u)
-        if matched and m >= matched[-1]:
-            m = matched[-1] - 1  # keep the chain strictly decreasing
-        matched.append(max(m, 0))
-        if matched[-1] == 0:
-            break  # chain exhausted early; remaining hops would be degenerate
-    return matched
+    return [*plan.grid.steps, 0][idx : idx + plan.n_sdedit + 1]
 
 
 def refine_temporal(
@@ -141,10 +127,8 @@ def refine_temporal(
     clean = project_clean(z_t, eps_i, t, s_i)
     _record(trace, t, "refine.project", "t2i", "clean", clean)
 
-    first_refine = t == max(plan.grid.refine_set)
-    if plan.filter_every_refine or first_refine:
-        clean = lpff(clean, plan.filter_mask)
-        _record(trace, t, "refine.lpff", None, "clean", clean)
+    clean = lpff(clean, plan.filter_mask)
+    _record(trace, t, "refine.lpff", None, "clean", clean)
 
     if plan.n_sdedit > 0:
         chain = _sdedit_timesteps(plan, t)

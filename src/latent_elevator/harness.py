@@ -73,13 +73,12 @@ DEFAULT_CONFIG = {
         "num_steps": 50,
         "num_refine_steps": 5,
         "n_sdedit": 9,
-        "filter": {"d0": 0.25, "axes": ["temporal"], "apply_every_refine": True},
+        "filter": {"d0": 0.25, "axes": ["temporal"]},
         "eta_t2v": 0.0,
         "eta_t2i": 0.0,
         "crossframe_mix": 0.3,
         "attention_seed": 1234,
         "inversion": "ddim",
-        "snr_match": False,
     },
     "metrics": {"flicker_cutoff": 0.15, "detail_band": 0.10},
     "ablate_steps": {"step_counts": [50, 100]},
@@ -211,12 +210,10 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
         filter_mask=mask,
-        filter_every_refine=filt["apply_every_refine"],
         cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"]),
         cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"]),
         seed=seed,
         inversion=plan_cfg["inversion"],
-        snr_match=plan_cfg["snr_match"],
     )
 
 

@@ -192,23 +192,3 @@ def select_refine_steps(grid: TimestepGrid, k: int) -> TimestepGrid:
         pool = grid.steps
     chosen = frozenset(pool[i] for i in _spread_indices(len(pool), k))
     return TimestepGrid(steps=grid.steps, refine_set=chosen)
-
-
-def snr(s: NoiseSchedule, t: int) -> float:
-    """Signal-to-noise ratio ``alpha_bar / (1 - alpha_bar)`` at ``t``."""
-    _check_timestep(s, t, lo=1)
-    ab = s.alpha_bar[t]
-    return float(ab / (1.0 - ab))
-
-
-def snr_matched_timestep(src: NoiseSchedule, dst: NoiseSchedule, t: int) -> int:
-    """Timestep on ``dst`` whose SNR is closest (in log space) to ``src`` at ``t``.
-
-    Identity when the schedules coincide. Used by the optional SNR-matched
-    cross-schedule remapping; the default correspondence is index identity.
-    """
-    _check_timestep(src, t, lo=1)
-    target = math.log(snr(src, t))
-    bars = dst.alpha_bar[1:]
-    logsnr = np.log(bars / (1.0 - bars))
-    return int(np.argmin(np.abs(logsnr - target))) + 1

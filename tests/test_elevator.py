@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from latent_elevator import (
-    AnalyticDenoiser,
     SamplerConfig,
     TimestepGrid,
     baseline_sample,
@@ -122,18 +121,14 @@ class TestRefineTemporal:
             err = np.linalg.norm(z_back - clean2) / np.linalg.norm(clean2)
             assert err < 0.03
 
-    @pytest.mark.parametrize("snr_match", [False, True])
-    def test_sdedit_chain_down_to_timestep_zero(self, snr_match):
+    def test_sdedit_chain_down_to_timestep_zero(self):
         """An SDEdit chain as deep as the grid below its refining step runs
         to timestep 0, where the video model's latent is already clean."""
         shape = (4, 4, 8, 8)
-        knobs = {"num_steps": 8, "num_refine_steps": 1, "snr_match": snr_match}
+        knobs = {"num_steps": 8, "num_refine_steps": 1}
         plan = make_default_plan(shape=shape, n_sdedit=8, **knobs)
         (t,) = plan.grid.refine_set
-        chain = _sdedit_timesteps(plan, t)
-        assert chain[-1] == 0
-        if not snr_match:
-            assert chain == [*plan.grid.steps, 0]
+        assert _sdedit_timesteps(plan, t) == [*plan.grid.steps, 0]
         z, trace = elevate_sample(plan)
         for phase in ("refine.sdedit", "refine.project_t2v"):
             assert [r["timestep"] for r in trace if r["phase"] == phase] == [0]
@@ -262,6 +257,14 @@ class TestElevateSample:
             assert set(r) == {"timestep", "phase", "model", "schedule", "space",
                               "mean", "std", "frame_corr"}
             assert np.isfinite(r["mean"]) and np.isfinite(r["std"])
+        # one recipe per refining step: filter, then an SDEdit chain
+        # n_sdedit grid steps deep on the video schedule
+        refined = sorted(plan.grid.refine_set, reverse=True)
+        chain, steps = [*plan.grid.steps, 0], plan.grid.steps
+        assert [r["timestep"] for r in trace if r["phase"] == "refine.lpff"] == refined
+        assert [r["timestep"] for r in trace if r["phase"] == "refine.sdedit"] == [
+            chain[steps.index(t) + plan.n_sdedit] for t in refined
+        ]
 
     def test_trace_violation_detection(self):
         bad = [
@@ -276,22 +279,6 @@ class TestElevateSample:
              "space": "noise", "mean": 0.0, "std": 1.0, "frame_corr": 0.0},
         ]
         assert any("direct hand-off" in v for v in trace_violations(bad))
-
-    def test_snr_match_identity_when_schedules_equal(self, sched_t2i):
-        prior = make_gp_prior(*SMALL, rho=0.9, spectrum_kind="lowpass")
-        t2v = AnalyticDenoiser(prior)
-        base = replace(make_default_plan(shape=SMALL, seed=4), t2v_model=t2v,
-                       t2v_schedule=sched_t2i)
-        matched = replace(base, snr_match=True)
-        a, _ = elevate_sample(base)
-        b, _ = elevate_sample(matched)
-        np.testing.assert_array_equal(a, b)
-
-    def test_snr_match_cross_schedule_runs(self):
-        plan = make_default_plan(shape=SMALL, seed=4, snr_match=True)
-        z, trace = elevate_sample(plan)
-        assert np.all(np.isfinite(z))
-        assert trace_violations(trace) == []
 
 
 class TestBaseline:

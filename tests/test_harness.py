@@ -74,10 +74,20 @@ class TestConfig:
             resolve_config({"shape": [4, 2, 8, 8]})
         resolve_config({"shape": [4, 2, 8, 8], "render": False})
 
-    def test_guidance_scale_is_not_a_knob(self):
-        # guidance is a mean shift of the prior, not a plan setting
-        with pytest.raises(ValueError, match="unknown key 'plan.guidance_scale'"):
-            resolve_config({"plan": {"guidance_scale": 3.0}})
+    @pytest.mark.parametrize("key", [
+        "guidance_scale",  # guidance is a mean shift of the prior, not a plan setting
+        # the video chain walks the grid's own steps, and lpff runs at every
+        # refining step
+        "snr_match",
+        "filter.apply_every_refine",
+    ])
+    def test_guidance_scale_is_not_a_knob(self, key):
+        *parents, leaf = key.split(".")
+        plan = {leaf: 3.0}
+        for name in reversed(parents):
+            plan = {name: plan}
+        with pytest.raises(ValueError, match=f"unknown key 'plan.{key}'"):
+            resolve_config({"plan": plan})
 
     def test_cosine_schedule_rejected_up_front(self):
         # alpha_bar[T] of the 1000-step cosine schedule is 2.4e-9, below the
@@ -215,10 +225,8 @@ KNOB_ALTERNATIVES = {
     "crossframe_mix": 0.6,
     "attention_seed": 7,
     "inversion": "same_noise",
-    "snr_match": True,
     "filter.d0": 0.1,
     "filter.axes": ["temporal", "spatial"],
-    "filter.apply_every_refine": False,
 }
 
 
@@ -313,11 +321,9 @@ LEAF_VALUES = {
     ("plan", "crossframe_mix"): ([0.0, 0.3, 1.0], [2.0, -1.0, NAN, True]),
     ("plan", "attention_seed"): ([0, 7], [-1, 1.5]),
     ("plan", "inversion"): (["ddim", "same_noise", "random_noise"], ["exact", 0]),
-    ("plan", "snr_match"): ([False, True], [0, "yes"]),
     ("plan", "filter", "d0"): ([0.25, 0.05, 2, math.inf], [0, -1.0, NAN, "0.25"]),
     ("plan", "filter", "axes"): ([["temporal"], ["temporal", "spatial"], ("temporal",)],
                                  [["spatial"], [], "temporal", [1]]),
-    ("plan", "filter", "apply_every_refine"): ([True, False], [1]),
     ("priors", "t2v", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
     ("priors", "t2i", "variance_scale"): ([1.0, 0.5], [0.0, -1.0, NAN]),
     ("priors", "t2v", "variance_scale"): ([1.0, 2], [0, NAN]),
@@ -535,6 +541,13 @@ class TestCli:
         assert parse_seeds("7,0:2") == [7, 0, 1]
         with pytest.raises(ValueError):
             parse_seeds(" ")
+
+    @pytest.mark.parametrize("spec", ["0:3:5", "1:x", "a", ""])
+    def test_bad_seed_spec_is_named(self, spec, capsys, tmp_path):
+        with pytest.raises(ValueError, match=f"--seeds '{spec}'"):
+            parse_seeds(spec)
+        assert main(["baseline_t2v", "--seeds", spec, "--output", str(tmp_path)]) == 2
+        assert spec in capsys.readouterr().err
 
     def test_cli_run_with_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

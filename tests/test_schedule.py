@@ -12,8 +12,6 @@ from latent_elevator import (
     project_clean,
     select_refine_steps,
     select_timesteps,
-    snr,
-    snr_matched_timestep,
 )
 
 KINDS = ("linear_beta", "scaled_linear_beta", "cosine")
@@ -227,32 +225,3 @@ class TestTimestepSelection:
             TimestepGrid(steps=(5, 0))
         with pytest.raises(ValueError, match="subset"):
             TimestepGrid(steps=(10, 5), refine_set={7})
-
-
-class TestSnr:
-    def test_hand_values(self):
-        s = custom_schedule([1.0, 0.8, 0.5])
-        assert snr(s, 2) == pytest.approx(1.0)
-        assert snr(s, 1) == pytest.approx(4.0)
-
-    def test_monotone_decreasing(self, sched_t2i):
-        values = [snr(sched_t2i, t) for t in range(1, 1001, 37)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_range_errors(self, sched_t2i):
-        with pytest.raises(ValueError, match="timestep out of range"):
-            snr(sched_t2i, 0)
-        with pytest.raises(ValueError, match="timestep out of range"):
-            snr(sched_t2i, 1001)
-
-    def test_matched_timestep_identity(self, sched_t2i):
-        for t in (1, 17, 500, 1000):
-            assert snr_matched_timestep(sched_t2i, sched_t2i, t) == t
-
-    def test_matched_timestep_cross(self, sched_t2i, sched_t2v):
-        for t in (100, 500, 900):
-            u = snr_matched_timestep(sched_t2i, sched_t2v, t)
-            # the matched index realizes the smallest log-SNR gap
-            target = math.log(snr(sched_t2i, t))
-            gaps = [abs(math.log(snr(sched_t2v, v)) - target) for v in range(1, 1001)]
-            assert abs(math.log(snr(sched_t2v, u)) - target) == pytest.approx(min(gaps))
