@@ -21,12 +21,10 @@ from .schedule import (  # noqa: F401
 from .synth import GaussianPrior, make_gp_prior, sample_prior  # noqa: F401
 from .denoiser import AnalyticDenoiser, Denoiser  # noqa: F401
 from .sampler import (  # noqa: F401
-    SamplerConfig,
     ddim_invert,
     ddim_invert_step,
     ddim_sample,
     ddim_step,
-    step_sigma,
 )
 from .freqfilter import LowPassMask, gaussian_mask, lpff  # noqa: F401
 from .attention import (  # noqa: F401

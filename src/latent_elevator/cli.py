@@ -25,6 +25,8 @@ def parse_seeds(spec: str) -> list:
             bounds = []
         if not 1 <= len(bounds) <= 2:
             raise ValueError(f"invalid --seeds {spec!r}: {part!r} is not N or LO:HI")
+        if len(bounds) == 2 and bounds[0] >= bounds[1]:
+            raise ValueError(f"invalid --seeds {spec!r}: {part!r} is an empty range")
         seeds.extend(range(*bounds) if len(bounds) == 2 else bounds)
     if not seeds:
         raise ValueError(f"invalid --seeds {spec!r}: no seeds")

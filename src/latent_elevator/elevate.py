@@ -23,7 +23,7 @@ import numpy as np
 from .denoiser import Denoiser
 from .freqfilter import LowPassMask, lpff
 from .metrics import frame_consistency
-from .sampler import SamplerConfig, ddim_invert, ddim_step, sdedit_chain
+from .sampler import ddim_invert, ddim_step, sdedit_chain
 from .schedule import (
     ALPHA_BAR_FLOOR,
     NoiseSchedule,
@@ -56,8 +56,6 @@ class ElevatorPlan:
     grid: TimestepGrid
     n_sdedit: int
     filter_mask: LowPassMask
-    cfg_t2v: SamplerConfig
-    cfg_t2i: SamplerConfig
     seed: int
     inversion: str
 
@@ -132,7 +130,7 @@ def refine_temporal(
 
     if plan.n_sdedit > 0:
         chain = _sdedit_timesteps(plan, t)
-        z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain, s_v, plan.cfg_t2v, rng)
+        z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain, s_v, rng)
         _record(trace, t_out, "refine.sdedit", "t2v", "noise", z_v)
         if t_out > 0:
             eps_v = plan.t2v_model.predict_eps(z_v, t_out, s_v)
@@ -159,11 +157,10 @@ def elevate_spatial(
     t: int,
     t_prev: int,
     plan: ElevatorPlan,
-    rng: np.random.Generator,
     trace: list,
 ) -> np.ndarray:
     """One denoising step under the inflated image model."""
-    out = ddim_step(plan.t2i_model, z_t, t, t_prev, plan.t2i_schedule, plan.cfg_t2i, rng)
+    out = ddim_step(plan.t2i_model, z_t, t, t_prev, plan.t2i_schedule)
     _record(trace, t_prev, "elevate.step", "t2i", "noise" if t_prev > 0 else "clean", out)
     return out
 
@@ -188,7 +185,7 @@ def elevate_sample(plan: ElevatorPlan) -> tuple:
     for t, t_prev in plan.grid.hops():
         if t in plan.grid.refine_set:
             z = refine_temporal(z, t, plan, rng, trace)
-        z = elevate_spatial(z, t, t_prev, plan, rng, trace)
+        z = elevate_spatial(z, t, t_prev, plan, trace)
     return z, trace
 
 
@@ -198,14 +195,14 @@ def baseline_sample(plan: ElevatorPlan, model: str = "t2v") -> tuple:
     latent is bit-identical to ``ddim_sample`` from the same seeded start.
     """
     if model == "t2v":
-        denoiser, s, cfg = plan.t2v_model, plan.t2v_schedule, plan.cfg_t2v
+        denoiser, s = plan.t2v_model, plan.t2v_schedule
     elif model == "t2i":
-        denoiser, s, cfg = plan.t2i_model, plan.t2i_schedule, plan.cfg_t2i
+        denoiser, s = plan.t2i_model, plan.t2i_schedule
     else:
         raise ValueError(f"unknown baseline model {model!r}: expected 't2v' or 't2i'")
-    z, rng, trace = _start(plan, model)
+    z, _, trace = _start(plan, model)
     for t, t_prev in plan.grid.hops():
-        z = ddim_step(denoiser, z, t, t_prev, s, cfg, rng)
+        z = ddim_step(denoiser, z, t, t_prev, s)
         _record(trace, t_prev, "baseline.step", model, "noise" if t_prev > 0 else "clean", z)
     return z, trace
 

@@ -30,7 +30,7 @@ from .elevate import (
 )
 from .freqfilter import SPATIAL, TEMPORAL, check_axes, gaussian_mask
 from .metrics import MetricReport, check_thresholds, compute_report
-from .sampler import SamplerConfig, ddim_invert, ddim_sample
+from .sampler import ddim_invert, ddim_sample
 from .schedule import SCHEDULE_PARAMS, make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
 from .videoio import RENDER_CHANNELS, render_frames, save_latent
@@ -74,8 +74,6 @@ DEFAULT_CONFIG = {
         "num_refine_steps": 5,
         "n_sdedit": 9,
         "filter": {"d0": 0.25, "axes": ["temporal"]},
-        "eta_t2v": 0.0,
-        "eta_t2i": 0.0,
         "crossframe_mix": 0.3,
         "attention_seed": 1234,
         "inversion": "ddim",
@@ -210,8 +208,6 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
         filter_mask=mask,
-        cfg_t2v=SamplerConfig(eta=plan_cfg["eta_t2v"]),
-        cfg_t2i=SamplerConfig(eta=plan_cfg["eta_t2i"]),
         seed=seed,
         inversion=plan_cfg["inversion"],
     )
@@ -270,7 +266,7 @@ def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
         model, sched, grid = plan.t2i_project_model, plan.t2i_schedule, plan.grid
         z0 = sample_prior(model.prior, np.random.default_rng(seed))
         z_top = ddim_invert(model, z0, grid, grid.steps[0], sched)
-        z = ddim_sample(model, z_top, grid, sched, SamplerConfig(eta=0.0))
+        z = ddim_sample(model, z_top, grid, sched)
         extra["roundtrip_rel_err"] = float(
             np.linalg.norm(z - z0) / np.linalg.norm(z0)
         )

@@ -1,43 +1,18 @@
 """DDIM stepping, inversion, sampling loops, and partial re-noising.
 
 All loops walk a ``TimestepGrid`` and are parameterized by a schedule and
-a denoiser. Randomness enters only through an explicitly passed
-``numpy.random.Generator``; with ``eta == 0`` no random numbers are drawn
-at all, so deterministic runs are seed-independent by construction.
+a denoiser. Every denoising step and inversion hop is deterministic and
+draws nothing: it projects to clean with the model's noise estimate and
+re-noises to its target with that same estimate. Randomness enters only
+through the ``numpy.random.Generator`` that ``sdedit_chain`` draws its
+forward noise from.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import Denoiser
 from .schedule import NoiseSchedule, TimestepGrid, forward_diffuse, project_clean
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Stochasticity of one model's steps.
-
-    ``eta`` scales the per-step noise: 0 is the deterministic sampler, 1
-    recovers ancestral sampling.
-    """
-
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-
-
-def step_sigma(s: NoiseSchedule, t: int, t_prev: int, eta: float) -> float:
-    """Noise scale of one stochastic step; zero when ``eta == 0`` or the
-    step lands on a clean latent."""
-    ab_t = s.alpha_bar[t]
-    ab_prev = s.alpha_bar[t_prev]
-    return float(
-        eta * np.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * np.sqrt(1.0 - ab_t / ab_prev)
-    )
 
 
 def _check_order(hi: int, lo: int, s: NoiseSchedule) -> None:
@@ -53,27 +28,13 @@ def ddim_step(
     t: int,
     t_prev: int,
     s: NoiseSchedule,
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """One denoising step from ``t`` down to ``t_prev``.
-
-    Deterministic part: ``sqrt(ab_prev) * z0_hat +
-    sqrt(1 - ab_prev - sigma^2) * eps_hat``; the remaining ``sigma``
-    portion of the variance is filled with fresh noise.
-    """
+    """One deterministic denoising step from ``t`` down to ``t_prev``:
+    ``sqrt(ab_prev) * z0_hat + sqrt(1 - ab_prev) * eps_hat``, with the
+    noise estimate evaluated at ``t``."""
     _check_order(t, t_prev, s)
     eps_hat = model.predict_eps(z_t, t, s)
-    z0_hat = project_clean(z_t, eps_hat, t, s)
-    sigma = step_sigma(s, t, t_prev, cfg.eta)
-    ab_prev = s.alpha_bar[t_prev]
-    dir_coef = np.sqrt(max(1.0 - ab_prev - sigma * sigma, 0.0))
-    out = np.sqrt(ab_prev) * z0_hat + dir_coef * eps_hat
-    if sigma > 0.0:
-        if rng is None:
-            raise ValueError("eta > 0 requires a random generator")
-        out = out + sigma * rng.standard_normal(z_t.shape)
-    return out
+    return forward_diffuse(project_clean(z_t, eps_hat, t, s), t_prev, eps_hat, s)
 
 
 def ddim_invert_step(
@@ -100,13 +61,11 @@ def ddim_sample(
     z_init: np.ndarray,
     grid: TimestepGrid,
     s: NoiseSchedule,
-    cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Run the full chain from ``grid.steps[0]`` down to a clean latent."""
     z = z_init
     for t, t_prev in grid.hops():
-        z = ddim_step(model, z, t, t_prev, s, cfg, rng)
+        z = ddim_step(model, z, t, t_prev, s)
     return z
 
 
@@ -131,7 +90,6 @@ def sdedit_chain(
     z_clean: np.ndarray,
     chain: list,
     s: NoiseSchedule,
-    cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple:
     """Forward-diffuse to ``chain[0]`` with fresh noise, then step down the
@@ -143,7 +101,7 @@ def sdedit_chain(
     z = forward_diffuse(z_clean, t0, eps, s)
     cur = t0
     for nxt in chain[1:]:
-        z = ddim_step(model, z, cur, nxt, s, cfg, rng)
+        z = ddim_step(model, z, cur, nxt, s)
         cur = nxt
     return z, cur
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from latent_elevator import (
-    SamplerConfig,
     TimestepGrid,
     baseline_sample,
     ddim_sample,
@@ -34,11 +33,7 @@ def small_plan():
 
 
 def sample_down(model, z, t, grid, s):
-    steps = [u for u in grid.steps if u <= t]
-    for i, u in enumerate(steps):
-        nxt = steps[i + 1] if i + 1 < len(steps) else 0
-        z = ddim_step(model, z, u, nxt, s, SamplerConfig())
-    return z
+    return ddim_sample(model, z, TimestepGrid(steps=tuple(u for u in grid.steps if u <= t)), s)
 
 
 class TestPlanValidation:
@@ -113,7 +108,7 @@ class TestRefineTemporal:
             idx = plan.grid.index_of(t)
             chain = list(plan.grid.steps[idx: idx + plan.n_sdedit + 1])
             z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain,
-                                      plan.t2v_schedule, plan.cfg_t2v, rng2)
+                                      plan.t2v_schedule, rng2)
             eps_v = plan.t2v_model.predict_eps(z_v, t_out, plan.t2v_schedule)
             clean2 = project_clean(z_v, eps_v, t_out, plan.t2v_schedule)
 
@@ -183,9 +178,8 @@ class TestElevateSpatial:
         t, t_prev = small_plan.grid.steps[3], small_plan.grid.steps[4]
         z = rng.standard_normal(SMALL)
         np.testing.assert_array_equal(
-            elevate_spatial(z, t, t_prev, small_plan, rng, []),
-            ddim_step(small_plan.t2i_model, z, t, t_prev, small_plan.t2i_schedule,
-                      small_plan.cfg_t2i, rng),
+            elevate_spatial(z, t, t_prev, small_plan, []),
+            ddim_step(small_plan.t2i_model, z, t, t_prev, small_plan.t2i_schedule),
         )
 
     def test_detail_injection_at_mid_chain(self, small_plan, sched_t2i):
@@ -201,7 +195,7 @@ class TestElevateSpatial:
             z_t = forward_diffuse(zv, t, rng.standard_normal(SMALL), sched_t2i)
             before = spatial_detail(project_clean(
                 z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i))
-            z_next = elevate_spatial(z_t, t, t_prev, small_plan, rng, [])
+            z_next = elevate_spatial(z_t, t, t_prev, small_plan, [])
             after = spatial_detail(project_clean(
                 z_next, exact.predict_eps(z_next, t_prev, sched_t2i),
                 t_prev, sched_t2i))
@@ -284,9 +278,8 @@ class TestElevateSample:
 class TestBaseline:
     def test_equals_ddim_sample_bitwise(self, small_plan, sched_t2i):
         z, trace = baseline_sample(replace(small_plan, seed=3), "t2i")
-        rng = np.random.default_rng(3)
-        z_ref = ddim_sample(small_plan.t2i_model, rng.standard_normal(SMALL),
-                            small_plan.grid, sched_t2i, SamplerConfig(), rng)
+        z_ref = ddim_sample(small_plan.t2i_model, np.random.default_rng(3).standard_normal(SMALL),
+                            small_plan.grid, sched_t2i)
         np.testing.assert_array_equal(z, z_ref)
         assert trace_violations(trace) == []
 

@@ -80,6 +80,9 @@ class TestConfig:
         # refining step
         "snr_match",
         "filter.apply_every_refine",
+        # every DDIM step is deterministic
+        "eta_t2v",
+        "eta_t2i",
     ])
     def test_guidance_scale_is_not_a_knob(self, key):
         *parents, leaf = key.split(".")
@@ -124,7 +127,6 @@ class TestConfig:
         assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("plan,match", [
-        ({"eta_t2v": 1.5}, "eta"),
         ({"crossframe_mix": 2.0}, "mix"),
         ({"n_sdedit": 60}, "n_sdedit"),
         ({"filter": {"d0": 0}}, "d0"),
@@ -167,10 +169,10 @@ class TestConfig:
 
     def test_leaf_types_accepted(self):
         resolved = resolve_config({"shape": (4, 4, 8, 8), "output_dir": "runs/x",
-                                   "plan": {"filter": {"d0": 1}, "eta_t2v": 0}})
+                                   "plan": {"filter": {"d0": 1}, "crossframe_mix": 0}})
         assert resolved["shape"] == [4, 4, 8, 8]
         assert resolved["plan"]["filter"]["d0"] == 1.0
-        assert isinstance(resolved["plan"]["eta_t2v"], float)
+        assert isinstance(resolved["plan"]["crossframe_mix"], float)
 
     @pytest.mark.parametrize("key", ["flicker_cutoff", "detail_band"])
     @pytest.mark.parametrize("value", [-1, 0.5, 2.0])
@@ -220,8 +222,6 @@ KNOB_ALTERNATIVES = {
     "num_steps": 20,
     "num_refine_steps": 3,
     "n_sdedit": 4,
-    "eta_t2v": 0.5,
-    "eta_t2i": 0.5,
     "crossframe_mix": 0.6,
     "attention_seed": 7,
     "inversion": "same_noise",
@@ -316,8 +316,6 @@ LEAF_VALUES = {
     ("plan", "num_steps"): ([2, 5, 8], [0, -1, 2.5, "8"]),
     ("plan", "num_refine_steps"): ([0, 1, 2], [9, -1, 1.0, None]),
     ("plan", "n_sdedit"): ([0, 1, 2, 3], [9, -1, 2.5]),
-    ("plan", "eta_t2v"): ([0.0, 0.5, 1], [1.5, -0.1, NAN, "0"]),
-    ("plan", "eta_t2i"): ([0.0, 0.5], [1.5, NAN]),
     ("plan", "crossframe_mix"): ([0.0, 0.3, 1.0], [2.0, -1.0, NAN, True]),
     ("plan", "attention_seed"): ([0, 7], [-1, 1.5]),
     ("plan", "inversion"): (["ddim", "same_noise", "random_noise"], ["exact", 0]),
@@ -542,7 +540,7 @@ class TestCli:
         with pytest.raises(ValueError):
             parse_seeds(" ")
 
-    @pytest.mark.parametrize("spec", ["0:3:5", "1:x", "a", ""])
+    @pytest.mark.parametrize("spec", ["0:3:5", "1:x", "a", "", "0,5:3", "3:3,1"])
     def test_bad_seed_spec_is_named(self, spec, capsys, tmp_path):
         with pytest.raises(ValueError, match=f"--seeds '{spec}'"):
             parse_seeds(spec)

@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module: an import nothing
-reads is dead code."""
+"""Every imported name is read somewhere in its module, and every
+parameter of a package function is read in its body: an import or a
+parameter nothing reads is dead code."""
 from __future__ import annotations
 
 import ast
@@ -9,8 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # the package __init__ imports to re-export, so its names are read elsewhere
-FILES = [p for p in sorted((ROOT / "src" / "latent_elevator").glob("*.py"))
-         if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "latent_elevator").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +38,40 @@ def test_unused_names_are_flagged():
               "import os.path\nimport numpy as np\nfrom math import pi, tau as turn\n"
               "np.zeros(1)\nprint(turn)\n")
     assert unused_imports(source) == ["os", "pi"]
+
+
+def _is_stub(fn) -> bool:
+    """A body of an optional docstring plus ``...``, as a Protocol method has."""
+    consts = [s.value.value for s in fn.body
+              if isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant)]
+    return len(consts) == len(fn.body) and consts[-1] is Ellipsis
+
+
+def unused_params(source: str) -> list:
+    """``function.param`` for each parameter its function never reads as an
+    ``ast.Name``; ``self``, ``cls``, ``_``-prefixed names and stubs are exempt."""
+    unused = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_stub(fn):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{fn.name}.{p.arg}" for p in params if p.arg not in read
+                   and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return sorted(unused)
+
+
+# tests are not scanned: fixtures are requested for their side effects
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_parameter_is_read(path):
+    assert unused_params(path.read_text()) == []
+
+
+def test_unused_params_are_flagged():
+    source = ("class P:\n"
+              "    def stub(self, x):\n        \"\"\"Doc.\"\"\"\n        ...\n"
+              "    def method(self, a, _b, *args, c=1, **kw):\n        return a + sum(kw)\n"
+              "def step(z, t, rng):\n    def inner(u):\n        return z\n    return inner(t)\n")
+    assert unused_params(source) == ["inner.u", "method.args", "method.c", "step.rng"]

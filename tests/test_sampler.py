@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from latent_elevator import (
     AnalyticDenoiser,
-    SamplerConfig,
     ddim_invert,
     ddim_invert_step,
     ddim_sample,
@@ -12,7 +11,6 @@ from latent_elevator import (
     forward_diffuse,
     project_clean,
     select_timesteps,
-    step_sigma,
 )
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
@@ -41,31 +39,10 @@ def custom_schedule(alpha_bar):
                          kind="linear_beta")
 
 
-class TestSigma:
-    def test_zero_eta(self, sched_t2i):
-        assert step_sigma(sched_t2i, 500, 480, 0.0) == 0.0
-
-    def test_final_step_is_deterministic(self, sched_t2i):
-        assert step_sigma(sched_t2i, 20, 0, 1.0) == 0.0
-
-    @given(
-        t=st.integers(2, 1000),
-        gap=st.integers(1, 500),
-        eta=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_direction_coefficient_nonnegative(self, sched_t2i, t, gap, eta):
-        t_prev = max(t - gap, 0)
-        if t_prev == t:
-            return
-        sigma = step_sigma(sched_t2i, t, t_prev, eta)
-        assert 1.0 - sched_t2i.alpha_bar[t_prev] - sigma ** 2 >= -1e-12
-
-
 class TestDdimStep:
     def test_zero_model_rescale(self, sched_t2i, rng):
         z = rng.standard_normal(SHAPE)
-        out = ddim_step(zero_model(), z, 500, 480, sched_t2i, SamplerConfig())
+        out = ddim_step(zero_model(), z, 500, 480, sched_t2i)
         ratio = np.sqrt(sched_t2i.alpha_bar[480] / sched_t2i.alpha_bar[500])
         np.testing.assert_allclose(out, ratio * z, rtol=1e-12)
 
@@ -73,14 +50,14 @@ class TestDdimStep:
         z0 = rng.standard_normal(SHAPE)
         eps = rng.standard_normal(SHAPE)
         z_t = forward_diffuse(z0, 600, eps, sched_t2i)
-        out = ddim_step(ConstantModel(eps), z_t, 600, 400, sched_t2i, SamplerConfig())
+        out = ddim_step(ConstantModel(eps), z_t, 600, 400, sched_t2i)
         np.testing.assert_allclose(out, forward_diffuse(z0, 400, eps, sched_t2i),
                                    rtol=1e-9, atol=1e-12)
 
     def test_hand_case(self):
         # alpha_bar 0.25 -> 0.81 with unit latent and unit prediction
         s = custom_schedule([1.0, 0.81, 0.25])
-        out = ddim_step(ConstantModel(1.0), np.ones(SHAPE), 2, 1, s, SamplerConfig())
+        out = ddim_step(ConstantModel(1.0), np.ones(SHAPE), 2, 1, s)
         expected = 0.9 * ((1 - np.sqrt(0.75)) / 0.5) + np.sqrt(1 - 0.81)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
         assert out[0, 0, 0, 0] == pytest.approx(0.6770441675420776)
@@ -88,18 +65,9 @@ class TestDdimStep:
     def test_order_violation(self, sched_t2i):
         z = np.zeros(SHAPE)
         with pytest.raises(ValueError, match="order violation"):
-            ddim_step(zero_model(), z, 100, 100, sched_t2i, SamplerConfig())
+            ddim_step(zero_model(), z, 100, 100, sched_t2i)
         with pytest.raises(ValueError, match="order violation"):
-            ddim_step(zero_model(), z, 100, 200, sched_t2i, SamplerConfig())
-
-    def test_eta_without_rng(self, sched_t2i):
-        with pytest.raises(ValueError, match="requires a random generator"):
-            ddim_step(zero_model(), np.zeros(SHAPE), 100, 50, sched_t2i,
-                      SamplerConfig(eta=1.0))
-
-    def test_eta_bounds(self):
-        with pytest.raises(ValueError, match="eta"):
-            SamplerConfig(eta=1.5)
+            ddim_step(zero_model(), z, 100, 200, sched_t2i)
 
 
 class TestInversion:
@@ -129,7 +97,7 @@ class TestInversion:
         z = rng.standard_normal(SHAPE)
         up = ddim_invert_step(den, z, a, b, sched_t2i)
         np.testing.assert_allclose(up, w_coef * z, rtol=1e-12)
-        down = ddim_step(den, up, b, a, sched_t2i, SamplerConfig())
+        down = ddim_step(den, up, b, a, sched_t2i)
         np.testing.assert_allclose(down, w_coef * m_coef * z, rtol=1e-12)
         assert np.linalg.norm(down - z) / np.linalg.norm(z) < 1e-4
 
@@ -162,7 +130,7 @@ class TestInversion:
         grid = select_timesteps(sched_t2i, 400)
         z0 = rng.standard_normal(SHAPE)
         top = ddim_invert(den, z0, grid, grid.steps[0], sched_t2i)
-        back = ddim_sample(den, top, grid, sched_t2i, SamplerConfig())
+        back = ddim_sample(den, top, grid, sched_t2i)
         assert np.linalg.norm(back - z0) / np.linalg.norm(z0) < 1e-4
 
     def test_reconstruction_error_shrinks_with_grid_density(self, sched_t2i):
@@ -176,7 +144,7 @@ class TestInversion:
             grid = select_timesteps(sched_t2i, k)
             z0 = sample_prior(prior, np.random.default_rng(12))
             top = ddim_invert(den, z0, grid, grid.steps[0], sched_t2i)
-            back = ddim_sample(den, top, grid, sched_t2i, SamplerConfig())
+            back = ddim_sample(den, top, grid, sched_t2i)
             errs[k] = np.linalg.norm(back - z0) / np.linalg.norm(z0)
         assert errs[200] < errs[100] < errs[50] < 0.03
         assert 0.45 <= errs[100] / errs[50] <= 0.55
@@ -188,9 +156,9 @@ class TestSamplingLoops:
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = TimestepGrid(steps=(700,))
         z = rng.standard_normal(SHAPE)
-        out = ddim_sample(den, z, grid, sched_t2i, SamplerConfig())
+        out = ddim_sample(den, z, grid, sched_t2i)
         np.testing.assert_array_equal(
-            out, ddim_step(den, z, 700, 0, sched_t2i, SamplerConfig())
+            out, ddim_step(den, z, 700, 0, sched_t2i)
         )
         eps = den.predict_eps(z, 700, sched_t2i)
         np.testing.assert_allclose(out, project_clean(z, eps, 700, sched_t2i),
@@ -200,20 +168,11 @@ class TestSamplingLoops:
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 20)
         z = rng.standard_normal(SHAPE)
-        a = ddim_sample(den, z, grid, sched_t2i, SamplerConfig(eta=0.0),
-                        np.random.default_rng(1))
-        b = ddim_sample(den, z, grid, sched_t2i, SamplerConfig(eta=0.0),
-                        np.random.default_rng(999))
-        np.testing.assert_array_equal(a, b)
-
-    def test_eta1_seeded_reproducible(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
-        grid = select_timesteps(sched_t2i, 20)
-        z = rng.standard_normal(SHAPE)
-        a = ddim_sample(den, z, grid, sched_t2i, SamplerConfig(eta=1.0),
-                        np.random.default_rng(7))
-        b = ddim_sample(den, z, grid, sched_t2i, SamplerConfig(eta=1.0),
-                        np.random.default_rng(7))
+        # the global stream is the only one a generator-free sampler could read
+        np.random.seed(111)
+        a = ddim_sample(den, z, grid, sched_t2i)
+        np.random.seed(222)
+        b = ddim_sample(den, z, grid, sched_t2i)
         np.testing.assert_array_equal(a, b)
 
     @given(seed=st.integers(0, 2**31), k=st.integers(1, 12), top=st.integers(1, 1000))
@@ -226,7 +185,7 @@ class TestSamplingLoops:
                                 replace=False).tolist(), reverse=True)
         grid = TimestepGrid(steps=tuple(steps))
         z = forward_diffuse(z0, steps[0], eps, sched_t2i)
-        out = ddim_sample(ConstantModel(eps), z, grid, sched_t2i, SamplerConfig())
+        out = ddim_sample(ConstantModel(eps), z, grid, sched_t2i)
         np.testing.assert_allclose(out, z0, rtol=1e-6, atol=1e-9)
 
 
@@ -235,7 +194,7 @@ class TestSdedit:
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 10)
         z, t_out = sdedit_chain(den, rng.standard_normal(SHAPE), [*grid.steps, 0],
-                                sched_t2i, SamplerConfig(), rng)
+                                sched_t2i, rng)
         assert t_out == 0
         assert np.all(np.isfinite(z))
 
@@ -246,7 +205,7 @@ class TestSdedit:
         z0 = np.random.default_rng(2).standard_normal(SHAPE)
         eps = np.random.default_rng(5).standard_normal(SHAPE)
         out, t_out = sdedit_chain(ConstantModel(eps), z0, [t, grid.steps[4]], sched_t2i,
-                                  SamplerConfig(), np.random.default_rng(5))
+                                  np.random.default_rng(5))
         assert t_out == grid.steps[4]
         np.testing.assert_allclose(project_clean(out, eps, t_out, sched_t2i), z0,
                                    rtol=1e-6, atol=1e-9)
@@ -263,7 +222,7 @@ class TestSdedit:
         for seed in range(50):
             rng = np.random.default_rng(seed + 100)
             z_in = mean + rng.standard_normal(SHAPE)
-            out, t_out = sdedit_chain(den, z_in, chain, sched_t2i, SamplerConfig(), rng)
+            out, t_out = sdedit_chain(den, z_in, chain, sched_t2i, rng)
             eps_hat = den.predict_eps(out, t_out, sched_t2i)
             clean = project_clean(out, eps_hat, t_out, sched_t2i)
             if np.linalg.norm(clean - mean) < np.linalg.norm(z_in - mean):
@@ -277,5 +236,4 @@ class TestSdedit:
         with pytest.raises(ValueError, match="not on the grid"):
             grid.index_of(123)  # where a chain down the grid from 123 would start
         with pytest.raises(ValueError, match="order violation"):
-            sdedit_chain(den, z, [grid.steps[4], grid.steps[2]], sched_t2i,
-                         SamplerConfig(), rng)
+            sdedit_chain(den, z, [grid.steps[4], grid.steps[2]], sched_t2i, rng)
