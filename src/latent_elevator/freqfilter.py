@@ -67,16 +67,19 @@ def gaussian_mask(
     if not d0 > 0:
         raise ValueError(f"invalid d0: {d0}")
     f = np.fft.fftfreq(frames)
-    gains = np.exp(-(f ** 2) / (2.0 * d0 ** 2))
-    gains[0] = 1.0
     spatial = None
-    if spatial_shape is not None:
-        h, w = spatial_shape
-        fy = np.fft.fftfreq(h)
-        fx = np.fft.fftfreq(w)
-        f2 = fy[:, None] ** 2 + fx[None, :] ** 2
-        spatial = np.exp(-f2 / (2.0 * d0 ** 2))
-        spatial[0, 0] = 1.0
+    # A tiny d0 overflows the exponent to -inf, or underflows d0**2 to 0
+    # and divides by it; both give the DC-only limit once DC is pinned to 1.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gains = np.exp(-(f ** 2) / (2.0 * d0 ** 2))
+        if spatial_shape is not None:
+            h, w = spatial_shape
+            fy = np.fft.fftfreq(h)
+            fx = np.fft.fftfreq(w)
+            f2 = fy[:, None] ** 2 + fx[None, :] ** 2
+            spatial = np.exp(-f2 / (2.0 * d0 ** 2))
+            spatial[0, 0] = 1.0
+    gains[0] = 1.0
     return LowPassMask(gains=gains, spatial_gains=spatial)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -33,7 +34,7 @@ from .metrics import MetricReport, check_thresholds, compute_report
 from .sampler import ddim_invert, ddim_sample
 from .schedule import SCHEDULE_PARAMS, make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
-from .videoio import RENDER_CHANNELS, render_frames, save_latent
+from .videoio import RENDER_CHANNELS, render_frames, save_latent, write_atomic
 
 MODES = (
     "baseline_t2v",
@@ -277,9 +278,8 @@ def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
     stem = f"{variant['name']}_seed{seed:04d}"
     out = Path(out_dir)
     save_latent(z, out / f"{stem}.elvt")
-    with open(out / f"{stem}.trace.jsonl", "w") as fh:
-        for record in trace:
-            fh.write(json.dumps(record) + "\n")
+    write_atomic(out / f"{stem}.trace.jsonl",
+                 "".join(json.dumps(record) + "\n" for record in trace).encode())
     report = compute_report(
         z,
         plan.t2v_model.prior,
@@ -422,14 +422,15 @@ def run(config: dict | None = None, output_dir=None) -> dict:
     checks = _run_checks(resolved, agg, runs) if resolved["check"] else {"enabled": False}
 
     csv_path = out / "metrics.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "seed"] + MetricReport.field_names())
-        for r in runs:
-            writer.writerow(
-                [r["variant"], r["seed"]]
-                + [r["metrics"][m] for m in MetricReport.field_names()]
-            )
+    table = io.StringIO(newline="")
+    writer = csv.writer(table)
+    writer.writerow(["variant", "seed"] + MetricReport.field_names())
+    for r in runs:
+        writer.writerow(
+            [r["variant"], r["seed"]]
+            + [r["metrics"][m] for m in MetricReport.field_names()]
+        )
+    write_atomic(csv_path, table.getvalue().encode())
 
     manifest = {
         "tool": {"name": "latent-elevator", "version": __version__},
@@ -452,5 +453,6 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         names += [r["latent"], r["trace"], *r["renders"]]
     for name in sorted(names):
         manifest["files"][name] = sha256_file(out / name)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False))
+    write_atomic(out / "manifest.json",
+                 json.dumps(manifest, indent=2, allow_nan=False).encode())
     return manifest

@@ -6,13 +6,23 @@ draws nothing: it projects to clean with the model's noise estimate and
 re-noises to its target with that same estimate. Randomness enters only
 through the ``numpy.random.Generator`` that ``sdedit_chain`` draws its
 forward noise from.
+
+Under an ``AnalyticDenoiser`` every inversion hop is affine and diagonal
+in the prior's eigenbasis, so ``ddim_invert`` composes the whole chain
+into one gain and offset per eigenmode and evaluates no model.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .denoiser import Denoiser
-from .schedule import NoiseSchedule, TimestepGrid, forward_diffuse, project_clean
+from .denoiser import AnalyticDenoiser, Denoiser
+from .schedule import (
+    NoiseSchedule,
+    TimestepGrid,
+    _check_floor,
+    forward_diffuse,
+    project_clean,
+)
 
 
 def _check_order(hi: int, lo: int, s: NoiseSchedule) -> None:
@@ -77,12 +87,46 @@ def ddim_invert(
     s: NoiseSchedule,
 ) -> np.ndarray:
     """Invert a clean latent up the grid to ``target_t``, traversing it
-    ascending from 0."""
+    ascending from 0 with ``ddim_invert_step`` hops; in closed form for an
+    ``AnalyticDenoiser``."""
     ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
+    hops = list(zip(ascending[:-1], ascending[1:]))
+    if isinstance(model, AnalyticDenoiser):
+        return _invert_analytic(model, z0, hops, s)
     z = z0
-    for a, b in zip(ascending[:-1], ascending[1:]):
+    for a, b in hops:
         z = ddim_invert_step(model, z, a, b, s)
     return z
+
+
+def _invert_analytic(
+    model: AnalyticDenoiser,
+    z0: np.ndarray,
+    hops: list,
+    s: NoiseSchedule,
+) -> np.ndarray:
+    """The ``ddim_invert_step`` chain over ``hops`` as ``gain * m + offset *
+    mu`` per eigenmode, where ``m`` and ``mu`` are the modes of ``z0`` and
+    of the prior mean.
+
+    With ``r = sqrt(ab)``, ``q = sqrt(1 - ab)`` and ``g = eps_gain(ab_b)``,
+    a hop from ``a`` up to ``b`` re-noises with ``eps = g * (z - r_b * mu)``
+    and maps ``z`` to ``(r_b / r_a + k * g) * z - k * g * r_b * mu`` with
+    ``k = q_b - r_b * q_a / r_a``. At ``a = 0`` (``r_a = 1``, ``q_a = 0``)
+    that is exactly the hop that takes ``z0`` itself as the clean estimate.
+    """
+    model._check_shape(z0)
+    gain, offset = 1.0, 0.0
+    for a, b in hops:
+        _check_order(b, a, s)
+        _check_floor(s, a)
+        r_a, q_a = np.sqrt(s.alpha_bar[a]), np.sqrt(1.0 - s.alpha_bar[a])
+        r_b, q_b = np.sqrt(s.alpha_bar[b]), np.sqrt(1.0 - s.alpha_bar[b])
+        kg = (q_b - r_b * q_a / r_a) * model.eps_gain(s.alpha_bar[b])
+        hop_gain = r_b / r_a + kg
+        gain, offset = hop_gain * gain, hop_gain * offset - kg * r_b
+    modes = gain * model.to_modes(z0) + offset * model.to_modes(model.prior.mean)
+    return model.from_modes(modes)
 
 
 def sdedit_chain(

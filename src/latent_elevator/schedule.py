@@ -150,10 +150,15 @@ def project_clean(z_t: np.ndarray, eps_pred: np.ndarray, t: int, s: NoiseSchedul
     """Estimate the clean latent from a noisy one and a noise prediction."""
     _check_same_shape(z_t, eps_pred)
     _check_timestep(s, t, lo=1)
+    _check_floor(s, t)
+    ab = s.alpha_bar[t]
+    return (z_t - np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(ab)
+
+
+def _check_floor(s: NoiseSchedule, t: int) -> None:
     ab = s.alpha_bar[t]
     if ab < ALPHA_BAR_FLOOR:
         raise ValueError(f"degenerate alpha_bar at t={t}: {ab} below floor {ALPHA_BAR_FLOOR}")
-    return (z_t - np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(ab)
 
 
 def _spread_indices(count: int, k: int) -> list:

@@ -12,10 +12,13 @@ parse them for cross-implementation checks:
 followed by ``F * C * H * W`` little-endian float32 values, frame-major.
 
 Renders are binary PPM (P6), one image per frame, min/max normalized per
-video; the normalization constants go into the run manifest.
+video; the normalization constants go into the run manifest. Every file
+is written through ``write_atomic``, so an interrupted run leaves no torn
+artifact.
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -38,6 +41,19 @@ FOUR_TO_THREE = np.array(
 )
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file in ``path``'s directory, then
+    rename it over ``path``; the temporary file never outlives a failure."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_latent(v: np.ndarray, path) -> None:
     """Write a latent video; float64 input is stored as float32."""
     if v.ndim != 4:
@@ -47,7 +63,7 @@ def save_latent(v: np.ndarray, path) -> None:
     header = MAGIC + struct.pack("<H4I", VERSION, *v.shape)
     header += b"\x00" * (HEADER_SIZE - len(header))
     data = np.ascontiguousarray(v, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + data)
+    write_atomic(path, header + data)
 
 
 def load_latent(path) -> np.ndarray:
@@ -97,6 +113,6 @@ def render_frames(v: np.ndarray, path_prefix, vmin: float | None = None,
     for i in range(f):
         path = Path(f"{path_prefix}_{i:03d}.ppm")
         pixels = scaled[i].transpose(1, 2, 0)  # (H, W, 3) row-major
-        path.write_bytes(header + pixels.tobytes())
+        write_atomic(path, header + pixels.tobytes())
         paths.append(str(path))
     return paths

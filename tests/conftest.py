@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latent_elevator import AnalyticDenoiser, make_schedule
+from latent_elevator import AnalyticDenoiser, ddim_invert_step, make_schedule
 from latent_elevator.harness import DEFAULT_CONFIG
 from latent_elevator.synth import make_gp_prior
 
@@ -34,6 +34,17 @@ def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
     return AnalyticDenoiser(
         make_gp_prior(*shape, p["rho"], p["spectrum_kind"], p["variance_scale"])
     )
+
+
+def invert_by_hops(model, z0, grid, target_t, s):
+    """DDIM inversion as the explicit chain of ``ddim_invert_step`` hops up
+    the grid from 0 to ``target_t``: the oracle for the program's closed
+    form, which evaluates no model."""
+    ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
+    z = z0
+    for a, b in zip(ascending[:-1], ascending[1:]):
+        z = ddim_invert_step(model, z, a, b, s)
+    return z
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -57,6 +57,10 @@ class TestAnalyticEps:
             ((2, 1, 2, 2), 0.5, "lowpass"),
             ((4, 2, 4, 4), 0.8, "broadband"),
             ((3, 1, 4, 2), 0.0, "flat"),
+            # odd widths and heights: the half spectrum must keep every column
+            ((3, 2, 5, 3), 0.5, "lowpass"),
+            ((2, 1, 1, 7), 0.3, "broadband"),
+            ((2, 2, 3, 5), 0.0, "broadband"),
         ],
     )
     def test_matches_dense_posterior_oracle(self, shape, rho, kind, sched_t2i):
@@ -89,6 +93,18 @@ class TestAnalyticEps:
         z = np.sqrt(sched_t2i.alpha_bar[t]) * mean
         out = AnalyticDenoiser(prior).predict_eps(z, t, sched_t2i)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
+
+    def test_rho_zero_skips_rotation_bitwise(self, sched_t2i, rng):
+        """At rho == 0 the temporal eigenbasis is exactly the identity, so
+        skipping the rotation changes no bit of the prediction."""
+        den = recipe_denoiser("t2i", (4, 2, 6, 5))
+        assert den.prior.temporal_rho == 0.0
+        rotating = recipe_denoiser("t2i", (4, 2, 6, 5))
+        rotating._u = np.eye(4)
+        z = rng.standard_normal((4, 2, 6, 5))
+        for t in (1, 300, 1000):
+            np.testing.assert_array_equal(den.predict_eps(z, t, sched_t2i),
+                                          rotating.predict_eps(z, t, sched_t2i))
 
     def test_deterministic_bitwise(self, sched_t2i, rng):
         den = recipe_denoiser("t2v", (4, 2, 4, 4))

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from latent_elevator import (
+    AnalyticDenoiser,
     TimestepGrid,
     baseline_sample,
     ddim_sample,
@@ -346,3 +348,39 @@ class TestDefaultPlan:
     def test_unknown_keyword_rejected(self):
         with pytest.raises(ValueError, match="unknown key 'plan.t2v_model'"):
             make_default_plan(shape=SMALL, t2v_model=None)
+
+
+class TestEvaluationCounts:
+    """Denoiser evaluations and attention calls of a default sample, counted
+    by wrapping the model and the kernel from outside the program. Under the
+    analytic projector ``ddim_invert`` is closed form and evaluates no
+    model, so a regression to hop-by-hop inversion (295 evaluations) shows
+    here."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"predict_eps": 0, "attention": 0}
+        attention = importlib.import_module("latent_elevator.attention")
+
+        def counting(owner, name, key):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(AnalyticDenoiser, "predict_eps", "predict_eps")
+        counting(attention, "first_only_cross_frame", "attention")
+        return counts
+
+    def test_elevate_sample(self, counts):
+        elevate_sample(make_default_plan())
+        # 50 elevating steps + 5 refining steps x (image projection, 9 SDEdit
+        # steps, video projection)
+        assert counts == {"predict_eps": 105, "attention": 50}
+
+    def test_baseline_sample(self, counts):
+        baseline_sample(make_default_plan())
+        assert counts == {"predict_eps": 50, "attention": 0}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,26 @@ class TestGaussianMask:
         assert np.all((g >= 0) & (g <= 1))
         for k in range(frames):
             assert g[k] == pytest.approx(g[(frames - k) % frames])
+
+    @pytest.mark.parametrize("d0", [1e-155, 1e-170, 1e-300])
+    def test_tiny_d0_is_dc_only_without_warnings(self, d0):
+        # d0 = 1e-155 overflows the exponent; below ~1e-162 d0**2 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = gaussian_mask(16, d0, spatial_shape=(6, 5))
+        np.testing.assert_array_equal(mask.gains, np.eye(16)[0])
+        np.testing.assert_array_equal(mask.spatial_gains, np.eye(30)[0].reshape(6, 5))
+
+    def test_gains_unchanged_at_recipe_d0(self):
+        d0 = 0.25
+        mask = gaussian_mask(16, d0, spatial_shape=(16, 16))
+        f = np.fft.fftfreq(16)
+        gains = np.exp(-(f ** 2) / (2.0 * d0 ** 2))
+        gains[0] = 1.0
+        spatial = np.exp(-(f[:, None] ** 2 + f[None, :] ** 2) / (2.0 * d0 ** 2))
+        spatial[0, 0] = 1.0
+        assert mask.gains.tobytes() == gains.tobytes()
+        assert mask.spatial_gains.tobytes() == spatial.tobytes()
 
     def test_invalid_d0(self):
         with pytest.raises(ValueError, match="invalid d0"):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 from concurrent.futures import Future
 from pathlib import Path
@@ -426,6 +427,21 @@ class TestRunModes:
         assert set(manifest["files"]) == on_disk
         for rel, digest in manifest["files"].items():
             assert sha256_file(tmp_path / rel) == digest
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            run(tiny("baseline_t2v", seeds=[0]), output_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_names_only_artifacts(self, tmp_path):
+        manifest = run(tiny("elevate", seeds=[0]), output_dir=tmp_path)
+        on_disk = {p.name for p in tmp_path.iterdir()}
+        assert on_disk == set(manifest["files"]) | {"manifest.json"}
+        assert not any(name.startswith(".") or name.endswith(".tmp") for name in on_disk)
 
     def test_manifest_ignores_files_it_did_not_write(self, tmp_path):
         (tmp_path / "stale.txt").write_text("left over from an earlier run")

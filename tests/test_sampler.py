@@ -16,6 +16,8 @@ from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
 from latent_elevator.synth import make_gp_prior, sample_prior
 
+from conftest import invert_by_hops, recipe_denoiser
+
 SHAPE = (2, 1, 4, 4)
 
 
@@ -118,9 +120,10 @@ class TestInversion:
         z0 = rng.standard_normal(SHAPE)
         t_min = grid.steps[-1]
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             ddim_invert(den, z0, grid, t_min, sched_t2i),
             ddim_invert_step(den, z0, 0, t_min, sched_t2i),
+            rtol=1e-12,
         )
 
     def test_full_adjointness_standard_normal(self, sched_t2i, rng):
@@ -149,6 +152,56 @@ class TestInversion:
         assert errs[200] < errs[100] < errs[50] < 0.03
         assert 0.45 <= errs[100] / errs[50] <= 0.55
         assert 0.45 <= errs[200] / errs[100] <= 0.55
+
+
+def _odd_mean_prior():
+    shape = (3, 2, 5, 7)
+    mean = np.random.default_rng(3).standard_normal(shape)
+    return make_gp_prior(*shape, rho=0.7, spectrum_kind="broadband", mean=mean)
+
+
+CLOSED_FORM_PRIORS = {
+    "recipe_projector": lambda: recipe_denoiser("t2i", (4, 2, 8, 8)).prior,
+    "odd_nonzero_mean_rho_0.7": _odd_mean_prior,
+    "variance_1e300": lambda: make_gp_prior(*SHAPE, rho=0.5, spectrum_kind="lowpass",
+                                            variance_scale=1e300),
+    "variance_1e-300_rho_0.999999": lambda: make_gp_prior(
+        *SHAPE, rho=0.999999, spectrum_kind="broadband", variance_scale=1e-300),
+}
+
+
+class TestClosedFormInversion:
+    """For an analytic model ``ddim_invert`` evaluates no model: it applies
+    the composed hop gains per eigenmode. It must match the hop-by-hop
+    chain at every grid target."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
+    def test_matches_hop_chain_at_every_target(self, name, sched_t2i):
+        prior = CLOSED_FORM_PRIORS[name]()
+        den = AnalyticDenoiser(prior)
+        grid = select_timesteps(sched_t2i, 50)
+        z0 = sample_prior(prior, np.random.default_rng(1))
+        worst = 0.0
+        for t in grid.steps:
+            expected = invert_by_hops(den, z0, grid, t, sched_t2i)
+            got = ddim_invert(den, z0, grid, t, sched_t2i)
+            worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
+        assert worst < 1e-12, (name, worst)
+
+    def test_errors_match_hop_chain(self, sched_t2i, rng):
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        grid = select_timesteps(sched_t2i, 10)
+        with pytest.raises(ValueError, match="not on the grid"):
+            ddim_invert(den, rng.standard_normal(SHAPE), grid, 123, sched_t2i)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ddim_invert(den, np.zeros((2, 1, 4, 5)), grid, grid.steps[0], sched_t2i)
+        short = custom_schedule([1.0, 0.8, 0.5])
+        with pytest.raises(ValueError, match="timestep out of range"):
+            ddim_invert(den, np.zeros(SHAPE), TimestepGrid(steps=(3, 1)), 3, short)
+        floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
+        for model in (den, zero_model()):
+            with pytest.raises(ValueError, match="degenerate alpha_bar at t=2"):
+                ddim_invert(model, np.zeros(SHAPE), TimestepGrid(steps=(3, 2)), 3, floor)
 
 
 class TestSamplingLoops:

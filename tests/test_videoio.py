@@ -1,10 +1,11 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from latent_elevator import load_latent, render_frames, save_latent
-from latent_elevator.videoio import HEADER_SIZE, MAGIC
+from latent_elevator.videoio import HEADER_SIZE, MAGIC, write_atomic
 
 
 class TestLatentFiles:
@@ -117,3 +118,24 @@ class TestRenders:
     def test_unsupported_channels(self, tmp_path, rng):
         with pytest.raises(ValueError, match="unsupported channels"):
             render_frames(rng.standard_normal((1, 2, 4, 4)), tmp_path / "u")
+
+
+class TestAtomicWrite:
+    def test_failed_rename_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "x.elvt"
+        target.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_latent(np.zeros((1, 1, 2, 2)), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.elvt"]
+        assert target.read_bytes() == b"old"
+
+    def test_writes_exact_bytes(self, tmp_path):
+        write_atomic(tmp_path / "a.bin", b"payload")
+        write_atomic(tmp_path / "a.bin", b"new")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+        assert (tmp_path / "a.bin").read_bytes() == b"new"
