@@ -9,6 +9,7 @@ appearance across frames.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,12 @@ from .denoiser import Denoiser
 from .schedule import NoiseSchedule
 
 # logits per query block: 512 KiB of float64, a quarter of a 2 MiB L2 cache;
-# at the default 16x4x16x16 shape 2^14 to 2^16 ran fastest, 2^12 and 2^18
-# about 1.3x slower
+# at the default 16x4x16x16 shape 2^16 ran fastest, 2^15 about 4%, 2^14
+# about 9% and 2^17 about 1.45x slower
 _BLOCK = 1 << 16
+# exp(709.78) is the largest finite float64; the margin absorbs the rounding
+# of the logits GEMM and of the value GEMM's sums
+_EXP_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,20 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     broadcast over the leading axes of ``q``.
 
     Query rows are taken ``_BLOCK // n_keys`` at a time, so no logits array
-    larger than one block is ever held. The keys are fixed for every row,
-    so each block's softmax is exact and needs no running rescale.
+    larger than one block is ever held. Each block is one logits GEMM, one
+    in-place ``exp`` and one value GEMM:
+
+    - The keys are centered, ``k - mean(k)``. That shifts every logit of a
+      query row by the same ``q . mean(k)``, which softmax ignores, and
+      leaves each row averaging 0 over the keys, so its largest weight,
+      and with it its normalizer, is at least 1.
+    - ``v`` carries an extra ones column, so the value GEMM also returns
+      each row's normalizer, and the outputs are divided by it at the end.
+    - A row's max is subtracted, as a plain softmax does, only when the
+      Cauchy-Schwarz bound ``max ||q|| * max ||k - mean(k)|| / sqrt(d)`` on
+      every centered logit, plus ``log n_keys`` and ``log max|v|``, could
+      overflow a weight or a numerator, or when centering the keys would
+      overflow; then the keys are used as given.
     """
     q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
     if q.ndim < 2 or k.ndim != 2 or v.ndim != 2:
@@ -72,18 +88,36 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     if k.shape[0] < 1:
         raise ValueError("need at least one key/value row")
     n_keys, d = k.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = k - k.mean(axis=0)
+    # keys whose sum or centering overflows stay as they are, on the shifted
+    # path, as do inf/NaN keys
+    centered_ok = bool(np.all(np.isfinite(centered)))
+    if centered_ok:
+        k = centered
     k_t = k.T / np.sqrt(d)
     rows = q.reshape(-1, d)
-    out = np.empty((rows.shape[0], v.shape[1]), dtype=np.result_type(rows, k_t, v))
+    dtype = np.result_type(rows, k_t, v)
+    v_ones = np.ones((n_keys, v.shape[1] + 1), dtype=dtype)
+    v_ones[:, :-1] = v
+    # a norm that overflows, or inf/NaN inputs, make the bound inf or NaN,
+    # and so take the shifted path
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_max = np.sqrt(np.einsum("ij,ij->i", rows, rows).max(initial=0.0))
+        k_max = np.sqrt(np.einsum("ij,ij->i", k, k).max())
+        bound = q_max * k_max / np.sqrt(d)
+    bound += math.log(n_keys) + math.log(max(np.abs(v).max(), 1.0))
+    shift = not (centered_ok and bound < _EXP_LIMIT)
+    num = np.empty((rows.shape[0], v_ones.shape[1]), dtype=dtype)
     step = max(1, _BLOCK // n_keys)
     for start in range(0, rows.shape[0], step):
         e = rows[start:start + step] @ k_t
-        e -= e.max(axis=1, keepdims=True)
+        if shift:
+            e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
-        block = out[start:start + step]
-        np.matmul(e, v, out=block)
-        # normalize the block's C-wide outputs, not its n_keys-wide weights
-        block /= e.sum(axis=1, keepdims=True)
+        np.matmul(e, v_ones, out=num[start:start + step])
+    out = num[:, :-1]
+    out /= num[:, -1:]
     return out.reshape(*q.shape[:-1], v.shape[1])
 
 

@@ -192,7 +192,9 @@ def elevate_sample(plan: ElevatorPlan) -> tuple:
 def baseline_sample(plan: ElevatorPlan, model: str = "t2v") -> tuple:
     """Plain chain of the plan's ``"t2v"`` or ``"t2i"`` model over its grid
     (refining set ignored) from its seeded noise, same trace format. The
-    latent is bit-identical to ``ddim_sample`` from the same seeded start.
+    latent is the ``ddim_step`` loop's from the same seeded start: bit for
+    bit ``ddim_sample``'s for the inflated ``"t2i"`` model, and its closed
+    form's to rounding for the analytic ``"t2v"`` one.
     """
     if model == "t2v":
         denoiser, s = plan.t2v_model, plan.t2v_schedule

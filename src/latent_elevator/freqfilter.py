@@ -100,14 +100,14 @@ def lpff(video: np.ndarray, mask: LowPassMask) -> np.ndarray:
         raise ValueError(
             f"mask shape mismatch: {mask.gains.shape[0]} gains vs {video.shape[0]} frames"
         )
+    if mask.spatial_gains is not None and mask.spatial_gains.shape != video.shape[2:]:
+        raise ValueError(
+            f"mask shape mismatch: spatial gains {mask.spatial_gains.shape} "
+            f"vs frame {video.shape[2:]}"
+        )
     freq = np.fft.fft(video, axis=0) * mask.gains[:, None, None, None]
     out = np.fft.ifft(freq, axis=0).real
     if mask.spatial_gains is not None:
-        if mask.spatial_gains.shape != video.shape[2:]:
-            raise ValueError(
-                f"mask shape mismatch: spatial gains {mask.spatial_gains.shape} "
-                f"vs frame {video.shape[2:]}"
-            )
         freq = np.fft.fft2(out, axes=(-2, -1)) * mask.spatial_gains
         out = np.fft.ifft2(freq, axes=(-2, -1)).real
     return out

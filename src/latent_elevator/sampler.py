@@ -7,9 +7,10 @@ re-noises to its target with that same estimate. Randomness enters only
 through the ``numpy.random.Generator`` that ``sdedit_chain`` draws its
 forward noise from.
 
-Under an ``AnalyticDenoiser`` every inversion hop is affine and diagonal
-in the prior's eigenbasis, so ``ddim_invert`` composes the whole chain
-into one gain and offset per eigenmode and evaluates no model.
+Under an ``AnalyticDenoiser`` every step and inversion hop is affine and
+diagonal in the prior's eigenbasis, so ``ddim_sample``, ``ddim_invert`` and
+the denoising part of ``sdedit_chain`` compose their whole chain into one
+gain and offset per eigenmode and evaluate no model.
 """
 from __future__ import annotations
 
@@ -72,11 +73,9 @@ def ddim_sample(
     grid: TimestepGrid,
     s: NoiseSchedule,
 ) -> np.ndarray:
-    """Run the full chain from ``grid.steps[0]`` down to a clean latent."""
-    z = z_init
-    for t, t_prev in grid.hops():
-        z = ddim_step(model, z, t, t_prev, s)
-    return z
+    """Run the full chain from ``grid.steps[0]`` down to a clean latent; in
+    closed form for an ``AnalyticDenoiser``."""
+    return _chain(model, z_init, list(grid.hops()), s, invert=False)
 
 
 def ddim_invert(
@@ -90,42 +89,46 @@ def ddim_invert(
     ascending from 0 with ``ddim_invert_step`` hops; in closed form for an
     ``AnalyticDenoiser``."""
     ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
-    hops = list(zip(ascending[:-1], ascending[1:]))
-    if isinstance(model, AnalyticDenoiser):
-        return _invert_analytic(model, z0, hops, s)
-    z = z0
-    for a, b in hops:
-        z = ddim_invert_step(model, z, a, b, s)
-    return z
+    return _chain(model, z0, list(zip(ascending[:-1], ascending[1:])), s, invert=True)
 
 
-def _invert_analytic(
-    model: AnalyticDenoiser,
-    z0: np.ndarray,
+def _chain(
+    model: Denoiser,
+    z: np.ndarray,
     hops: list,
     s: NoiseSchedule,
+    invert: bool,
 ) -> np.ndarray:
-    """The ``ddim_invert_step`` chain over ``hops`` as ``gain * m + offset *
-    mu`` per eigenmode, where ``m`` and ``mu`` are the modes of ``z0`` and
-    of the prior mean.
+    """``ddim_invert_step`` (``invert``) or ``ddim_step`` hops ``(a, b)``
+    from ``a`` to ``b`` in turn, composed into one map for an
+    ``AnalyticDenoiser``.
 
-    With ``r = sqrt(ab)``, ``q = sqrt(1 - ab)`` and ``g = eps_gain(ab_b)``,
-    a hop from ``a`` up to ``b`` re-noises with ``eps = g * (z - r_b * mu)``
-    and maps ``z`` to ``(r_b / r_a + k * g) * z - k * g * r_b * mu`` with
-    ``k = q_b - r_b * q_a / r_a``. At ``a = 0`` (``r_a = 1``, ``q_a = 0``)
-    that is exactly the hop that takes ``z0`` itself as the clean estimate.
+    With ``r = sqrt(ab)``, ``q = sqrt(1 - ab)`` and ``g = eps_gain(ab_e)`` at
+    the noisier end ``e = max(a, b)``, a hop re-noises with ``eps = g * (z -
+    r_e * mu)`` per eigenmode and maps ``z`` to ``(r_b / r_a + k * g) * z - k
+    * g * r_e * mu`` with ``k = q_b - r_b * q_a / r_a``. At ``a = 0``
+    (``r_a = 1``, ``q_a = 0``) that is exactly the inversion hop that takes
+    ``z`` itself as the clean estimate. So the chain is ``gain * m + offset
+    * mu`` per eigenmode, where ``m`` and ``mu`` are the modes of ``z`` and
+    of the prior mean, and it evaluates no model.
     """
-    model._check_shape(z0)
+    if not hops or not isinstance(model, AnalyticDenoiser):
+        step = ddim_invert_step if invert else ddim_step
+        for a, b in hops:
+            z = step(model, z, a, b, s)
+        return z
+    model._check_shape(z)
     gain, offset = 1.0, 0.0
     for a, b in hops:
-        _check_order(b, a, s)
+        e, lo = (b, a) if invert else (a, b)
+        _check_order(e, lo, s)
         _check_floor(s, a)
         r_a, q_a = np.sqrt(s.alpha_bar[a]), np.sqrt(1.0 - s.alpha_bar[a])
         r_b, q_b = np.sqrt(s.alpha_bar[b]), np.sqrt(1.0 - s.alpha_bar[b])
-        kg = (q_b - r_b * q_a / r_a) * model.eps_gain(s.alpha_bar[b])
+        kg = (q_b - r_b * q_a / r_a) * model.eps_gain(s.alpha_bar[e])
         hop_gain = r_b / r_a + kg
-        gain, offset = hop_gain * gain, hop_gain * offset - kg * r_b
-    modes = gain * model.to_modes(z0) + offset * model.to_modes(model.prior.mean)
+        gain, offset = hop_gain * gain, hop_gain * offset - kg * np.sqrt(s.alpha_bar[e])
+    modes = gain * model.to_modes(z) + offset * model.to_modes(model.prior.mean)
     return model.from_modes(modes)
 
 
@@ -137,15 +140,10 @@ def sdedit_chain(
     rng: np.random.Generator,
 ) -> tuple:
     """Forward-diffuse to ``chain[0]`` with fresh noise, then step down the
-    remaining chain (last entry may be 0). Returns ``(latent, t_out)``."""
+    remaining chain (last entry may be 0), in closed form for an
+    ``AnalyticDenoiser``. Returns ``(latent, t_out)``."""
     if not chain:
         return z_clean, 0
-    t0 = chain[0]
     eps = rng.standard_normal(z_clean.shape)
-    z = forward_diffuse(z_clean, t0, eps, s)
-    cur = t0
-    for nxt in chain[1:]:
-        z = ddim_step(model, z, cur, nxt, s)
-        cur = nxt
-    return z, cur
-
+    z = forward_diffuse(z_clean, chain[0], eps, s)
+    return _chain(model, z, list(zip(chain[:-1], chain[1:])), s, invert=False), chain[-1]

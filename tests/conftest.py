@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latent_elevator import AnalyticDenoiser, ddim_invert_step, make_schedule
+from latent_elevator import AnalyticDenoiser, ddim_invert_step, ddim_step, make_schedule
 from latent_elevator.harness import DEFAULT_CONFIG
 from latent_elevator.synth import make_gp_prior
 
@@ -44,6 +44,15 @@ def invert_by_hops(model, z0, grid, target_t, s):
     z = z0
     for a, b in zip(ascending[:-1], ascending[1:]):
         z = ddim_invert_step(model, z, a, b, s)
+    return z
+
+
+def sample_by_hops(model, z, chain, s):
+    """DDIM denoising as the explicit chain of ``ddim_step`` hops down the
+    descending timesteps ``chain``: the oracle for the program's closed form
+    of ``ddim_sample`` and of ``sdedit_chain``'s steps."""
+    for t, t_prev in zip(chain[:-1], chain[1:]):
+        z = ddim_step(model, z, t, t_prev, s)
     return z
 
 

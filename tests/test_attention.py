@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from latent_elevator import (
     first_only_cross_frame,
     make_attention_params,
 )
-from latent_elevator.attention import attention
+from latent_elevator.attention import _EXP_LIMIT, attention
 
 from conftest import recipe_denoiser
 
@@ -104,9 +106,20 @@ class TestQueryBlocks:
     def test_large_logits_stay_finite(self, rng):
         # logits near 1e3 overflow exp unless each row's max is subtracted
         q = rng.standard_normal((750, 4)) * 1e3
-        rows = attention(q, rng.standard_normal((300, 4)), np.eye(300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = attention(q, rng.standard_normal((300, 4)), np.eye(300))
         assert np.all(np.isfinite(rows))
         np.testing.assert_allclose(rows.sum(axis=1), np.ones(750), atol=1e-12)
+
+    def test_default_scale_is_warning_free(self, rng):
+        q = rng.standard_normal((3, 250, 4))
+        k = rng.standard_normal((300, 4))
+        v = rng.standard_normal((300, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        assert np.all(np.isfinite(out))
 
     def test_empty_query(self, rng):
         out = attention(np.empty((0, 4)), rng.standard_normal((5, 4)),
@@ -124,6 +137,69 @@ class TestQueryBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _logit_bound(q, k, v):
+    """The kernel's overflow bound on its centered logits, plus ``log n``
+    and ``log max|v|``."""
+    k_c = k - k.mean(axis=0)
+    norms = np.linalg.norm(q, axis=1).max() * np.linalg.norm(k_c, axis=1).max()
+    return (norms / math.sqrt(q.shape[1]) + math.log(len(k))
+            + math.log(max(np.abs(v).max(), 1.0)))
+
+
+class TestOverflowGuard:
+    """The kernel skips the row-max pass unless its logit bound could
+    overflow a weight or a numerator; both sides match the oracle."""
+
+    @pytest.mark.parametrize("margin", [-10.0, 10.0])
+    def test_both_sides_of_the_guard_match_oracle(self, rng, margin):
+        q = rng.standard_normal((5, 4))
+        k = rng.standard_normal((7, 4)) + 3.0  # off-center keys
+        v = rng.standard_normal((7, 3))
+        # the bound is linear in the query scale beyond its log terms
+        logs = _logit_bound(np.zeros_like(q), k, v)
+        q *= (_EXP_LIMIT + margin - logs) / (_logit_bound(q, k, v) - logs)
+        assert _logit_bound(q, k, v) == pytest.approx(_EXP_LIMIT + margin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        np.testing.assert_allclose(out, naive_attention(q, k, v), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_huge_values_take_the_guard_and_match_oracle(self, rng, scale):
+        # log(1e306) alone exceeds the limit; the weights stay ordinary
+        q = rng.standard_normal((5, 4)) * scale
+        k = rng.standard_normal((7, 4))
+        v = rng.standard_normal((7, 3)) * 1e306
+        assert _logit_bound(q, k, v) > _EXP_LIMIT
+        np.testing.assert_allclose(attention(q, k, v), naive_attention(q, k, v),
+                                   rtol=1e-12, atol=0)
+
+    def test_huge_keys_match_oracle(self, rng):
+        # 300 keys near 1e306 sum past the float64 max; 3 keys of +-1.7e308
+        # have a finite mean, 5.7e307, but a key minus it overflows. The
+        # keys are then used as given, on the shifted path.
+        q = rng.standard_normal((5, 4)) * 1e-3
+        same_sign = rng.uniform(1e306, 2e306, (300, 4))
+        mixed = np.array([[1.7e308], [-1.7e308], [1.7e308]]) * rng.uniform(0.99, 1, (3, 4))
+        for k in (same_sign, mixed):
+            v = rng.standard_normal((k.shape[0], 3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = attention(q, k, v)
+            np.testing.assert_allclose(out, naive_attention(q, k, v), rtol=1e-12, atol=0)
+
+    def test_huge_values_stay_finite(self, rng):
+        # 6 weights of at most 1 times |v| < 1.5e307 sum below the float64
+        # max, so the unnormalized product of a row-max softmax is finite
+        # here, and so must the kernel's be, however flat the weights
+        v = rng.uniform(-1.5e307, 1.5e307, (6, 2))
+        for q_scale in (0.0, 1.0, 1e3):
+            out = attention(rng.standard_normal((4, 3)) * q_scale,
+                            rng.standard_normal((6, 3)), v)
+            assert np.all(np.isfinite(out))
+            assert np.all(np.abs(out) <= np.abs(v).max())
 
 
 class TestFirstOnlyCrossFrame:

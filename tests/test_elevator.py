@@ -353,9 +353,9 @@ class TestDefaultPlan:
 class TestEvaluationCounts:
     """Denoiser evaluations and attention calls of a default sample, counted
     by wrapping the model and the kernel from outside the program. Under the
-    analytic projector ``ddim_invert`` is closed form and evaluates no
-    model, so a regression to hop-by-hop inversion (295 evaluations) shows
-    here."""
+    analytic models ``ddim_invert`` and the SDEdit steps are closed form and
+    evaluate no model, so a regression to hop-by-hop inversion (295
+    evaluations) or SDEdit steps (105) shows here."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -377,9 +377,9 @@ class TestEvaluationCounts:
 
     def test_elevate_sample(self, counts):
         elevate_sample(make_default_plan())
-        # 50 elevating steps + 5 refining steps x (image projection, 9 SDEdit
-        # steps, video projection)
-        assert counts == {"predict_eps": 105, "attention": 50}
+        # 50 elevating steps + 5 refining steps x (image projection, video
+        # projection)
+        assert counts == {"predict_eps": 60, "attention": 50}
 
     def test_baseline_sample(self, counts):
         baseline_sample(make_default_plan())

@@ -159,6 +159,21 @@ class TestLpff:
                                axes=(-2, -1)).real
         np.testing.assert_array_equal(lpff(video, both), spatial)
 
+    def test_spatial_mask_shape_checked_before_any_transform(self, rng, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
+
+        for name in ("fft", "ifft", "fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        video = rng.standard_normal((4, 1, 4, 4))
+        with pytest.raises(ValueError, match="spatial gains"):
+            lpff(video, gaussian_mask(4, 0.2, spatial_shape=(5, 5)))
+        assert calls == []
+        lpff(video, gaussian_mask(4, 0.2, spatial_shape=(4, 4)))
+        assert calls == ["fft", "ifft", "fft2", "ifft2"]
+
     def test_shape_and_axes_validation(self, rng):
         video = rng.standard_normal((4, 1, 4, 4))
         with pytest.raises(ValueError, match="mask shape mismatch"):

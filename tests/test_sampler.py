@@ -16,7 +16,7 @@ from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import invert_by_hops, recipe_denoiser
+from conftest import invert_by_hops, recipe_denoiser, sample_by_hops
 
 SHAPE = (2, 1, 4, 4)
 
@@ -29,6 +29,16 @@ class ConstantModel:
 
     def predict_eps(self, z, t, s):
         return np.broadcast_to(self.value, z.shape).copy()
+
+
+class Forwarding:
+    """A plain ``Denoiser`` that forwards ``predict_eps`` to another."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_eps(self, z, t, s):
+        return self.model.predict_eps(z, t, s)
 
 
 def zero_model():
@@ -204,15 +214,125 @@ class TestClosedFormInversion:
                 ddim_invert(model, np.zeros(SHAPE), TimestepGrid(steps=(3, 2)), 3, floor)
 
 
+def _rel_err(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+def _sdedit_draw(z_clean, chain, s, rng):
+    """``sdedit_chain``'s start: its one draw, diffused to ``chain[0]``."""
+    return forward_diffuse(z_clean, chain[0], rng.standard_normal(z_clean.shape), s)
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+class TestClosedFormChains:
+    """For an analytic model ``ddim_sample`` and the denoising steps of
+    ``sdedit_chain`` evaluate no model: they apply the composed step gains
+    per eigenmode. They must match the ``ddim_step`` loop.
+
+    One pairing has no relative error to compare: under the 1e-300 prior, a
+    chain that ends at 0 should land on the (zero) prior mean plus about
+    1e-298 of its input, but both forms cancel a step's gain down to
+    rounding, about 1e-16 of the input. There both are held to that
+    rounding bound instead."""
+
+    TINY = "variance_1e-300_rho_0.999999"
+
+    def check(self, name, chain, got, expected, z):
+        if name == self.TINY and chain[-1] == 0:
+            for out in (got, expected):
+                assert np.abs(out).max() < 1e-14 * np.abs(z).max()
+            return 0.0
+        return _rel_err(got, expected)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
+    def test_ddim_sample_matches_step_loop(self, name, sched_t2i):
+        prior = CLOSED_FORM_PRIORS[name]()
+        den = AnalyticDenoiser(prior)
+        steps = select_timesteps(sched_t2i, 50).steps
+        z = np.random.default_rng(1).standard_normal(prior.shape)
+        worst = 0.0
+        for start in (0, 17, 49):
+            grid = TimestepGrid(steps=steps[start:])
+            chain = [*grid.steps, 0]
+            got = ddim_sample(den, z, grid, sched_t2i)
+            expected = sample_by_hops(den, z, chain, sched_t2i)
+            worst = max(worst, self.check(name, chain, got, expected, z))
+        assert worst < 1e-12, (name, worst)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
+    def test_sdedit_chain_matches_step_loop(self, name, sched_t2i):
+        prior = CLOSED_FORM_PRIORS[name]()
+        den = AnalyticDenoiser(prior)
+        chain_to_0 = [*select_timesteps(sched_t2i, 50).steps, 0]
+        z_clean = sample_prior(prior, np.random.default_rng(1))
+        worst = 0.0
+        # chains ending above 0 (the recipe's 9 steps down from the top, and
+        # one hop) and at 0 (the whole grid, and its last hop)
+        for chain in (chain_to_0[:10], chain_to_0[20:22], chain_to_0, chain_to_0[-2:]):
+            rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+            got, t_out = sdedit_chain(den, z_clean, chain, sched_t2i, rng)
+            z = _sdedit_draw(z_clean, chain, sched_t2i, oracle_rng)
+            expected = sample_by_hops(den, z, chain, sched_t2i)
+            assert t_out == chain[-1]
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            worst = max(worst, self.check(name, chain, got, expected, z))
+        assert worst < 1e-12, (name, worst)
+
+    def test_overflowing_prior_variance_matches_step_loop(self, sched_t2i, rng):
+        # the config accepts variance_scale 1e308; some eigenvalues overflow
+        # to inf, where the noise estimate is 0 and a step just rescales
+        with np.errstate(over="ignore"):
+            den = AnalyticDenoiser(make_gp_prior(*SHAPE, rho=0.5, spectrum_kind="lowpass",
+                                                 variance_scale=1e308))
+        assert np.any(den.eps_gain(0.5) == 0)
+        grid = select_timesteps(sched_t2i, 50)
+        z = rng.standard_normal(SHAPE)
+        expected = sample_by_hops(den, z, [*grid.steps, 0], sched_t2i)
+        assert _rel_err(ddim_sample(den, z, grid, sched_t2i), expected) < 1e-12
+
+    def test_errors_match_step_loop(self, sched_t2i, rng):
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        grid = select_timesteps(sched_t2i, 10)
+        z = rng.standard_normal(SHAPE)
+        short = custom_schedule([1.0, 0.8, 0.5])
+        floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
+        cases = [  # (ddim_sample args, sdedit_chain args), one fault each
+            ((z, TimestepGrid(steps=(3, 1)), short), (z, [3, 1], short)),
+            ((z, TimestepGrid(steps=(3, 2)), floor), (z, [3, 2], floor)),
+            ((np.zeros((2, 1, 4, 5)), grid, sched_t2i),
+             (np.zeros((2, 1, 4, 5)), [*grid.steps, 0], sched_t2i)),
+            (None, (z, [grid.steps[4], grid.steps[2]], sched_t2i)),
+        ]
+        for sample_args, sdedit_args in cases:
+            if sample_args is not None:
+                z_in, g, sched = sample_args
+                assert _raised(lambda: ddim_sample(den, z_in, g, sched)) == _raised(
+                    lambda: sample_by_hops(den, z_in, [*g.steps, 0], sched))
+            z_in, chain, sched = sdedit_args
+            got = _raised(lambda: sdedit_chain(den, z_in, chain, sched,
+                                               np.random.default_rng(0)))
+            expected = _raised(lambda: sample_by_hops(
+                den, _sdedit_draw(z_in, chain, sched, np.random.default_rng(0)),
+                chain, sched))
+            assert got == expected
+
+
 class TestSamplingLoops:
     def test_single_step_grid_projects(self, sched_t2i, rng):
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = TimestepGrid(steps=(700,))
         z = rng.standard_normal(SHAPE)
+        step = ddim_step(den, z, 700, 0, sched_t2i)
+        # a model that is not an AnalyticDenoiser takes the step loop, which
+        # is one ddim_step exactly; the closed form matches it to rounding
+        np.testing.assert_array_equal(ddim_sample(Forwarding(den), z, grid, sched_t2i), step)
         out = ddim_sample(den, z, grid, sched_t2i)
-        np.testing.assert_array_equal(
-            out, ddim_step(den, z, 700, 0, sched_t2i)
-        )
+        assert _rel_err(out, step) < 1e-12
         eps = den.predict_eps(z, 700, sched_t2i)
         np.testing.assert_allclose(out, project_clean(z, eps, 700, sched_t2i),
                                    rtol=1e-12)
