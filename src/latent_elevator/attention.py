@@ -10,6 +10,7 @@ appearance across frames.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,23 @@ _BLOCK = 1 << 16
 # exp(709.78) is the largest finite float64; the margin absorbs the rounding
 # of the logits GEMM and of the value GEMM's sums
 _EXP_LIMIT = 700.0
+
+# Each thread's logits block and value-GEMM output, kept across calls and
+# grown to the largest seen. Fresh ones per call would be freed at the top
+# of glibc's heap, handed back to the kernel with it, and faulted in again
+# page by page on the next call, at about 3 us per fault.
+_workspace = threading.local()
+
+
+def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
+    """A ``shape`` array on this thread's workspace buffer ``name``."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.uint8)
+        setattr(_workspace, name, buf)
+    return buf[:size].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -63,8 +81,10 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     broadcast over the leading axes of ``q``.
 
     Query rows are taken ``_BLOCK // n_keys`` at a time, so no logits array
-    larger than one block is ever held. Each block is one logits GEMM, one
-    in-place ``exp`` and one value GEMM:
+    larger than one block is ever held. The logits block and the value
+    GEMM's output live in the calling thread's workspace, which later calls
+    reuse; the returned array is always fresh. Each block is one logits
+    GEMM, one in-place ``exp`` and one value GEMM:
 
     - The keys are centered, ``k - mean(k)``. That shifts every logit of a
       query row by the same ``q . mean(k)``, which softmax ignores, and
@@ -108,16 +128,18 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         bound = q_max * k_max / np.sqrt(d)
     bound += math.log(n_keys) + math.log(max(np.abs(v).max(), 1.0))
     shift = not (centered_ok and bound < _EXP_LIMIT)
-    num = np.empty((rows.shape[0], v_ones.shape[1]), dtype=dtype)
+    num = _scratch("num", (rows.shape[0], v_ones.shape[1]), dtype)
     step = max(1, _BLOCK // n_keys)
+    logits = _scratch("logits", (min(step, rows.shape[0]), n_keys),
+                      np.result_type(rows, k_t))
     for start in range(0, rows.shape[0], step):
-        e = rows[start:start + step] @ k_t
+        block = rows[start:start + step]
+        e = np.matmul(block, k_t, out=logits[:block.shape[0]])
         if shift:
             e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
         np.matmul(e, v_ones, out=num[start:start + step])
-    out = num[:, :-1]
-    out /= num[:, -1:]
+    out = np.divide(num[:, :-1], num[:, -1:])
     return out.reshape(*q.shape[:-1], v.shape[1])
 
 
@@ -160,4 +182,7 @@ class CrossFrameDenoiser:
         tokens = eps.transpose(0, 2, 3, 1).reshape(f, h * w, c)
         attended = first_only_cross_frame(tokens, self.params)
         attended = attended.reshape(f, h, w, c).transpose(0, 3, 1, 2)
-        return (1.0 - self.mix) * eps + self.mix * attended
+        out = np.multiply(eps, 1.0 - self.mix)
+        attended *= self.mix
+        out += attended
+        return out

@@ -53,22 +53,38 @@ class AnalyticDenoiser:
         # exactly the identity, and so is u, so the rotation is skipped.
         self._u = None if prior.temporal_rho == 0 else u
         # Combined eigenvalues broadcast over the (F, C, H, W // 2 + 1) modes.
-        self._lam = (
-            prior.variance_scale
-            * lam_t[:, None, None, None]
-            * prior.spatial_spectrum[None, None, :, : W // 2 + 1]
-        )
+        # A variance_scale near the float64 maximum, which the config
+        # accepts, overflows some to inf, where eps_gain is exactly 0.
+        with np.errstate(over="ignore"):
+            self._lam = (
+                prior.variance_scale
+                * lam_t[:, None, None, None]
+                * prior.spatial_spectrum[None, None, :, : W // 2 + 1]
+            )
+        # Modes of the prior mean, None for the all-zero mean of every
+        # configured prior: the affine part of predict_eps and of the
+        # sampler's closed-form chains.
+        self.mean_modes = None
+        if np.any(prior.mean):
+            self.mean_modes = self.to_modes(prior.mean)
+            self.mean_modes.setflags(write=False)
 
+    # The transform pair runs one FFT pass per call, rebinding as it goes,
+    # so each pass's input is freed once its output exists; rfft2 and
+    # irfft2 hold their input to the end. That keeps a prediction's
+    # temporaries to two mode arrays at a time.
     def to_modes(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of ``v`` in the prior's eigenbasis."""
-        m = np.fft.rfft2(v, axes=(-2, -1), norm="ortho")
+        m = np.fft.rfft(v, axis=-1, norm="ortho")
+        m = np.fft.fft(m, axis=-2, norm="ortho")
         return m if self._u is None else _rotate(self._u.T, m)
 
     def from_modes(self, m: np.ndarray) -> np.ndarray:
         """The real latent with eigenbasis coordinates ``m``."""
         if self._u is not None:
             m = _rotate(self._u, m)
-        return np.fft.irfft2(m, s=self.prior.shape[2:], axes=(-2, -1), norm="ortho")
+        m = np.fft.ifft(m, axis=-2, norm="ortho")
+        return np.fft.irfft(m, n=self.prior.shape[3], axis=-1, norm="ortho")
 
     def eps_gain(self, ab: float) -> np.ndarray:
         """Per-mode noise-prediction gain at signal level ``ab``."""
@@ -81,10 +97,16 @@ class AnalyticDenoiser:
     def predict_eps(self, z: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         self._check_shape(z)
         _check_timestep(s, t, lo=1)
-        ab = s.alpha_bar[t]
-        modes = self.to_modes(z - np.sqrt(ab) * self.prior.mean)
+        # the modes go to from_modes as a temporary, its only reference
+        return self.from_modes(self._eps_modes(z, s.alpha_bar[t]))
+
+    def _eps_modes(self, z: np.ndarray, ab: float) -> np.ndarray:
+        """Eigenbasis coordinates of the prediction at signal level ``ab``."""
+        modes = self.to_modes(z)
+        if self.mean_modes is not None:
+            modes -= np.sqrt(ab) * self.mean_modes
         modes *= self.eps_gain(ab)
-        return self.from_modes(modes)
+        return modes
 
 
 def _rotate(u: np.ndarray, m: np.ndarray) -> np.ndarray:

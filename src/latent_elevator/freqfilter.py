@@ -105,9 +105,11 @@ def lpff(video: np.ndarray, mask: LowPassMask) -> np.ndarray:
             f"mask shape mismatch: spatial gains {mask.spatial_gains.shape} "
             f"vs frame {video.shape[2:]}"
         )
-    freq = np.fft.fft(video, axis=0) * mask.gains[:, None, None, None]
+    freq = np.fft.fft(video, axis=0)
+    freq *= mask.gains[:, None, None, None]
     out = np.fft.ifft(freq, axis=0).real
     if mask.spatial_gains is not None:
-        freq = np.fft.fft2(out, axes=(-2, -1)) * mask.spatial_gains
+        freq = np.fft.fft2(out, axes=(-2, -1))
+        freq *= mask.spatial_gains
         out = np.fft.ifft2(freq, axes=(-2, -1)).real
     return out

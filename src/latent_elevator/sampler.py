@@ -21,8 +21,8 @@ from .schedule import (
     NoiseSchedule,
     TimestepGrid,
     _check_floor,
+    _check_same_shape,
     forward_diffuse,
-    project_clean,
 )
 
 
@@ -44,8 +44,7 @@ def ddim_step(
     ``sqrt(ab_prev) * z0_hat + sqrt(1 - ab_prev) * eps_hat``, with the
     noise estimate evaluated at ``t``."""
     _check_order(t, t_prev, s)
-    eps_hat = model.predict_eps(z_t, t, s)
-    return forward_diffuse(project_clean(z_t, eps_hat, t, s), t_prev, eps_hat, s)
+    return _apply_hop(z_t, model.predict_eps(z_t, t, s), t, t_prev, s)
 
 
 def ddim_invert_step(
@@ -62,9 +61,30 @@ def ddim_invert_step(
     both to project the current latent to clean and to re-noise it.
     """
     _check_order(t_to, t_from, s)
-    eps_hat = model.predict_eps(z, t_to, s)
-    z0_hat = z if t_from == 0 else project_clean(z, eps_hat, t_from, s)
-    return forward_diffuse(z0_hat, t_to, eps_hat, s)
+    return _apply_hop(z, model.predict_eps(z, t_to, s), t_from, t_to, s)
+
+
+def _hop(s: NoiseSchedule, a: int, b: int) -> tuple:
+    """``(r_b / r_a, k)`` with ``k = q_b - r_b * q_a / r_a``, where ``r =
+    sqrt(ab)`` and ``q = sqrt(1 - ab)``: a hop from ``a`` to ``b`` that
+    projects to clean and re-noises with one noise estimate ``eps`` maps
+    ``z`` to ``(r_b / r_a) * z + k * eps``. Refuses an ``a`` below the
+    alpha_bar floor, as the clean projection does."""
+    _check_floor(s, a)
+    r_a, q_a = np.sqrt(s.alpha_bar[a]), np.sqrt(1.0 - s.alpha_bar[a])
+    r_b, q_b = np.sqrt(s.alpha_bar[b]), np.sqrt(1.0 - s.alpha_bar[b])
+    return r_b / r_a, q_b - r_b * q_a / r_a
+
+
+def _apply_hop(z: np.ndarray, eps: np.ndarray, a: int, b: int, s: NoiseSchedule) -> np.ndarray:
+    """``forward_diffuse(project_clean(z, eps, a, s), b, eps, s)`` (``z`` itself
+    as the clean estimate at ``a = 0``) in one fresh array, leaving ``eps``
+    unwritten."""
+    _check_same_shape(z, eps)
+    z_gain, k = _hop(s, a, b)
+    out = np.multiply(z, z_gain)
+    out += k * eps
+    return out
 
 
 def ddim_sample(
@@ -122,13 +142,14 @@ def _chain(
     for a, b in hops:
         e, lo = (b, a) if invert else (a, b)
         _check_order(e, lo, s)
-        _check_floor(s, a)
-        r_a, q_a = np.sqrt(s.alpha_bar[a]), np.sqrt(1.0 - s.alpha_bar[a])
-        r_b, q_b = np.sqrt(s.alpha_bar[b]), np.sqrt(1.0 - s.alpha_bar[b])
-        kg = (q_b - r_b * q_a / r_a) * model.eps_gain(s.alpha_bar[e])
-        hop_gain = r_b / r_a + kg
+        z_gain, k = _hop(s, a, b)
+        kg = k * model.eps_gain(s.alpha_bar[e])
+        hop_gain = z_gain + kg
         gain, offset = hop_gain * gain, hop_gain * offset - kg * np.sqrt(s.alpha_bar[e])
-    modes = gain * model.to_modes(z) + offset * model.to_modes(model.prior.mean)
+    modes = model.to_modes(z)
+    modes *= gain
+    if model.mean_modes is not None:
+        modes += offset * model.mean_modes
     return model.from_modes(modes)
 
 

@@ -138,6 +138,23 @@ class TestQueryBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_warm_call_reuses_its_workspace(self, rng):
+        # 16 frames of 256 tokens: one 512 KiB logits block per 256 rows.
+        # Fresh, the blocks and the value GEMM's output took 1212 KiB; from
+        # the workspace the call holds its 128 KiB output and small arrays
+        q = rng.standard_normal((16, 256, 4))
+        k, v = rng.standard_normal((256, 4)), rng.standard_normal((256, 4))
+        first = attention(q, k, v)
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * 1024
+        np.testing.assert_array_equal(out, first)
+        assert not np.shares_memory(out, first)
+
 
 def _logit_bound(q, k, v):
     """The kernel's overflow bound on its centered logits, plus ``log n``

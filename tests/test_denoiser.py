@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -105,6 +106,23 @@ class TestAnalyticEps:
         for t in (1, 300, 1000):
             np.testing.assert_array_equal(den.predict_eps(z, t, sched_t2i),
                                           rotating.predict_eps(z, t, sched_t2i))
+
+    def test_overflowing_variance_is_warning_free(self, sched_t2i, rng):
+        # the config accepts variance_scale 1e308, which overflows some
+        # eigenvalues to inf; their gain is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            den = AnalyticDenoiser(make_gp_prior(16, 4, 16, 16, 0.9, "lowpass", 1e308))
+            assert np.isinf(den._lam).any()
+            eps = den.predict_eps(rng.standard_normal((16, 4, 16, 16)), 500, sched_t2i)
+        assert np.all(np.isfinite(eps))
+
+    def test_mean_modes_are_frozen_and_none_for_a_zero_mean(self, sched_t2i, rng):
+        assert recipe_denoiser("t2v", (4, 2, 4, 4)).mean_modes is None
+        mean = rng.standard_normal((4, 2, 4, 4))
+        den = AnalyticDenoiser(make_gp_prior(4, 2, 4, 4, 0.5, "lowpass", mean=mean))
+        np.testing.assert_array_equal(den.mean_modes, den.to_modes(mean))
+        assert not den.mean_modes.flags.writeable
 
     def test_deterministic_bitwise(self, sched_t2i, rng):
         den = recipe_denoiser("t2v", (4, 2, 4, 4))

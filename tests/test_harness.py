@@ -418,6 +418,22 @@ class TestRunModes:
             rebuilt = make_schedule(entry["kind"], entry["total_steps"], **entry["params"])
             assert rebuilt.alpha_bar.tolist() == entry["alpha_bar"]
 
+    def test_manifest_file_reads_back_as_the_returned_manifest(self, tmp_path):
+        manifest = run(tiny("elevate", seeds=[0]), output_dir=tmp_path)
+        text = (tmp_path / "manifest.json").read_text()
+        assert json.loads(text) == manifest
+        # each schedule's coefficient array sits on one line, the rest is
+        # indented by 2
+        lines = [line for line in text.splitlines() if '"alpha_bar"' in line]
+        assert len(lines) == len(manifest["schedules"]) == 2
+        for line, entry in zip(lines, manifest["schedules"].values()):
+            assert line == '      "alpha_bar": ' + json.dumps(entry["alpha_bar"])
+        stubbed = {**manifest, "schedules": {
+            name: {**entry, "alpha_bar": []} for name, entry in manifest["schedules"].items()}}
+        assert [line for line in text.splitlines() if '"alpha_bar"' not in line] == [
+            line for line in json.dumps(stubbed, indent=2).splitlines()
+            if '"alpha_bar"' not in line]
+
     def test_manifest_lists_every_file_with_checksum(self, tmp_path):
         manifest = run(tiny("baseline_t2v", seeds=[0]), output_dir=tmp_path)
         on_disk = {

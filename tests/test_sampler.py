@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latent_elevator import (
     AnalyticDenoiser,
+    CrossFrameDenoiser,
     ddim_invert,
     ddim_invert_step,
     ddim_sample,
     ddim_step,
     forward_diffuse,
+    make_attention_params,
     project_clean,
     select_timesteps,
 )
+from latent_elevator import sampler
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
 from latent_elevator.synth import make_gp_prior, sample_prior
@@ -320,6 +325,124 @@ class TestClosedFormChains:
                 den, _sdedit_draw(z_in, chain, sched, np.random.default_rng(0)),
                 chain, sched))
             assert got == expected
+
+
+def _composed_step(model, z, t, t_prev, s):
+    """``ddim_step`` as the clean projection and re-noising it computes."""
+    sampler._check_order(t, t_prev, s)
+    eps = model.predict_eps(z, t, s)
+    return forward_diffuse(project_clean(z, eps, t, s), t_prev, eps, s)
+
+
+def _composed_invert_step(model, z, t_from, t_to, s):
+    """``ddim_invert_step`` as the clean projection (``z`` itself at 0) and
+    re-noising it computes."""
+    sampler._check_order(t_to, t_from, s)
+    eps = model.predict_eps(z, t_to, s)
+    z0 = z if t_from == 0 else project_clean(z, eps, t_from, s)
+    return forward_diffuse(z0, t_to, eps, s)
+
+
+class ReadOnlyModel:
+    """A ``Denoiser`` whose predictions are read-only arrays."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict_eps(self, z, t, s):
+        eps = self.model.predict_eps(z, t, s)
+        eps.setflags(write=False)
+        return eps
+
+
+class TestHopFormula:
+    """``ddim_step`` and ``ddim_invert_step`` apply the hop ``(r_b / r_a) * z
+    + k * eps`` in one output array; they must match the projection and
+    re-noising they stand for, with the same errors."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
+    def test_matches_projection_composition(self, name, sched_t2i):
+        prior = CLOSED_FORM_PRIORS[name]()
+        den = AnalyticDenoiser(prior)
+        z = np.random.default_rng(1).standard_normal(prior.shape)
+        chain = [*select_timesteps(sched_t2i, 50).steps, 0]
+        worst = 0.0
+        for a, b in zip(chain[:-1], chain[1:]):
+            got = ddim_step(den, z, a, b, sched_t2i)
+            expected = _composed_step(den, z, a, b, sched_t2i)
+            if name == TestClosedFormChains.TINY and b == 0:
+                # both cancel to rounding noise; see TestClosedFormChains
+                for out in (got, expected):
+                    assert np.abs(out).max() < 1e-14 * np.abs(z).max()
+                continue
+            worst = max(worst, _rel_err(got, expected))
+            got = ddim_invert_step(den, z, b, a, sched_t2i)
+            worst = max(worst, _rel_err(got, _composed_invert_step(den, z, b, a, sched_t2i)))
+        assert worst < 1e-14, (name, worst)
+
+    def test_errors_match_projection_composition(self, sched_t2i, rng):
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        z = rng.standard_normal(SHAPE)
+        short = custom_schedule([1.0, 0.8, 0.5])
+        floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
+        wrong_shape = ConstantModel(np.zeros((2, 1, 4, 5)))
+        cases = [  # (model, z, hi, lo, schedule), one fault each
+            (den, z, 300, 300, sched_t2i),
+            (den, z, 3, 1, short),
+            (den, z, 3, 2, floor),
+            (wrong_shape, z, 500, 400, sched_t2i),
+            (den, np.zeros((2, 1, 4, 5)), 500, 400, sched_t2i),
+        ]
+        for model, z_in, hi, lo, sched in cases:
+            assert _raised(lambda: ddim_step(model, z_in, hi, lo, sched)) == _raised(
+                lambda: _composed_step(model, z_in, hi, lo, sched))
+            assert _raised(lambda: ddim_invert_step(model, z_in, lo, hi, sched)) == _raised(
+                lambda: _composed_invert_step(model, z_in, lo, hi, sched))
+        # from 0 the hop takes z itself as clean, yet still checks the shape
+        assert _raised(lambda: ddim_invert_step(wrong_shape, z, 0, 400, sched_t2i)) == (
+            _raised(lambda: _composed_invert_step(wrong_shape, z, 0, 400, sched_t2i)))
+
+    def test_read_only_predictions(self, sched_t2i, rng):
+        den = recipe_denoiser("t2v", SHAPE)
+        z = rng.standard_normal(SHAPE)
+        model = ReadOnlyModel(den)
+        np.testing.assert_array_equal(ddim_step(model, z, 500, 480, sched_t2i),
+                                      ddim_step(den, z, 500, 480, sched_t2i))
+        np.testing.assert_array_equal(ddim_invert_step(model, z, 480, 500, sched_t2i),
+                                      ddim_invert_step(den, z, 480, 500, sched_t2i))
+        inflated = CrossFrameDenoiser(model, make_attention_params(SHAPE[1], seed=0), 0.3)
+        assert np.all(np.isfinite(ddim_step(inflated, z, 500, 480, sched_t2i)))
+
+
+def _warm_peak_kib(call) -> float:
+    """Peak traced allocation of a warm call, in KiB."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+class TestWarmStepMemory:
+    """At the default 16x4x16x16 shape a latent is 128 KiB. A step holds
+    its input, the model's prediction, its output and one product; the
+    analytic model at most two mode arrays of about 1.15 latents more. The
+    unfused step held 641 KiB (analytic) and 1476 KiB (inflated)."""
+
+    SHAPE = (16, 4, 16, 16)
+
+    def test_analytic_step(self, sched_t2i, rng):
+        den = recipe_denoiser("t2v", self.SHAPE)
+        z = rng.standard_normal(self.SHAPE)
+        assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480, sched_t2i)) < 448
+
+    def test_inflated_step(self, sched_t2i, rng):
+        den = CrossFrameDenoiser(recipe_denoiser("t2i", self.SHAPE),
+                                 make_attention_params(self.SHAPE[1], seed=0), 0.3)
+        z = rng.standard_normal(self.SHAPE)
+        assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480, sched_t2i)) < 640
 
 
 class TestSamplingLoops:
