@@ -22,7 +22,6 @@ from .synth import GaussianPrior, make_gp_prior, sample_prior  # noqa: F401
 from .denoiser import AnalyticDenoiser, Denoiser  # noqa: F401
 from .sampler import (  # noqa: F401
     ddim_invert,
-    ddim_invert_step,
     ddim_sample,
     ddim_step,
 )

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Denoiser
+from .attention import CrossFrameDenoiser
+from .denoiser import AnalyticDenoiser
 from .freqfilter import LowPassMask, lpff
 from .metrics import frame_consistency
 from .sampler import ddim_invert, ddim_step, sdedit_chain
@@ -44,14 +45,9 @@ class ElevatorPlan:
     """
 
     shape: tuple
-    t2v_model: Denoiser
+    t2v_model: AnalyticDenoiser
     t2v_schedule: NoiseSchedule
-    t2i_model: Denoiser
-    # Model for the clean projections and the inversion inside refining:
-    # the uninflated posterior, because a clean projection divides by
-    # sqrt(alpha_bar) and any systematic epsilon miscalibration (such as
-    # the cross-frame blend) gets amplified without bound as alpha_bar -> 0.
-    t2i_project_model: Denoiser
+    t2i_model: CrossFrameDenoiser
     t2i_schedule: NoiseSchedule
     grid: TimestepGrid
     n_sdedit: int
@@ -119,7 +115,11 @@ def refine_temporal(
     if t not in plan.grid.refine_set:
         raise ValueError(f"step not refinable: {t} not in refine_set")
     s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
-    projector = plan.t2i_project_model
+    # The clean projection and the inversion use the uninflated posterior:
+    # a clean projection divides by sqrt(alpha_bar), so any systematic
+    # epsilon miscalibration (such as the cross-frame blend) is amplified
+    # without bound as alpha_bar -> 0.
+    projector = plan.t2i_model.base
 
     eps_i = projector.predict_eps(z_t, t, s_i)
     clean = project_clean(z_t, eps_i, t, s_i)
@@ -191,10 +191,11 @@ def elevate_sample(plan: ElevatorPlan) -> tuple:
 
 def baseline_sample(plan: ElevatorPlan, model: str = "t2v") -> tuple:
     """Plain chain of the plan's ``"t2v"`` or ``"t2i"`` model over its grid
-    (refining set ignored) from its seeded noise, same trace format. The
-    latent is the ``ddim_step`` loop's from the same seeded start: bit for
-    bit ``ddim_sample``'s for the inflated ``"t2i"`` model, and its closed
-    form's to rounding for the analytic ``"t2v"`` one.
+    (refining set ignored) from its seeded noise, same trace format. Both
+    models step with ``ddim_step``, the one step for any ``Denoiser``, to
+    record a trace entry per step; for the analytic ``"t2v"`` model the
+    latent matches ``ddim_sample``'s closed form to rounding. The inflated
+    ``"t2i"`` model is not analytic, so no closed-form chain serves it.
     """
     if model == "t2v":
         denoiser, s = plan.t2v_model, plan.t2v_schedule

@@ -191,7 +191,6 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     pv, pi = resolved["priors"]["t2v"], resolved["priors"]["t2i"]
     t2v_prior = make_gp_prior(f, c, h, w, pv["rho"], pv["spectrum_kind"], pv["variance_scale"])
     t2i_prior = make_gp_prior(f, c, h, w, pi["rho"], pi["spectrum_kind"], pi["variance_scale"])
-    t2i_analytic = AnalyticDenoiser(t2i_prior)
     params = make_attention_params(c, seed=plan_cfg["attention_seed"])
     t2i_schedule = _build_schedule(resolved["schedules"]["t2i"])
     grid = select_refine_steps(select_timesteps(t2i_schedule, plan_cfg["num_steps"]),
@@ -203,8 +202,8 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
         shape=(f, c, h, w),
         t2v_model=AnalyticDenoiser(t2v_prior),
         t2v_schedule=_build_schedule(resolved["schedules"]["t2v"]),
-        t2i_model=CrossFrameDenoiser(t2i_analytic, params, plan_cfg["crossframe_mix"]),
-        t2i_project_model=t2i_analytic,
+        t2i_model=CrossFrameDenoiser(AnalyticDenoiser(t2i_prior), params,
+                                     plan_cfg["crossframe_mix"]),
         t2i_schedule=t2i_schedule,
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
@@ -264,7 +263,7 @@ def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
     elif variant["kind"] == "baseline":
         z, trace = baseline_sample(plan, variant["model"])
     elif variant["kind"] == "roundtrip":
-        model, sched, grid = plan.t2i_project_model, plan.t2i_schedule, plan.grid
+        model, sched, grid = plan.t2i_model.base, plan.t2i_schedule, plan.grid
         z0 = sample_prior(model.prior, np.random.default_rng(seed))
         z_top = ddim_invert(model, z0, grid, grid.steps[0], sched)
         z = ddim_sample(model, z_top, grid, sched)
@@ -283,7 +282,7 @@ def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
     report = compute_report(
         z,
         plan.t2v_model.prior,
-        plan.t2i_project_model.prior,
+        plan.t2i_model.base.prior,
         cutoff=resolved["metrics"]["flicker_cutoff"],
         band=resolved["metrics"]["detail_band"],
     )

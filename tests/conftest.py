@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from latent_elevator import AnalyticDenoiser, ddim_invert_step, ddim_step, make_schedule
+from latent_elevator import (
+    AnalyticDenoiser,
+    ddim_step,
+    forward_diffuse,
+    make_schedule,
+    project_clean,
+)
+from latent_elevator import sampler
 from latent_elevator.harness import DEFAULT_CONFIG
 from latent_elevator.synth import make_gp_prior
 
@@ -36,14 +43,24 @@ def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
     )
 
 
+def invert_hop(model, z, t_from, t_to, s):
+    """One DDIM inversion hop from ``t_from`` up to ``t_to``, as the clean
+    projection (``z`` itself at 0) and the re-noising it stands for, both
+    with the model's noise estimate at ``t_to`` on ``z``."""
+    sampler._check_order(t_to, t_from, s)
+    eps = model.predict_eps(z, t_to, s)
+    z0 = z if t_from == 0 else project_clean(z, eps, t_from, s)
+    return forward_diffuse(z0, t_to, eps, s)
+
+
 def invert_by_hops(model, z0, grid, target_t, s):
-    """DDIM inversion as the explicit chain of ``ddim_invert_step`` hops up
-    the grid from 0 to ``target_t``: the oracle for the program's closed
-    form, which evaluates no model."""
+    """DDIM inversion as the explicit chain of ``invert_hop`` hops up the
+    grid from 0 to ``target_t``: the oracle for the program's closed form,
+    which evaluates no model and shares no hop arithmetic with it."""
     ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
     z = z0
     for a, b in zip(ascending[:-1], ascending[1:]):
-        z = ddim_invert_step(model, z, a, b, s)
+        z = invert_hop(model, z, a, b, s)
     return z
 
 

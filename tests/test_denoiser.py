@@ -41,7 +41,7 @@ def band_fraction(x, cut=0.25):
 def plan_priors(shape):
     """The video and image priors ``build_plan`` makes at ``shape``."""
     plan = build_plan(resolve_config({"shape": list(shape), "render": False}), 0)
-    return plan.t2v_model.prior, plan.t2i_project_model.prior
+    return plan.t2v_model.prior, plan.t2i_model.base.prior
 
 
 class TestAnalyticEps:

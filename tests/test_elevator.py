@@ -26,6 +26,8 @@ from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
 
+from conftest import sample_by_hops
+
 SMALL = (8, 2, 8, 8)
 
 
@@ -74,7 +76,7 @@ class TestRefineTemporal:
         that is first order, O(1/K); on this 50-step grid that is about
         1.5e-2)."""
         plan = make_default_plan(shape=SMALL, n_sdedit=0, filter={"d0": math.inf})
-        exact = plan.t2i_project_model
+        exact = plan.t2i_model.base
         errs = []
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -94,7 +96,7 @@ class TestRefineTemporal:
         refiner and sampling the refined latent back down agree to the
         inversion error."""
         plan = make_default_plan(shape=SMALL)
-        exact = plan.t2i_project_model
+        exact = plan.t2i_model.base
         t = max(plan.grid.refine_set)
         for seed in (0, 1):
             z_t = np.random.default_rng(seed).standard_normal(SMALL)
@@ -136,7 +138,7 @@ class TestRefineTemporal:
 
     def test_refine_raises_temporal_correlation(self, sched_t2i):
         plan = make_default_plan(shape=SMALL)
-        exact = plan.t2i_project_model
+        exact = plan.t2i_model.base
         prior_i = make_gp_prior(*SMALL, rho=0.0, spectrum_kind="broadband")
         t = max(plan.grid.refine_set)
         gains = []
@@ -169,7 +171,7 @@ class TestRefineTemporal:
         out = refine_temporal(z_t, t, plan, np.random.default_rng(3), [])
         # shared forward noise: frame differences carry only the clean content
         s = plan.t2i_schedule
-        exact = plan.t2i_project_model
+        exact = plan.t2i_model.base
         clean = project_clean(z_t, exact.predict_eps(z_t, t, s), t, s)
         resid = out - np.sqrt(s.alpha_bar[t]) * clean
         np.testing.assert_allclose(resid[1:], resid[:-1], rtol=1e-9, atol=1e-12)
@@ -186,7 +188,7 @@ class TestElevateSpatial:
 
     def test_detail_injection_at_mid_chain(self, small_plan, sched_t2i):
         prior_v = make_gp_prior(*SMALL, rho=0.9, spectrum_kind="lowpass")
-        exact = small_plan.t2i_project_model
+        exact = small_plan.t2i_model.base
         steps = small_plan.grid.steps
         i_mid = len(steps) // 2
         t, t_prev = steps[i_mid], steps[i_mid + 1]
@@ -280,8 +282,9 @@ class TestElevateSample:
 class TestBaseline:
     def test_equals_ddim_sample_bitwise(self, small_plan, sched_t2i):
         z, trace = baseline_sample(replace(small_plan, seed=3), "t2i")
-        z_ref = ddim_sample(small_plan.t2i_model, np.random.default_rng(3).standard_normal(SMALL),
-                            small_plan.grid, sched_t2i)
+        z_ref = sample_by_hops(small_plan.t2i_model,
+                               np.random.default_rng(3).standard_normal(SMALL),
+                               [*small_plan.grid.steps, 0], sched_t2i)
         np.testing.assert_array_equal(z, z_ref)
         assert trace_violations(trace) == []
 

@@ -8,7 +8,6 @@ from latent_elevator import (
     AnalyticDenoiser,
     CrossFrameDenoiser,
     ddim_invert,
-    ddim_invert_step,
     ddim_sample,
     ddim_step,
     forward_diffuse,
@@ -21,7 +20,7 @@ from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import invert_by_hops, recipe_denoiser, sample_by_hops
+from conftest import invert_by_hops, invert_hop, recipe_denoiser, sample_by_hops
 
 SHAPE = (2, 1, 4, 4)
 
@@ -34,16 +33,6 @@ class ConstantModel:
 
     def predict_eps(self, z, t, s):
         return np.broadcast_to(self.value, z.shape).copy()
-
-
-class Forwarding:
-    """A plain ``Denoiser`` that forwards ``predict_eps`` to another."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def predict_eps(self, z, t, s):
-        return self.model.predict_eps(z, t, s)
 
 
 def zero_model():
@@ -88,16 +77,6 @@ class TestDdimStep:
 
 
 class TestInversion:
-    def test_zero_model_rescale(self, sched_t2i, rng):
-        z = rng.standard_normal(SHAPE)
-        out = ddim_invert_step(zero_model(), z, 200, 400, sched_t2i)
-        ratio = np.sqrt(sched_t2i.alpha_bar[400] / sched_t2i.alpha_bar[200])
-        np.testing.assert_allclose(out, ratio * z, rtol=1e-12)
-
-    def test_equal_timesteps_rejected(self, sched_t2i):
-        with pytest.raises(ValueError, match="order violation"):
-            ddim_invert_step(zero_model(), np.zeros(SHAPE), 300, 300, sched_t2i)
-
     def test_one_step_invert_then_sample_linear_model(self, sched_t2i, rng):
         """Closed-form oracle: for the flat unit prior both hops are scalar
         maps; their product is computed directly from alpha_bar and stays
@@ -112,23 +91,17 @@ class TestInversion:
         w_coef = cb * (1 - sa * e) / ca + sb * e
         m_coef = ca * (1 - sb * e) / cb + sa * e
         z = rng.standard_normal(SHAPE)
-        up = ddim_invert_step(den, z, a, b, sched_t2i)
+        up = invert_hop(den, z, a, b, sched_t2i)
         np.testing.assert_allclose(up, w_coef * z, rtol=1e-12)
         down = ddim_step(den, up, b, a, sched_t2i)
         np.testing.assert_allclose(down, w_coef * m_coef * z, rtol=1e-12)
         assert np.linalg.norm(down - z) / np.linalg.norm(z) < 1e-4
 
     def test_invert_target_not_on_grid(self, sched_t2i, rng):
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 10)
         with pytest.raises(ValueError, match="not on the grid"):
-            ddim_invert(zero_model(), rng.standard_normal(SHAPE), grid, 123, sched_t2i)
-
-    def test_invert_zero_model_telescopes(self, sched_t2i, rng):
-        grid = select_timesteps(sched_t2i, 10)
-        z0 = rng.standard_normal(SHAPE)
-        out = ddim_invert(zero_model(), z0, grid, 500, sched_t2i)
-        np.testing.assert_allclose(out, np.sqrt(sched_t2i.alpha_bar[500]) * z0,
-                                   rtol=1e-12)
+            ddim_invert(den, rng.standard_normal(SHAPE), grid, 123, sched_t2i)
 
     def test_invert_smallest_step_single_hop(self, sched_t2i, rng):
         grid = select_timesteps(sched_t2i, 10)
@@ -137,7 +110,7 @@ class TestInversion:
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         np.testing.assert_allclose(
             ddim_invert(den, z0, grid, t_min, sched_t2i),
-            ddim_invert_step(den, z0, 0, t_min, sched_t2i),
+            invert_hop(den, z0, 0, t_min, sched_t2i),
             rtol=1e-12,
         )
 
@@ -214,9 +187,8 @@ class TestClosedFormInversion:
         with pytest.raises(ValueError, match="timestep out of range"):
             ddim_invert(den, np.zeros(SHAPE), TimestepGrid(steps=(3, 1)), 3, short)
         floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
-        for model in (den, zero_model()):
-            with pytest.raises(ValueError, match="degenerate alpha_bar at t=2"):
-                ddim_invert(model, np.zeros(SHAPE), TimestepGrid(steps=(3, 2)), 3, floor)
+        with pytest.raises(ValueError, match="degenerate alpha_bar at t=2"):
+            ddim_invert(den, np.zeros(SHAPE), TimestepGrid(steps=(3, 2)), 3, floor)
 
 
 def _rel_err(got, expected):
@@ -334,15 +306,6 @@ def _composed_step(model, z, t, t_prev, s):
     return forward_diffuse(project_clean(z, eps, t, s), t_prev, eps, s)
 
 
-def _composed_invert_step(model, z, t_from, t_to, s):
-    """``ddim_invert_step`` as the clean projection (``z`` itself at 0) and
-    re-noising it computes."""
-    sampler._check_order(t_to, t_from, s)
-    eps = model.predict_eps(z, t_to, s)
-    z0 = z if t_from == 0 else project_clean(z, eps, t_from, s)
-    return forward_diffuse(z0, t_to, eps, s)
-
-
 class ReadOnlyModel:
     """A ``Denoiser`` whose predictions are read-only arrays."""
 
@@ -356,9 +319,9 @@ class ReadOnlyModel:
 
 
 class TestHopFormula:
-    """``ddim_step`` and ``ddim_invert_step`` apply the hop ``(r_b / r_a) * z
-    + k * eps`` in one output array; they must match the projection and
-    re-noising they stand for, with the same errors."""
+    """``ddim_step`` applies the hop ``(r_b / r_a) * z + k * eps`` in one
+    output array; it must match the projection and re-noising it stands
+    for, with the same errors."""
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
     def test_matches_projection_composition(self, name, sched_t2i):
@@ -376,8 +339,6 @@ class TestHopFormula:
                     assert np.abs(out).max() < 1e-14 * np.abs(z).max()
                 continue
             worst = max(worst, _rel_err(got, expected))
-            got = ddim_invert_step(den, z, b, a, sched_t2i)
-            worst = max(worst, _rel_err(got, _composed_invert_step(den, z, b, a, sched_t2i)))
         assert worst < 1e-14, (name, worst)
 
     def test_errors_match_projection_composition(self, sched_t2i, rng):
@@ -396,11 +357,6 @@ class TestHopFormula:
         for model, z_in, hi, lo, sched in cases:
             assert _raised(lambda: ddim_step(model, z_in, hi, lo, sched)) == _raised(
                 lambda: _composed_step(model, z_in, hi, lo, sched))
-            assert _raised(lambda: ddim_invert_step(model, z_in, lo, hi, sched)) == _raised(
-                lambda: _composed_invert_step(model, z_in, lo, hi, sched))
-        # from 0 the hop takes z itself as clean, yet still checks the shape
-        assert _raised(lambda: ddim_invert_step(wrong_shape, z, 0, 400, sched_t2i)) == (
-            _raised(lambda: _composed_invert_step(wrong_shape, z, 0, 400, sched_t2i)))
 
     def test_read_only_predictions(self, sched_t2i, rng):
         den = recipe_denoiser("t2v", SHAPE)
@@ -408,8 +364,6 @@ class TestHopFormula:
         model = ReadOnlyModel(den)
         np.testing.assert_array_equal(ddim_step(model, z, 500, 480, sched_t2i),
                                       ddim_step(den, z, 500, 480, sched_t2i))
-        np.testing.assert_array_equal(ddim_invert_step(model, z, 480, 500, sched_t2i),
-                                      ddim_invert_step(den, z, 480, 500, sched_t2i))
         inflated = CrossFrameDenoiser(model, make_attention_params(SHAPE[1], seed=0), 0.3)
         assert np.all(np.isfinite(ddim_step(inflated, z, 500, 480, sched_t2i)))
 
@@ -451,9 +405,6 @@ class TestSamplingLoops:
         grid = TimestepGrid(steps=(700,))
         z = rng.standard_normal(SHAPE)
         step = ddim_step(den, z, 700, 0, sched_t2i)
-        # a model that is not an AnalyticDenoiser takes the step loop, which
-        # is one ddim_step exactly; the closed form matches it to rounding
-        np.testing.assert_array_equal(ddim_sample(Forwarding(den), z, grid, sched_t2i), step)
         out = ddim_sample(den, z, grid, sched_t2i)
         assert _rel_err(out, step) < 1e-12
         eps = den.predict_eps(z, 700, sched_t2i)
@@ -479,9 +430,8 @@ class TestSamplingLoops:
         eps = r.standard_normal(SHAPE)
         steps = sorted(r.choice(np.arange(1, top + 1), size=min(k, top),
                                 replace=False).tolist(), reverse=True)
-        grid = TimestepGrid(steps=tuple(steps))
         z = forward_diffuse(z0, steps[0], eps, sched_t2i)
-        out = ddim_sample(ConstantModel(eps), z, grid, sched_t2i)
+        out = sample_by_hops(ConstantModel(eps), z, [*steps, 0], sched_t2i)
         np.testing.assert_allclose(out, z0, rtol=1e-6, atol=1e-9)
 
 
@@ -493,18 +443,6 @@ class TestSdedit:
                                 sched_t2i, rng)
         assert t_out == 0
         assert np.all(np.isfinite(z))
-
-    def test_one_step_perfect_model(self, sched_t2i):
-        # replicate the internal forward draw with an identical generator
-        grid = select_timesteps(sched_t2i, 10)
-        t = grid.steps[3]
-        z0 = np.random.default_rng(2).standard_normal(SHAPE)
-        eps = np.random.default_rng(5).standard_normal(SHAPE)
-        out, t_out = sdedit_chain(ConstantModel(eps), z0, [t, grid.steps[4]], sched_t2i,
-                                  np.random.default_rng(5))
-        assert t_out == grid.steps[4]
-        np.testing.assert_allclose(project_clean(out, eps, t_out, sched_t2i), z0,
-                                   rtol=1e-6, atol=1e-9)
 
     def test_degenerate_prior_contracts_toward_mean(self, sched_t2i):
         """A vanishing-variance prior pulls the edited latent toward its
@@ -526,7 +464,7 @@ class TestSdedit:
         assert wins >= 45
 
     def test_preconditions(self, sched_t2i, rng):
-        den = zero_model()
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 10)
         z = rng.standard_normal(SHAPE)
         with pytest.raises(ValueError, match="not on the grid"):
