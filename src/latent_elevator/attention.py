@@ -10,13 +10,13 @@ appearance across frames.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import Denoiser
 from .schedule import NoiseSchedule
+from .workspace import _scratch
 
 # logits per query block: 512 KiB of float64, a quarter of a 2 MiB L2 cache;
 # at the default 16x4x16x16 shape 2^16 ran fastest, 2^15 about 4%, 2^14
@@ -25,24 +25,6 @@ _BLOCK = 1 << 16
 # exp(709.78) is the largest finite float64; the margin absorbs the rounding
 # of the logits GEMM and of the value GEMM's sums
 _EXP_LIMIT = 700.0
-
-# Each thread's logits block and value-GEMM output, kept across calls and
-# grown to the largest seen. Fresh ones per call would be freed at the top
-# of glibc's heap, handed back to the kernel with it, and faulted in again
-# page by page on the next call, at about 3 us per fault.
-_workspace = threading.local()
-
-
-def _scratch(name: str, shape: tuple, dtype) -> np.ndarray:
-    """A ``shape`` array on this thread's workspace buffer ``name``."""
-    dtype = np.dtype(dtype)
-    size = math.prod(shape) * dtype.itemsize
-    buf = getattr(_workspace, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype=np.uint8)
-        setattr(_workspace, name, buf)
-    return buf[:size].view(dtype).reshape(shape)
-
 
 @dataclass(frozen=True)
 class AttentionParams:

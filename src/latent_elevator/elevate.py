@@ -32,6 +32,7 @@ from .schedule import (
     forward_diffuse,
     project_clean,
 )
+from .workspace import _scratch
 
 INVERSION_STRATEGIES = ("ddim", "same_noise", "random_noise")
 
@@ -86,14 +87,19 @@ class ElevatorPlan:
 def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
     """Append one trace record; ``schedule`` defaults to the model's own,
     and ``frame_corr`` is NaN where frame consistency is undefined (fewer
-    than two frames, or a zero frame)."""
+    than two frames, or a zero frame). ``std`` is ``np.std``'s two passes,
+    the squared deviations from the mean summed, with the deviations in the
+    calling thread's workspace rather than a fresh latent."""
     try:
         corr = frame_consistency(z)
     except ValueError:
         corr = float("nan")
+    mean = z.mean()
+    squares = np.subtract(z, mean, out=_scratch("latent", z.shape, np.float64))
+    np.multiply(squares, squares, out=squares)
     trace.append({"timestep": int(t), "phase": phase, "model": model,
-                  "schedule": schedule or model, "space": space, "mean": float(z.mean()),
-                  "std": float(z.std()), "frame_corr": corr})
+                  "schedule": schedule or model, "space": space, "mean": float(mean),
+                  "std": float(np.sqrt(squares.sum() / z.size)), "frame_corr": corr})
 
 
 def _sdedit_timesteps(plan: ElevatorPlan, t: int) -> list:

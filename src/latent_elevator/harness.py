@@ -16,6 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,12 @@ def resolve_config(config: dict | None = None) -> dict:
     for the first seed, so a plan error surfaces here rather than mid-run.
     A schedule keeps the default params its kind reads and those the
     config sets, which ``make_schedule`` rejects if its kind does not."""
+    return _resolve(config)[0]
+
+
+def _resolve(config: dict | None) -> tuple:
+    """``resolve_config``'s resolved config, and each variant paired with
+    the plan built for it: ``run`` derives every cell's plan from these."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"invalid config: the config must be a mapping, got {config!r}")
@@ -170,12 +177,14 @@ def resolve_config(config: dict | None = None) -> dict:
         raise ValueError(
             f"invalid config: ablate_steps.step_counts needs >= 2 distinct counts, got {counts}"
         )
+    variants = []
     for variant in _variants_for(resolved):
         try:
-            build_plan(_deep_merge(resolved, {"plan": variant["plan"]}), seeds[0])
+            plan = build_plan(_deep_merge(resolved, {"plan": variant["plan"]}), seeds[0])
         except (TypeError, ValueError) as err:
             raise ValueError(f"invalid config: {variant['name']}: {err}") from err
-    return resolved
+        variants.append((variant, plan))
+    return resolved, variants
 
 
 def _build_schedule(cfg: dict):
@@ -253,10 +262,11 @@ def _variants_for(resolved: dict) -> list:
     return [{"name": name, "kind": "elevate", "plan": plan} for name, plan in arms.items()]
 
 
-def _run_one(resolved: dict, variant: dict, seed: int, out_dir: str) -> dict:
-    """Execute one (variant, seed) cell and write its artifacts."""
+def _run_one(resolved: dict, variant: dict, plan: ElevatorPlan, out_dir: str) -> dict:
+    """Execute one (variant, seed) cell, whose plan is ``plan``, and write
+    its artifacts."""
     t_start = time.perf_counter()
-    plan = build_plan(_deep_merge(resolved, {"plan": variant["plan"]}), seed)
+    seed = plan.seed
     extra: dict = {}
     if variant["kind"] == "elevate":
         z, trace = elevate_sample(plan)
@@ -397,25 +407,28 @@ def sha256_file(path) -> str:
 
 
 def run(config: dict | None = None, output_dir=None) -> dict:
-    """Execute a config over all its seeds; returns the manifest dict."""
-    resolved = resolve_config(config)
+    """Execute a config over all its seeds; returns the manifest dict. A
+    variant's plans differ across seeds only in ``seed``, so each cell's
+    plan is the one ``resolve_config`` built for its variant, with the
+    cell's seed."""
+    resolved, variants = _resolve(config)
     out = Path(output_dir or resolved["output_dir"] or ".")
     out.mkdir(parents=True, exist_ok=True)
     resolved["output_dir"] = str(out)
 
     t_start = time.perf_counter()
-    variants = _variants_for(resolved)
-    cells = [(variant, seed) for variant in variants for seed in resolved["seeds"]]
+    cells = [(variant, replace(plan, seed=seed))
+             for variant, plan in variants for seed in resolved["seeds"]]
     workers = min(resolved["jobs"], len(cells))  # a pool forks every worker up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_one, resolved, variant, seed, str(out))
-                for variant, seed in cells
+                pool.submit(_run_one, resolved, variant, plan, str(out))
+                for variant, plan in cells
             ]
             runs = [f.result() for f in futures]
     else:
-        runs = [_run_one(resolved, variant, seed, str(out)) for variant, seed in cells]
+        runs = [_run_one(resolved, variant, plan, str(out)) for variant, plan in cells]
 
     agg = _aggregate(runs)
     checks = _run_checks(resolved, agg, runs) if resolved["check"] else {"enabled": False}

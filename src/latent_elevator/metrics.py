@@ -38,14 +38,17 @@ class MetricReport:
 
 
 def frame_consistency(v: np.ndarray) -> float:
-    """Mean cosine similarity between flattened adjacent frames."""
+    """Mean cosine similarity between flattened adjacent frames.
+
+    The per-frame sums of products are ``einsum`` reductions, which hold no
+    product array and, unlike ``np.dot``, never start BLAS threads."""
     if v.shape[0] < 2:
         raise ValueError("too few frames: need F >= 2")
     flat = v.reshape(v.shape[0], -1)
-    norms = np.linalg.norm(flat, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     if np.any(norms == 0):
         raise ValueError("zero frame: cosine similarity undefined")
-    dots = np.sum(flat[:-1] * flat[1:], axis=1)
+    dots = np.einsum("ij,ij->i", flat[:-1], flat[1:])
     return float(np.mean(dots / (norms[:-1] * norms[1:])))
 
 
@@ -66,27 +69,43 @@ def flicker_energy(v: np.ndarray, cutoff: float = 0.15) -> float:
 def spatial_detail(v: np.ndarray, band: float = 0.10) -> float:
     """Per-frame fraction of spatial-DFT energy beyond frequency magnitude
     ``band``, averaged over frames."""
-    if v.shape[2] < 2 or v.shape[3] < 2:
-        raise ValueError("frames must be at least 2x2")
-    freq = np.fft.fft2(v, axes=(-2, -1))
-    energy = (np.abs(freq) ** 2).sum(axis=1)  # (F, H, W), channels pooled
-    per_frame_total = energy.sum(axis=(1, 2))
-    if np.any(per_frame_total == 0):
-        raise ValueError("degenerate input: all-zero frame")
-    high = spatial_frequency_grid(v.shape[2], v.shape[3]) > band
-    per_frame_high = energy[:, high].sum(axis=1)
-    return float(np.mean(per_frame_high / per_frame_total))
+    return _spatial_detail(_bin_energy(v), band)
 
 
 def spectrum_distance(v: np.ndarray, prior: GaussianPrior) -> float:
     """L1 distance between the video's normalized mean per-bin spatial
     energy and the prior's normalized spectrum."""
-    if v.shape[2:] != prior.spatial_spectrum.shape:
+    return _spectrum_distance(_bin_energy(v), prior)
+
+
+def _bin_energy(v: np.ndarray) -> np.ndarray:
+    """Spatial-DFT energy per frame and bin, channels pooled: ``(F, H, W)``.
+    The spatial metrics are ratios of its sums, so its scale is free. A real
+    frame's spectrum has ``|X[-k]| == |X[k]|``, so the columns past ``W // 2``
+    mirror the half spectrum's."""
+    h, w = v.shape[-2:]
+    half = (np.abs(np.fft.rfft2(v, axes=(-2, -1))) ** 2).sum(axis=1)
+    mirror = half[:, -np.arange(h) % h][:, :, w - np.arange(w // 2 + 1, w)]
+    return np.concatenate([half, mirror], axis=-1)
+
+
+def _spatial_detail(energy: np.ndarray, band: float) -> float:
+    if energy.shape[1] < 2 or energy.shape[2] < 2:
+        raise ValueError("frames must be at least 2x2")
+    per_frame_total = energy.sum(axis=(1, 2))
+    if np.any(per_frame_total == 0):
+        raise ValueError("degenerate input: all-zero frame")
+    high = spatial_frequency_grid(*energy.shape[1:]) > band
+    per_frame_high = energy[:, high].sum(axis=1)
+    return float(np.mean(per_frame_high / per_frame_total))
+
+
+def _spectrum_distance(energy: np.ndarray, prior: GaussianPrior) -> float:
+    if energy.shape[1:] != prior.spatial_spectrum.shape:
         raise ValueError(
-            f"shape mismatch: video {v.shape[2:]} vs spectrum {prior.spatial_spectrum.shape}"
+            f"shape mismatch: video {energy.shape[1:]} vs spectrum {prior.spatial_spectrum.shape}"
         )
-    freq = np.fft.fft2(v, axes=(-2, -1), norm="ortho")
-    energy = (np.abs(freq) ** 2).mean(axis=(0, 1))  # (H, W)
+    energy = energy.sum(axis=0)  # (H, W)
     total = energy.sum()
     if total == 0:
         raise ValueError("degenerate input: all-zero video")
@@ -115,10 +134,12 @@ def compute_report(
     cutoff: float = 0.15,
     band: float = 0.10,
 ) -> MetricReport:
+    """Every metric of ``v``; the spatial ones share one spatial spectrum."""
+    energy = _bin_energy(v)
     return MetricReport(
         frame_consistency=frame_consistency(v),
         flicker_energy=flicker_energy(v, cutoff),
-        spatial_detail=spatial_detail(v, band),
-        spectrum_distance_t2i=spectrum_distance(v, t2i_prior),
-        spectrum_distance_t2v=spectrum_distance(v, t2v_prior),
+        spatial_detail=_spatial_detail(energy, band),
+        spectrum_distance_t2i=_spectrum_distance(energy, t2i_prior),
+        spectrum_distance_t2v=_spectrum_distance(energy, t2v_prior),
     )

@@ -25,6 +25,7 @@ from .schedule import (
     _check_same_shape,
     forward_diffuse,
 )
+from .workspace import _scratch
 
 
 def _check_order(hi: int, lo: int, s: NoiseSchedule) -> None:
@@ -56,14 +57,15 @@ def ddim_step(
     """One deterministic denoising step from ``t`` down to ``t_prev``:
     ``sqrt(ab_prev) * z0_hat + sqrt(1 - ab_prev) * eps_hat``, with the
     noise estimate evaluated at ``t``. Computed as the hop ``(r_b / r_a) *
-    z + k * eps`` (see ``_hop``) in one fresh array, leaving the model's
-    returned ``eps`` unwritten."""
+    z + k * eps`` (see ``_hop``) in one fresh array, with ``k * eps`` in
+    the calling thread's workspace, leaving the model's returned ``eps``
+    unwritten."""
     _check_order(t, t_prev, s)
     eps = model.predict_eps(z_t, t, s)
     _check_same_shape(z_t, eps)
     z_gain, k = _hop(s, t, t_prev)
     out = np.multiply(z_t, z_gain)
-    out += k * eps
+    out += np.multiply(eps, k, out=_scratch("latent", eps.shape, np.result_type(eps, k)))
     return out
 
 
@@ -123,7 +125,7 @@ def _chain(
         kg = k * model.eps_gain(s.alpha_bar[e])
         hop_gain = z_gain + kg
         gain, offset = hop_gain * gain, hop_gain * offset - kg * np.sqrt(s.alpha_bar[e])
-    modes = model.to_modes(z)
+    modes = model._to_modes(z)
     modes *= gain
     if model.mean_modes is not None:
         modes += offset * model.mean_modes

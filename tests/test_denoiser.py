@@ -1,10 +1,11 @@
+import threading
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from latent_elevator import AnalyticDenoiser, forward_diffuse
+from latent_elevator import AnalyticDenoiser, forward_diffuse, workspace
 from latent_elevator.harness import build_plan, resolve_config
 from latent_elevator.schedule import NoiseSchedule
 from latent_elevator.synth import make_gp_prior, sample_prior, spatial_frequency_grid
@@ -164,6 +165,89 @@ class TestAnalyticEps:
             assert analytic < others, (t, analytic, others)
             if t <= 500:
                 assert analytic <= 0.95 * others, (t, analytic, others)
+
+
+def strided_modes(den, v):
+    """``to_modes`` as the plain half-spectrum FFT pair, the H pass along the
+    strided axis, then laid out (F, C, W // 2 + 1, H) and rotated over
+    frames as one real GEMM on the interleaved float64 view."""
+    spec = np.fft.fft(np.fft.rfft(v, axis=-1, norm="ortho"), axis=-2, norm="ortho")
+    spec = np.ascontiguousarray(spec.swapaxes(2, 3))
+    if den._u is None:
+        return spec
+    flat = spec.view(np.float64).reshape(spec.shape[0], -1)
+    return (den._u.T @ flat).reshape(spec.shape[:-1] + (-1,)).view(np.complex128)
+
+
+def strided_latent(den, m):
+    """``from_modes`` as the matching inverse of ``strided_modes``."""
+    if den._u is not None:
+        flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
+        m = (den._u @ flat).reshape(m.shape[:-1] + (-1,)).view(np.complex128)
+    spec = np.fft.ifft(m.swapaxes(2, 3), axis=-2, norm="ortho")
+    return np.fft.irfft(spec, n=den.prior.shape[3], axis=-1, norm="ortho")
+
+
+def workspace_buffers() -> list:
+    return list(vars(workspace._workspace).values())
+
+
+class TestModeLayout:
+    """The transform pair runs each FFT pass along a contiguous axis through
+    the thread's workspace; it must equal the strided passes bit for bit
+    and never hand out workspace memory."""
+
+    @pytest.mark.parametrize("shape", [(4, 2, 6, 8), (3, 2, 5, 7)], ids=["even_w", "odd_w"])
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    def test_equals_strided_passes_bitwise(self, shape, rho, sched_t2i, rng):
+        mean = rng.standard_normal(shape)
+        den = AnalyticDenoiser(make_gp_prior(*shape, rho, "lowpass", mean=mean))
+        assert (den._u is None) == (rho == 0.0)
+        v = rng.standard_normal(shape)
+        modes = den.to_modes(v)
+        assert modes.shape == (shape[0], shape[1], shape[3] // 2 + 1, shape[2])
+        np.testing.assert_array_equal(modes, strided_modes(den, v))
+        np.testing.assert_array_equal(den.mean_modes, strided_modes(den, mean))
+        np.testing.assert_array_equal(den.from_modes(modes), strided_latent(den, modes))
+        ab = sched_t2i.alpha_bar[400]
+        eps = (strided_modes(den, v) - np.sqrt(ab) * strided_modes(den, mean)) * den.eps_gain(ab)
+        np.testing.assert_array_equal(den.predict_eps(v, 400, sched_t2i),
+                                      strided_latent(den, eps))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    def test_returns_fresh_arrays(self, rho, sched_t2i, rng):
+        den = AnalyticDenoiser(make_gp_prior(4, 2, 6, 5, rho, "lowpass"))
+        v, w = rng.standard_normal((2, 4, 2, 6, 5))
+        modes, latent = den.to_modes(v), den.from_modes(den.to_modes(v))
+        eps = den.predict_eps(v, 400, sched_t2i)
+        kept = [a.copy() for a in (modes, latent, eps)]
+        den.predict_eps(w, 700, sched_t2i)
+        den.from_modes(den.to_modes(w))
+        for got, expected in zip((modes, latent, eps), kept):
+            np.testing.assert_array_equal(got, expected)
+            assert not any(np.shares_memory(got, buf) for buf in workspace_buffers())
+
+    def test_threads_never_share_a_workspace_buffer(self, rng):
+        den = recipe_denoiser("t2v", (4, 2, 6, 5))
+        v = rng.standard_normal((4, 2, 6, 5))
+        barrier = threading.Barrier(2)
+        buffers, results = {}, {}
+
+        def work(name):
+            results[name] = den.from_modes(den.to_modes(v))
+            buffers[name] = workspace_buffers()
+            barrier.wait(timeout=30)  # both threads, and so their workspaces, are alive
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert buffers["a"] and buffers["b"]
+        assert not any(np.shares_memory(x, y) for x in buffers["a"] for y in buffers["b"])
+        np.testing.assert_array_equal(results["a"], results["b"])
+        np.testing.assert_array_equal(results["a"], den.from_modes(den.to_modes(v)))
 
 
 class TestGuidance:

@@ -328,6 +328,38 @@ class TestRecord:
         _record(trace, 5, "x", "t2i", "noise", np.ones((1, 2, 4, 4)))
         assert math.isnan(trace[0]["frame_corr"])
 
+    def test_zero_frame_corr_is_nan(self, rng):
+        z = rng.standard_normal((4, 2, 4, 4))
+        z[2] = 0.0
+        trace: list = []
+        _record(trace, 5, "x", "t2i", "noise", z)
+        assert math.isnan(trace[0]["frame_corr"])
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2, 2), (16, 4, 16, 16)])
+    def test_constant_frames_correlate_exactly(self, shape):
+        trace: list = []
+        _record(trace, 5, "x", "t2v", "noise", np.ones(shape))
+        assert trace[0]["frame_corr"] == 1.0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4], ids=["centered", "offset"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_statistics_match_numpy(self, offset, seed):
+        """At a 1e4 offset a one-pass variance, ``E[z^2] - E[z]^2``, loses
+        about 8 of its 16 digits; the record's two passes keep them all.
+        ``frame_corr`` is a mean of cosines, each in [-1, 1], so its error
+        is measured against that scale: on independent frames it is near 0."""
+        z = offset + np.random.default_rng(seed).standard_normal((16, 4, 16, 16))
+        trace: list = []
+        _record(trace, 5, "x", "t2v", "noise", z)
+        record = trace[0]
+        assert abs(record["mean"] - np.mean(z)) <= 1e-14 * abs(np.mean(z))
+        assert abs(record["std"] - np.std(z)) <= 1e-14 * np.std(z)
+        flat = z.reshape(16, -1)
+        norms = np.linalg.norm(flat, axis=1)
+        cosines = np.sum(flat[:-1] * flat[1:], axis=1) / (norms[:-1] * norms[1:])
+        assert record["frame_corr"] == frame_consistency(z)
+        assert abs(record["frame_corr"] - np.mean(cosines)) <= 1e-14
+
 
 class TestDefaultPlan:
     def test_default_geometry(self):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import latent_elevator.harness as harness
 from latent_elevator.cli import main, parse_seeds
+from latent_elevator.elevate import elevate_sample
 from latent_elevator.harness import (
     DEFAULT_CONFIG,
     MODES,
@@ -20,6 +21,7 @@ from latent_elevator.harness import (
     sha256_file,
 )
 from latent_elevator.schedule import make_schedule
+from latent_elevator.videoio import save_latent
 
 # Small, fast configuration exercised by most harness tests.
 TINY = {
@@ -562,6 +564,37 @@ class TestRunModes:
         assert set(manifest["aggregate"]) == {
             "baseline_t2v_8", "baseline_t2v_16", "baseline_t2i_8", "elevate_8",
         }
+
+
+class TestPlanReuse:
+    """``run`` builds each variant's plan once, when ``resolve_config``
+    validates it, and runs every cell on that plan with the cell's seed."""
+
+    @pytest.mark.parametrize("mode,seeds,builds", [
+        ("baseline_t2v", [0], 1), ("elevate", [0, 1, 2], 1), ("ablate_inversion", [0], 3)])
+    def test_one_build_per_variant(self, mode, seeds, builds, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(resolved, seed):
+            calls.append(seed)
+            return build_plan(resolved, seed)
+
+        monkeypatch.setattr(harness, "build_plan", counting)
+        run(tiny(mode, seeds=seeds, render=False), output_dir=tmp_path)
+        assert calls == [seeds[0]] * builds
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_equal_plans_built_per_seed(self, jobs, tmp_path):
+        cfg = tiny("ablate_inversion", seeds=[0, 3], jobs=jobs)
+        files = run(cfg, output_dir=tmp_path / "run")["files"]
+        resolved = resolve_config(cfg)
+        for variant in harness._variants_for(resolved):
+            for seed in (0, 3):
+                plan = build_plan(harness._deep_merge(resolved, {"plan": variant["plan"]}),
+                                  seed)
+                latent = tmp_path / f"{variant['name']}_seed{seed:04d}.elvt"
+                save_latent(elevate_sample(plan)[0], latent)
+                assert files[latent.name] == sha256_file(latent)
 
 
 class TestCli:

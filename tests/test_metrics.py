@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from latent_elevator import (
     MetricReport,
+    compute_report,
     flicker_energy,
     frame_consistency,
     gaussian_mask,
@@ -11,8 +12,9 @@ from latent_elevator import (
     spatial_detail,
     spectrum_distance,
 )
+from latent_elevator import metrics
 from latent_elevator.metrics import check_thresholds
-from latent_elevator.synth import make_gp_prior, sample_prior
+from latent_elevator.synth import make_gp_prior, sample_prior, spatial_frequency_grid
 
 
 class TestFrameConsistency:
@@ -187,3 +189,33 @@ class TestReport:
             "spectrum_distance_t2i",
             "spectrum_distance_t2v",
         ]
+
+    @pytest.mark.parametrize("shape", [(4, 2, 6, 8), (3, 3, 5, 7), (16, 4, 16, 16)])
+    def test_one_half_spectrum_matches_full_spectrum_definitions(self, shape, rng):
+        """``compute_report`` mirrors one ``rfft2`` half spectrum where the
+        metrics are defined on the full 2-D DFT of each frame."""
+        v = rng.standard_normal(shape)
+        t2v = make_gp_prior(*shape, rho=0.9, spectrum_kind="lowpass")
+        t2i = make_gp_prior(*shape, rho=0.0, spectrum_kind="broadband")
+        report = compute_report(v, t2v, t2i, cutoff=0.15, band=0.2)
+        energy = (np.abs(np.fft.fft2(v, axes=(-2, -1))) ** 2).sum(axis=1)
+        # the metrics below are blind to a mirror that flips rows wrongly:
+        # their masks and spectra are symmetric under k -> -k
+        np.testing.assert_allclose(metrics._bin_energy(v), energy, rtol=1e-12)
+        high = spatial_frequency_grid(*shape[2:]) > 0.2
+        detail = np.mean(energy[:, high].sum(axis=1) / energy.sum(axis=(1, 2)))
+        pooled = energy.sum(axis=0) / energy.sum()
+
+        def distance(prior):
+            spec = prior.spatial_spectrum
+            return np.abs(pooled - spec / spec.sum()).sum()
+
+        expected = {"frame_consistency": frame_consistency(v),
+                    "flicker_energy": flicker_energy(v, 0.15),
+                    "spatial_detail": detail,
+                    "spectrum_distance_t2i": distance(t2i),
+                    "spectrum_distance_t2v": distance(t2v)}
+        for name, value in report.to_dict().items():
+            assert abs(value - expected[name]) <= 1e-12 * abs(expected[name]), name
+        assert report.spatial_detail == spatial_detail(v, 0.2)
+        assert report.spectrum_distance_t2i == spectrum_distance(v, t2i)

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from latent_elevator import (
     project_clean,
     select_timesteps,
 )
+import latent_elevator
 from latent_elevator import sampler
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
@@ -397,6 +403,50 @@ class TestWarmStepMemory:
                                  make_attention_params(self.SHAPE[1], seed=0), 0.3)
         z = rng.standard_normal(self.SHAPE)
         assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480, sched_t2i)) < 640
+
+
+# Run in a fresh interpreter: inside the test session, earlier tests have
+# already grown glibc's trim threshold past any one step's temporaries.
+_WARM_SAMPLES = """
+import json, resource, time
+from latent_elevator import baseline_sample, make_default_plan
+
+def usage():
+    u = resource.getrusage(resource.RUSAGE_SELF)
+    return u.ru_minflt, u.ru_utime + u.ru_stime, time.perf_counter()
+
+plan = make_default_plan()
+for _ in range(2):
+    baseline_sample(plan)
+start = usage()
+for _ in range(20):
+    baseline_sample(plan)
+faults, cpu, wall = (b - a for a, b in zip(start, usage()))
+print(json.dumps({"faults_per_sample": faults / 20, "cpu_per_wall": cpu / wall}))
+"""
+
+
+class TestWarmSampleCost:
+    """Twenty warm default ``t2v`` baseline samples in a fresh process: the
+    transform and trace intermediates come from the thread's workspace, so
+    they fault in almost no fresh pages (104 per sample when every FFT pass
+    and trace statistic allocated its own), and they run on one thread, so
+    no BLAS call on a latent wakes a second one."""
+
+    @pytest.fixture(scope="class")
+    def cost(self):
+        src = str(Path(latent_elevator.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", _WARM_SAMPLES], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return json.loads(out)
+
+    def test_few_page_faults(self, cost):
+        assert cost["faults_per_sample"] < 10
+
+    def test_one_thread_of_cpu_time(self, cost):
+        assert cost["cpu_per_wall"] <= 1.25
 
 
 class TestSamplingLoops:
