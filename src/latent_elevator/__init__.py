@@ -14,7 +14,6 @@ from .schedule import (  # noqa: F401
     TimestepGrid,
     forward_diffuse,
     make_schedule,
-    project_clean,
     select_refine_steps,
     select_timesteps,
 )

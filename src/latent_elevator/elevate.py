@@ -23,15 +23,9 @@ import numpy as np
 from .attention import CrossFrameDenoiser
 from .denoiser import AnalyticDenoiser
 from .freqfilter import LowPassMask, lpff
-from .metrics import frame_consistency
-from .sampler import ddim_invert, ddim_step, sdedit_chain
-from .schedule import (
-    ALPHA_BAR_FLOOR,
-    NoiseSchedule,
-    TimestepGrid,
-    forward_diffuse,
-    project_clean,
-)
+from .metrics import _frame_consistency
+from .sampler import ddim_invert, ddim_sample, ddim_step, sdedit_chain
+from .schedule import ALPHA_BAR_FLOOR, NoiseSchedule, TimestepGrid, forward_diffuse
 from .workspace import _scratch
 
 INVERSION_STRATEGIES = ("ddim", "same_noise", "random_noise")
@@ -87,11 +81,14 @@ class ElevatorPlan:
 def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
     """Append one trace record; ``schedule`` defaults to the model's own,
     and ``frame_corr`` is NaN where frame consistency is undefined (fewer
-    than two frames, or a zero frame). ``std`` is ``np.std``'s two passes,
-    the squared deviations from the mean summed, with the deviations in the
-    calling thread's workspace rather than a fresh latent."""
+    than two frames, or a zero frame). It is the raw kernel on ``z``'s own
+    scale, without the metrics' power-of-two rescaling, so it also reads
+    NaN where a frame's sum of squares underflows to 0. ``std`` is
+    ``np.std``'s two passes, the squared deviations from the mean summed,
+    with the deviations in the calling thread's workspace rather than a
+    fresh latent."""
     try:
-        corr = frame_consistency(z)
+        corr = _frame_consistency(z)
     except ValueError:
         corr = float("nan")
     mean = z.mean()
@@ -117,7 +114,12 @@ def refine_temporal(
     trace: list,
 ) -> np.ndarray:
     """Refine motion at timestep ``t`` and return a latent back in the
-    image model's noise distribution at the same index."""
+    image model's noise distribution at the same index.
+
+    Both clean projections, the image model's at ``t`` and the video
+    model's at the SDEdit chain's end ``t_out``, are one closed-form DDIM
+    hop to 0 (``ddim_sample`` on a one-step grid, the empty grid at
+    ``t_out == 0``), so refining calls no model."""
     if t not in plan.grid.refine_set:
         raise ValueError(f"step not refinable: {t} not in refine_set")
     s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
@@ -127,8 +129,7 @@ def refine_temporal(
     # without bound as alpha_bar -> 0.
     projector = plan.t2i_model.base
 
-    eps_i = projector.predict_eps(z_t, t, s_i)
-    clean = project_clean(z_t, eps_i, t, s_i)
+    clean = ddim_sample(projector, z_t, TimestepGrid((t,)), s_i)
     _record(trace, t, "refine.project", "t2i", "clean", clean)
 
     clean = lpff(clean, plan.filter_mask)
@@ -138,11 +139,7 @@ def refine_temporal(
         chain = _sdedit_timesteps(plan, t)
         z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain, s_v, rng)
         _record(trace, t_out, "refine.sdedit", "t2v", "noise", z_v)
-        if t_out > 0:
-            eps_v = plan.t2v_model.predict_eps(z_v, t_out, s_v)
-            clean = project_clean(z_v, eps_v, t_out, s_v)
-        else:
-            clean = z_v
+        clean = ddim_sample(plan.t2v_model, z_v, TimestepGrid((t_out,) if t_out else ()), s_v)
         _record(trace, t_out, "refine.project_t2v", "t2v", "clean", clean)
 
     if plan.inversion == "ddim":

@@ -31,7 +31,7 @@ from .elevate import (
     trace_violations,
 )
 from .freqfilter import SPATIAL, TEMPORAL, check_axes, gaussian_mask
-from .metrics import MetricReport, check_thresholds, compute_report
+from .metrics import MetricReport, _relative_error, check_thresholds, compute_report
 from .sampler import ddim_invert, ddim_sample
 from .schedule import SCHEDULE_PARAMS, make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
@@ -164,10 +164,12 @@ def _resolve(config: dict | None) -> tuple:
             f"invalid config: render needs channels in {RENDER_CHANNELS}, got {channels}"
         )
     for name, prior in resolved["priors"].items():
-        # zero mean: a zero variance gives all-zero latents, an infinite one degenerate ones
-        if not 0 < prior["variance_scale"] < math.inf:
+        # zero mean: a zero variance gives all-zero latents, an infinite one
+        # degenerate ones, and a subnormal one underflows the exact latent
+        if not np.finfo(float).tiny <= prior["variance_scale"] < math.inf:
             raise ValueError(f"invalid config: priors.{name}.variance_scale must be finite "
-                             f"and > 0, got {prior['variance_scale']}")
+                             f"and >= {np.finfo(float).tiny} (the smallest normal float64), "
+                             f"got {prior['variance_scale']}")
     try:
         check_thresholds(shape, **resolved["metrics"])
     except ValueError as err:
@@ -277,9 +279,7 @@ def _run_one(resolved: dict, variant: dict, plan: ElevatorPlan, out_dir: str) ->
         z0 = sample_prior(model.prior, np.random.default_rng(seed))
         z_top = ddim_invert(model, z0, grid, grid.steps[0], sched)
         z = ddim_sample(model, z_top, grid, sched)
-        extra["roundtrip_rel_err"] = float(
-            np.linalg.norm(z - z0) / np.linalg.norm(z0)
-        )
+        extra["roundtrip_rel_err"] = _relative_error(z, z0)
         trace = []
     else:
         raise ValueError(f"unknown variant kind {variant['kind']!r}")

@@ -4,7 +4,9 @@ These are desk-scale analogs computed directly on latents: adjacent-frame
 cosine similarity for temporal consistency, temporal high-band energy
 fraction for flicker, spatial high-band energy fraction for detail, and
 an L1 distance between normalized spatial spectra for domain similarity.
-Perceptual or embedding-based scores are deliberately absent.
+Perceptual or embedding-based scores are deliberately absent. Every
+metric is a scale-free ratio, taken on the latent rescaled by a power of
+two so that any finite, nonzero scale measures the same.
 """
 from __future__ import annotations
 
@@ -37,11 +39,34 @@ class MetricReport:
         return [f.name for f in fields(MetricReport)]
 
 
-def frame_consistency(v: np.ndarray) -> float:
-    """Mean cosine similarity between flattened adjacent frames.
+def _unit_scale(v: np.ndarray, by: np.ndarray | None = None) -> np.ndarray:
+    """``v`` times ``2**-e``, where ``2**e`` is the power of two just above
+    ``max|by|`` (``by`` defaults to ``v``). Scaling by a power of two is
+    exact, so a scale-free metric reads the same on the result bit for bit,
+    while no sum of squares at a tiny or huge scale underflows or
+    overflows. An all-zero ``v`` stays all-zero, and its metrics raise."""
+    _, e = np.frexp(np.max(np.abs(v if by is None else by)))
+    return np.ldexp(v, -e)
 
-    The per-frame sums of products are ``einsum`` reductions, which hold no
-    product array and, unlike ``np.dot``, never start BLAS threads."""
+
+def _relative_error(v: np.ndarray, ref: np.ndarray) -> float:
+    """``||v - ref|| / ||ref||``, both scaled by ``ref``'s power of two,
+    with ``einsum`` sums: unlike ``np.linalg.norm``'s BLAS dot they start no
+    threads."""
+    r = _unit_scale(ref).ravel()
+    d = _unit_scale(v, ref).ravel() - r
+    return float(np.sqrt(np.einsum("i,i->", d, d) / np.einsum("i,i->", r, r)))
+
+
+def frame_consistency(v: np.ndarray) -> float:
+    """Mean cosine similarity between flattened adjacent frames."""
+    return _frame_consistency(_unit_scale(v))
+
+
+def _frame_consistency(v: np.ndarray) -> float:
+    """``frame_consistency`` on ``v``'s own scale. The per-frame sums of
+    products are ``einsum`` reductions, which hold no product array and,
+    unlike ``np.dot``, never start BLAS threads."""
     if v.shape[0] < 2:
         raise ValueError("too few frames: need F >= 2")
     flat = v.reshape(v.shape[0], -1)
@@ -55,6 +80,10 @@ def frame_consistency(v: np.ndarray) -> float:
 def flicker_energy(v: np.ndarray, cutoff: float = 0.15) -> float:
     """Fraction of temporal-DFT energy above ``cutoff``, energy-weighted
     over channels and pixels; 0 for a constant-in-time video."""
+    return _flicker_energy(_unit_scale(v), cutoff)
+
+
+def _flicker_energy(v: np.ndarray, cutoff: float) -> float:
     if v.shape[0] < 2:
         raise ValueError("too few frames: need F >= 2")
     freq = np.fft.fft(v, axis=0)
@@ -69,13 +98,13 @@ def flicker_energy(v: np.ndarray, cutoff: float = 0.15) -> float:
 def spatial_detail(v: np.ndarray, band: float = 0.10) -> float:
     """Per-frame fraction of spatial-DFT energy beyond frequency magnitude
     ``band``, averaged over frames."""
-    return _spatial_detail(_bin_energy(v), band)
+    return _spatial_detail(_bin_energy(_unit_scale(v)), band)
 
 
 def spectrum_distance(v: np.ndarray, prior: GaussianPrior) -> float:
     """L1 distance between the video's normalized mean per-bin spatial
     energy and the prior's normalized spectrum."""
-    return _spectrum_distance(_bin_energy(v), prior)
+    return _spectrum_distance(_bin_energy(_unit_scale(v)), prior)
 
 
 def _bin_energy(v: np.ndarray) -> np.ndarray:
@@ -134,11 +163,13 @@ def compute_report(
     cutoff: float = 0.15,
     band: float = 0.10,
 ) -> MetricReport:
-    """Every metric of ``v``; the spatial ones share one spatial spectrum."""
+    """Every metric of ``v``, on one power-of-two rescaling of it; the
+    spatial ones share one spatial spectrum."""
+    v = _unit_scale(v)
     energy = _bin_energy(v)
     return MetricReport(
-        frame_consistency=frame_consistency(v),
-        flicker_energy=flicker_energy(v, cutoff),
+        frame_consistency=_frame_consistency(v),
+        flicker_energy=_flicker_energy(v, cutoff),
         spatial_detail=_spatial_detail(energy, band),
         spectrum_distance_t2i=_spectrum_distance(energy, t2i_prior),
         spectrum_distance_t2v=_spectrum_distance(energy, t2v_prior),

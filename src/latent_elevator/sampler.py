@@ -76,7 +76,8 @@ def ddim_sample(
     s: NoiseSchedule,
 ) -> np.ndarray:
     """Run the full chain from ``grid.steps[0]`` down to a clean latent, in
-    closed form."""
+    closed form; on a one-step grid that is the clean projection, and an
+    empty grid returns ``z_init`` itself."""
     return _chain(model, z_init, list(grid.hops()), s, invert=False)
 
 
@@ -113,6 +114,15 @@ def _chain(
     ``z`` itself as the clean estimate. So the chain is ``gain * m + offset
     * mu`` per eigenmode, where ``m`` and ``mu`` are the modes of ``z`` and
     of the prior mean.
+
+    A denoising hop has ``k < 0``, and under a prior of tiny variance its
+    two gain terms cancel to rounding. Its gain is taken in the equal form
+    ``(r_b / r_a) * f + q_b * g`` with ``f = ab_a * lam / (ab_a * lam + 1 -
+    ab_a)``, whose terms are all non-negative; ``f`` is written ``1 / (1 +
+    ((1 - ab_a) / ab_a) / lam)``, which reads 1 for an eigenvalue that
+    overflowed to inf and 0 for one that underflowed to 0. An inversion
+    hop has ``k > 0`` and keeps the first form. The offset is composed
+    only for a prior with a nonzero mean.
     """
     if not hops:
         return z
@@ -122,9 +132,17 @@ def _chain(
         e, lo = (b, a) if invert else (a, b)
         _check_order(e, lo, s)
         z_gain, k = _hop(s, a, b)
-        kg = k * model.eps_gain(s.alpha_bar[e])
-        hop_gain = z_gain + kg
-        gain, offset = hop_gain * gain, hop_gain * offset - kg * np.sqrt(s.alpha_bar[e])
+        g = model.eps_gain(s.alpha_bar[e])
+        if invert:
+            hop_gain = z_gain + k * g
+        else:
+            ab_a = s.alpha_bar[a]
+            with np.errstate(divide="ignore", over="ignore"):
+                f = 1.0 / (1.0 + (1.0 - ab_a) / ab_a / model._lam)
+            hop_gain = z_gain * f + np.sqrt(1.0 - s.alpha_bar[b]) * g
+        gain = hop_gain * gain
+        if model.mean_modes is not None:
+            offset = hop_gain * offset - k * g * np.sqrt(s.alpha_bar[e])
     modes = model._to_modes(z)
     modes *= gain
     if model.mean_modes is not None:

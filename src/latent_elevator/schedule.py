@@ -146,15 +146,6 @@ def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
-def project_clean(z_t: np.ndarray, eps_pred: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-    """Estimate the clean latent from a noisy one and a noise prediction."""
-    _check_same_shape(z_t, eps_pred)
-    _check_timestep(s, t, lo=1)
-    _check_floor(s, t)
-    ab = s.alpha_bar[t]
-    return (z_t - np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(ab)
-
-
 def _check_floor(s: NoiseSchedule, t: int) -> None:
     ab = s.alpha_bar[t]
     if ab < ALPHA_BAR_FLOOR:

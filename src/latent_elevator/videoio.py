@@ -55,15 +55,18 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_latent(v: np.ndarray, path) -> None:
-    """Write a latent video; float64 input is stored as float32."""
+    """Write a latent video; float64 input is stored as float32, and an
+    entry that is not finite there (beyond about 3.4e38) is refused before
+    anything is written."""
     if v.ndim != 4:
         raise ValueError(f"expected (F, C, H, W) latent, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("latent entries must be finite")
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(v, dtype="<f4")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("latent entries must be finite in float32")
     header = MAGIC + struct.pack("<H4I", VERSION, *v.shape)
     header += b"\x00" * (HEADER_SIZE - len(header))
-    data = np.ascontiguousarray(v, dtype="<f4").tobytes()
-    write_atomic(path, header + data)
+    write_atomic(path, header + data.tobytes())
 
 
 def load_latent(path) -> np.ndarray:

@@ -6,10 +6,10 @@ from latent_elevator import (
     ddim_step,
     forward_diffuse,
     make_schedule,
-    project_clean,
 )
 from latent_elevator import sampler
 from latent_elevator.harness import DEFAULT_CONFIG
+from latent_elevator.schedule import _check_floor, _check_same_shape, _check_timestep
 from latent_elevator.synth import make_gp_prior
 
 
@@ -41,6 +41,17 @@ def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
     return AnalyticDenoiser(
         make_gp_prior(*shape, p["rho"], p["spectrum_kind"], p["variance_scale"])
     )
+
+
+def project_clean(z_t, eps_pred, t, s):
+    """The clean latent ``(z_t - sqrt(1 - ab) * eps_pred) / sqrt(ab)`` that
+    a noise prediction implies at ``t``: the oracle for the clean
+    projections the program's closed-form chains make."""
+    _check_same_shape(z_t, eps_pred)
+    _check_timestep(s, t, lo=1)
+    _check_floor(s, t)
+    ab = s.alpha_bar[t]
+    return (z_t - np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(ab)
 
 
 def invert_hop(model, z, t_from, t_to, s):

@@ -33,7 +33,6 @@ from latent_elevator import (
     lpff,
     make_attention_params,
     make_default_plan,
-    project_clean,
     select_timesteps,
 )
 from latent_elevator.attention import attention
@@ -42,7 +41,7 @@ from latent_elevator.metrics import compute_report
 from latent_elevator.schedule import NoiseSchedule
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import dft_matrix, recipe_denoiser
+from conftest import dft_matrix, project_clean, recipe_denoiser
 from test_attention import naive_attention
 from test_denoiser import oracle_eps
 from test_freqfilter import dft_filter_oracle

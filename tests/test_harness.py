@@ -158,6 +158,8 @@ class TestConfig:
         ({"priors": {"t2v": {"variance_scale": float("nan")}}}, "priors.t2v.variance_scale"),
         ({"priors": {"t2v": {"variance_scale": math.inf}}}, "priors.t2v.variance_scale"),
         ({"priors": {"t2i": {"variance_scale": -math.inf}}}, "priors.t2i.variance_scale"),
+        ({"priors": {"t2v": {"variance_scale": 1e-310}}},
+         "priors.t2v.variance_scale .*2.2250738585072014e-308"),
         ([1], "must be a mapping"),
         ("x", "must be a mapping"),
         (3, "must be a mapping"),
@@ -165,6 +167,7 @@ class TestConfig:
             "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int",
             "step_counts-empty", "step_counts-one", "step_counts-repeated", "height-1",
             "width-1", "variance-zero", "variance-nan", "variance-inf", "variance-minus-inf",
+            "variance-subnormal",
             "config-list", "config-str", "config-int"])
     def test_configs_that_would_crash_mid_run(self, config, match):
         with pytest.raises(ValueError, match=f"invalid config: .*{match}"):
@@ -548,6 +551,22 @@ class TestRunModes:
         assert manifest["checks"]["enabled"]
         assert not manifest["checks"]["passed"]
         assert any("roundtrip" in f for f in manifest["checks"]["failures"])
+
+    def test_tiny_video_prior_variance_writes_a_manifest(self, tmp_path):
+        """At video-prior variance 1e-300 the video projection's gains are
+        tiny but nonzero, so the latent stays measurable and the run
+        completes."""
+        cfg = {"shape": [5, 3, 3, 2], "render": False, "seeds": [0, 1],
+               "schedules": {"t2i": {"total_steps": 10}, "t2v": {"total_steps": 10}},
+               "priors": {"t2v": {"rho": 0.0, "variance_scale": 1e-300},
+                          "t2i": {"rho": 0.3}},
+               "plan": {"num_steps": 2, "num_refine_steps": 1, "n_sdedit": 2,
+                        "crossframe_mix": 1.0},
+               "metrics": {"flicker_cutoff": 0.0, "detail_band": 0.0}}
+        manifest = run(cfg, output_dir=tmp_path)
+        assert (tmp_path / "manifest.json").exists()
+        for r in manifest["runs"]:
+            assert all(math.isfinite(v) for v in r["metrics"].values())
 
     def test_ablate_variants_present(self, tmp_path):
         cfg = tiny("ablate_inversion", seeds=[0], render=False)

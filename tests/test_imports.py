@@ -1,6 +1,7 @@
-"""Every imported name is read somewhere in its module, and every
-parameter of a package function is read in its body: an import or a
-parameter nothing reads is dead code."""
+"""Every imported name is read somewhere in its module, every parameter
+of a package function is read in its body, and every top-level function
+or class of the package is read somewhere in it: an import, a parameter
+or a definition nothing reads is dead code."""
 from __future__ import annotations
 
 import ast
@@ -75,3 +76,37 @@ def test_unused_params_are_flagged():
               "    def method(self, a, _b, *args, c=1, **kw):\n        return a + sum(kw)\n"
               "def step(z, t, rng):\n    def inner(u):\n        return z\n    return inner(t)\n")
     assert unused_params(source) == ["inner.u", "method.args", "method.c", "step.rng"]
+
+
+def unread_definitions(sources: dict) -> list:
+    """``file:name`` for each top-level function or class of the ``{file:
+    source}`` modules that no module reads, as an ``ast.Name`` load or an
+    attribute; a name an ``__init__.py`` imports is re-exported, so read."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name.endswith("__init__.py"):
+                read.update(a.name for a in node.names)
+    return sorted(f"{name}:{d}" for name, d in defined if d not in read)
+
+
+def test_every_definition_is_read():
+    assert unread_definitions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_unread_definitions_are_flagged():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("import b\n\ndef exported():\n    return helper() + b.used()\n\n"
+                 "def helper():\n    return 1\n\ndef orphan():\n    return helper\n\n"
+                 "class Unused:\n    def method(self):\n        return 0\n"),
+        "b.py": "from a import orphan as _o\n\ndef used():\n    return 2\n",
+    }
+    assert unread_definitions(sources) == ["a.py:Unused", "a.py:orphan"]

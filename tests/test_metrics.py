@@ -219,3 +219,39 @@ class TestReport:
             assert abs(value - expected[name]) <= 1e-12 * abs(expected[name]), name
         assert report.spatial_detail == spatial_detail(v, 0.2)
         assert report.spectrum_distance_t2i == spectrum_distance(v, t2i)
+
+
+class TestScaleFree:
+    """Every metric is taken on its input rescaled by a power of two, which
+    is exact: a power-of-two multiple of a latent measures bit for bit the
+    same, even where its raw sums of squares would underflow or overflow."""
+
+    SHAPE = (16, 4, 16, 16)
+
+    @pytest.fixture(scope="class")
+    def latent(self):
+        return np.random.default_rng(5).standard_normal(self.SHAPE)
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_report_is_bit_identical_under_power_of_two_scaling(self, latent, k):
+        t2v = make_gp_prior(*self.SHAPE, rho=0.9, spectrum_kind="lowpass")
+        t2i = make_gp_prior(*self.SHAPE, rho=0.0, spectrum_kind="broadband")
+        assert compute_report(np.ldexp(latent, k), t2v, t2i) == compute_report(latent, t2v, t2i)
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_public_metrics_are_bit_identical(self, latent, k):
+        prior = make_gp_prior(*self.SHAPE, rho=0.0, spectrum_kind="broadband")
+        scaled = np.ldexp(latent, k)
+        for metric in (frame_consistency, flicker_energy, spatial_detail):
+            assert metric(scaled) == metric(latent), metric.__name__
+        assert spectrum_distance(scaled, prior) == spectrum_distance(latent, prior)
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_relative_error_is_bit_identical(self, latent, k):
+        """The round trip's relative error scales both arrays by the
+        reference's power of two, and matches the plain norm ratio."""
+        other = latent + 1e-3 * np.random.default_rng(6).standard_normal(self.SHAPE)
+        err = metrics._relative_error(other, latent)
+        assert metrics._relative_error(np.ldexp(other, k), np.ldexp(latent, k)) == err
+        plain = np.linalg.norm(other - latent) / np.linalg.norm(latent)
+        assert abs(err - plain) <= 1e-14 * plain

@@ -1,8 +1,10 @@
+import decimal
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +19,22 @@ from latent_elevator import (
     ddim_step,
     forward_diffuse,
     make_attention_params,
-    project_clean,
     select_timesteps,
 )
 import latent_elevator
 from latent_elevator import sampler
+from latent_elevator.metrics import _relative_error
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.schedule import NoiseSchedule, TimestepGrid
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import invert_by_hops, invert_hop, recipe_denoiser, sample_by_hops
+from conftest import (
+    invert_by_hops,
+    invert_hop,
+    project_clean,
+    recipe_denoiser,
+    sample_by_hops,
+)
 
 SHAPE = (2, 1, 4, 4)
 
@@ -219,9 +227,10 @@ class TestClosedFormChains:
 
     One pairing has no relative error to compare: under the 1e-300 prior, a
     chain that ends at 0 should land on the (zero) prior mean plus about
-    1e-298 of its input, but both forms cancel a step's gain down to
+    1e-298 of its input, but the step loop cancels a step's gain down to
     rounding, about 1e-16 of the input. There both are held to that
-    rounding bound instead."""
+    rounding bound instead, and ``test_tiny_variance_chain_is_exact``
+    holds the closed form to the exact answer."""
 
     TINY = "variance_1e-300_rho_0.999999"
 
@@ -277,6 +286,46 @@ class TestClosedFormChains:
         z = rng.standard_normal(SHAPE)
         expected = sample_by_hops(den, z, [*grid.steps, 0], sched_t2i)
         assert _rel_err(ddim_sample(den, z, grid, sched_t2i), expected) < 1e-12
+
+    def test_tiny_variance_chain_is_exact(self, sched_t2i):
+        """A chain to 0 under the 1e-300 prior matches, per mode, the product
+        of hop gains ``r_b / r_a + k * g`` taken in 400-digit decimal
+        arithmetic, where their cancellation costs nothing."""
+        den = AnalyticDenoiser(CLOSED_FORM_PRIORS[self.TINY]())
+        grid = select_timesteps(sched_t2i, 50)
+        D = decimal.Decimal
+
+        def exact_gain(lam):
+            gain = D(1)
+            for a, b in grid.hops():
+                ab_a, ab_b = D(sched_t2i.alpha_bar[a]), D(sched_t2i.alpha_bar[b])
+                r_a, q_a, r_b, q_b = ab_a.sqrt(), (1 - ab_a).sqrt(), ab_b.sqrt(), (1 - ab_b).sqrt()
+                g = q_a / (ab_a * D(lam) + 1 - ab_a)
+                gain *= r_b / r_a + (q_b - r_b * q_a / r_a) * g
+            return float(gain)
+
+        with decimal.localcontext(prec=400):
+            expected = np.vectorize(exact_gain)(den._lam)
+        assert np.all(expected > 0) and expected.max() < 1e-290
+        z = np.random.default_rng(1).standard_normal(SHAPE)
+        exact = den.from_modes(expected * den.to_modes(z))
+        # the latents are about 1e-299, where norms underflow unscaled
+        assert _relative_error(ddim_sample(den, z, grid, sched_t2i), exact) < 1e-12
+
+    @pytest.mark.parametrize("variance", [0.0, 5e-324])
+    def test_underflowed_eigenvalue_chain(self, variance, sched_t2i, rng):
+        """An eigenvalue that underflowed to 0 (or the division by a
+        subnormal one that overflows) gives the clean-projection factor
+        ``f = 0`` without a warning, so a chain to 0 lands exactly on the
+        zero mean, where the step loop's gain cancels to rounding."""
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, rho=0.5, spectrum_kind="lowpass",
+                                             variance_scale=variance))
+        assert np.any(den._lam == 0)
+        z = rng.standard_normal(SHAPE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ddim_sample(den, z, select_timesteps(sched_t2i, 50), sched_t2i)
+        assert np.all(np.isfinite(out)) and np.abs(out).max() < 1e-300
 
     def test_errors_match_step_loop(self, sched_t2i, rng):
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))

@@ -9,10 +9,11 @@ from latent_elevator import (
     TimestepGrid,
     forward_diffuse,
     make_schedule,
-    project_clean,
     select_refine_steps,
     select_timesteps,
 )
+
+from conftest import project_clean
 
 KINDS = ("linear_beta", "scaled_linear_beta", "cosine")
 

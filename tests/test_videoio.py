@@ -74,6 +74,15 @@ class TestLatentFiles:
         with pytest.raises(ValueError, match="finite"):
             save_latent(v, tmp_path / "x.elvt")
 
+    def test_float32_overflow_rejected_before_writing(self, tmp_path):
+        """A finite float64 entry beyond float32's range would be stored as
+        inf under a valid header; it is refused and nothing is written."""
+        v = np.zeros((1, 1, 2, 2))
+        v[0, 0, 1, 0] = 1e39
+        with pytest.raises(ValueError, match="finite in float32"):
+            save_latent(v, tmp_path / "x.elvt")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRenders:
     def parse_ppm(self, path):
