@@ -48,4 +48,4 @@ from .metrics import (  # noqa: F401
     spectrum_distance,
 )
 from .videoio import load_latent, render_frames, save_latent  # noqa: F401
-from .harness import make_default_plan  # noqa: F401
+from .harness import make_default_plan, resolve_config  # noqa: F401

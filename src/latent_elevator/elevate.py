@@ -36,10 +36,11 @@ class ElevatorPlan:
     """Everything one elevated sampling run needs, immutably.
 
     ``harness.build_plan`` is the one place a plan is built from a config;
-    derive variants of a plan with ``dataclasses.replace``.
+    derive variants of a plan with ``dataclasses.replace``. The latent
+    shape is the video prior's, which the image prior must share; a plan
+    with no refining steps is the image-model baseline.
     """
 
-    shape: tuple
     t2v_model: AnalyticDenoiser
     t2v_schedule: NoiseSchedule
     t2i_model: CrossFrameDenoiser
@@ -51,7 +52,9 @@ class ElevatorPlan:
     inversion: str
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
+        if self.t2i_model.base.prior.shape != self.shape:
+            raise ValueError(f"plan invalid: image prior shape {self.t2i_model.base.prior.shape} "
+                             f"!= video prior shape {self.shape}")
         if self.t2v_schedule.total_steps != self.t2i_schedule.total_steps:
             raise ValueError(
                 "plan invalid: schedules must share total_steps for index alignment"
@@ -76,6 +79,10 @@ class ElevatorPlan:
                 raise ValueError(
                     f"plan invalid: n_sdedit {self.n_sdedit} exceeds grid depth below {t}"
                 )
+
+    @property
+    def shape(self) -> tuple:
+        return self.t2v_model.prior.shape
 
 
 def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
@@ -192,24 +199,16 @@ def elevate_sample(plan: ElevatorPlan) -> tuple:
     return z, trace
 
 
-def baseline_sample(plan: ElevatorPlan, model: str = "t2v") -> tuple:
-    """Plain chain of the plan's ``"t2v"`` or ``"t2i"`` model over its grid
-    (refining set ignored) from its seeded noise, same trace format. Both
-    models step with ``ddim_step``, the one step for any ``Denoiser``, to
-    record a trace entry per step; for the analytic ``"t2v"`` model the
-    latent matches ``ddim_sample``'s closed form to rounding. The inflated
-    ``"t2i"`` model is not analytic, so no closed-form chain serves it.
-    """
-    if model == "t2v":
-        denoiser, s = plan.t2v_model, plan.t2v_schedule
-    elif model == "t2i":
-        denoiser, s = plan.t2i_model, plan.t2i_schedule
-    else:
-        raise ValueError(f"unknown baseline model {model!r}: expected 't2v' or 't2i'")
-    z, _, trace = _start(plan, model)
+def baseline_sample(plan: ElevatorPlan) -> tuple:
+    """Plain chain of the plan's video model over its grid (refining set
+    ignored) from its seeded noise, same trace format, with a ``ddim_step``
+    per step to record a trace entry per step; the latent matches
+    ``ddim_sample``'s closed form to rounding. The image baseline is
+    ``elevate_sample`` on a plan with no refining steps."""
+    z, _, trace = _start(plan, "t2v")
     for t, t_prev in plan.grid.hops():
-        z = ddim_step(denoiser, z, t, t_prev, s)
-        _record(trace, t_prev, "baseline.step", model, "noise" if t_prev > 0 else "clean", z)
+        z = ddim_step(plan.t2v_model, z, t, t_prev, plan.t2v_schedule)
+        _record(trace, t_prev, "baseline.step", "t2v", "noise" if t_prev > 0 else "clean", z)
     return z, trace
 
 

@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .synth import _check_symmetric
+
 TEMPORAL = "temporal"
 SPATIAL = "spatial"
-
-
-def _check_symmetric(gains: np.ndarray) -> bool:
-    idx = tuple((-np.arange(n)) % n for n in gains.shape)
-    mirrored = gains[np.ix_(*idx)] if gains.ndim > 1 else gains[idx[0]]
-    return np.allclose(gains, mirrored, rtol=0, atol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -30,16 +26,13 @@ class LowPassMask:
     spatial_gains: np.ndarray | None = None
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=np.float64)
-        gains.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-        for name, g in (("gains", gains), ("spatial_gains", self.spatial_gains)):
-            if g is None:
+        for name in ("gains", "spatial_gains"):
+            g = getattr(self, name)
+            if g is None and name == "spatial_gains":
                 continue
             g = np.asarray(g, dtype=np.float64)
-            if name == "spatial_gains":
-                g.setflags(write=False)
-                object.__setattr__(self, "spatial_gains", g)
+            g.setflags(write=False)
+            object.__setattr__(self, name, g)
             if g.flat[0] != 1.0:
                 raise ValueError(f"{name}: gain at zero frequency must be 1")
             if np.any(g < 0) or np.any(g > 1):

@@ -133,7 +133,8 @@ def resolve_config(config: dict | None = None) -> dict:
 
 def _resolve(config: dict | None) -> tuple:
     """``resolve_config``'s resolved config, and each variant paired with
-    the plan built for it: ``run`` derives every cell's plan from these."""
+    the plan built for it: ``run`` derives every cell's plan from these,
+    and ``make_default_plan`` its one plan."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ValueError(f"invalid config: the config must be a mapping, got {config!r}")
@@ -210,7 +211,6 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     spatial = SPATIAL in check_axes(filt["axes"])
     mask = gaussian_mask(f, filt["d0"], spatial_shape=(h, w) if spatial else None)
     return ElevatorPlan(
-        shape=(f, c, h, w),
         t2v_model=AnalyticDenoiser(t2v_prior),
         t2v_schedule=_build_schedule(resolved["schedules"]["t2v"]),
         t2i_model=CrossFrameDenoiser(AnalyticDenoiser(t2i_prior), params,
@@ -226,35 +226,37 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
 
 def make_default_plan(seed: int = 0, shape=None, **plan) -> ElevatorPlan:
     """The ``DEFAULT_CONFIG`` recipe as a plan; ``shape`` and the keys of
-    ``DEFAULT_CONFIG["plan"]`` override it through the config."""
+    ``DEFAULT_CONFIG["plan"]`` override it through the config. It is the
+    plan ``resolve_config`` builds to validate the config, with ``seed``."""
     # a plan renders nothing, so the render channel check does not apply
     config = {"render": False, "plan": plan}
     if shape is not None:
         config["shape"] = shape
-    return build_plan(resolve_config(config), seed)
+    [(_, built)] = _resolve(config)[1]
+    return replace(built, seed=seed)
 
 
 def _variants_for(resolved: dict) -> list:
-    """The cells of one seed: each variant's name, kind, baseline model and
-    the ``plan`` override it runs with over the resolved config."""
+    """The cells of one seed: each variant's name, kind and the ``plan``
+    override it runs with over the resolved config. The image baseline is
+    an ``elevate`` cell on a plan with no refining steps."""
     mode, plain = resolved["mode"], {"num_refine_steps": 0}  # only elevate refines
-    if mode in ("baseline_t2v", "baseline_t2i"):
-        return [{"name": mode, "kind": "baseline", "model": mode.removeprefix("baseline_"),
-                 "plan": plain}]
+    if mode == "baseline_t2v":
+        return [{"name": mode, "kind": "baseline", "plan": plain}]
     if mode == "roundtrip":
         return [{"name": mode, "kind": "roundtrip", "plan": plain}]
     if mode == "ablate_steps":
         counts = resolved["ablate_steps"]["step_counts"]
         k = counts[0]
         return [
-            *({"name": f"baseline_t2v_{n}", "kind": "baseline", "model": "t2v",
+            *({"name": f"baseline_t2v_{n}", "kind": "baseline",
                "plan": {**plain, "num_steps": n}} for n in counts),
-            {"name": f"baseline_t2i_{k}", "kind": "baseline", "model": "t2i",
-             "plan": {**plain, "num_steps": k}},
+            {"name": f"baseline_t2i_{k}", "kind": "elevate", "plan": {**plain, "num_steps": k}},
             {"name": f"elevate_{k}", "kind": "elevate", "plan": {"num_steps": k}},
         ]
     arms = {
         "elevate": {"elevate": {}},
+        "baseline_t2i": {"baseline_t2i": plain},
         "ablate_filter": {"no_lpff": {"filter": {"d0": math.inf}},
                           "temporal": {"filter": {"axes": [TEMPORAL]}},
                           "spatial_temporal": {"filter": {"axes": [TEMPORAL, SPATIAL]}}},
@@ -273,7 +275,7 @@ def _run_one(resolved: dict, variant: dict, plan: ElevatorPlan, out_dir: str) ->
     if variant["kind"] == "elevate":
         z, trace = elevate_sample(plan)
     elif variant["kind"] == "baseline":
-        z, trace = baseline_sample(plan, variant["model"])
+        z, trace = baseline_sample(plan)
     elif variant["kind"] == "roundtrip":
         model, sched, grid = plan.t2i_model.base, plan.t2i_schedule, plan.grid
         z0 = sample_prior(model.prior, np.random.default_rng(seed))

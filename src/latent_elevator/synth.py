@@ -39,6 +39,13 @@ def spectrum_from_kind(kind: str, height: int, width: int) -> np.ndarray:
     return spec / spec.mean()
 
 
+def _check_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a[k] == a[-k]`` on every axis, to 1e-12: the symmetry
+    under frequency negation that keeps a spectrum's field real."""
+    mirrored = a[np.ix_(*((-np.arange(n)) % n for n in a.shape))]
+    return np.allclose(a, mirrored, rtol=0, atol=1e-12)
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
     """Mean plus separable covariance of a latent-video distribution."""
@@ -66,10 +73,7 @@ class GaussianPrior:
             raise ValueError(f"invalid prior: spectrum shape {spec.shape} != {shape[2:]}")
         if np.any(spec <= 0):
             raise ValueError("invalid prior: spectrum entries must be > 0")
-        # Symmetry under frequency negation keeps the covariance real.
-        h, w = spec.shape
-        mirrored = spec[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
-        if not np.allclose(spec, mirrored, rtol=0, atol=1e-12):
+        if not _check_symmetric(spec):
             raise ValueError("invalid prior: spectrum must satisfy S[k] == S[-k]")
         if not abs(self.temporal_rho) < 1:
             raise ValueError("invalid prior: |temporal_rho| must be < 1")

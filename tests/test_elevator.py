@@ -1,12 +1,13 @@
 import importlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from latent_elevator import (
     AnalyticDenoiser,
+    CrossFrameDenoiser,
     TimestepGrid,
     baseline_sample,
     ddim_sample,
@@ -26,7 +27,7 @@ from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import project_clean, sample_by_hops
+from conftest import project_clean, recipe_denoiser, sample_by_hops
 
 SMALL = (8, 2, 8, 8)
 
@@ -34,6 +35,16 @@ SMALL = (8, 2, 8, 8)
 @pytest.fixture(scope="module")
 def small_plan():
     return make_default_plan(shape=SMALL)
+
+
+@pytest.fixture(scope="module")
+def refine_free_plan():
+    """The image baseline: the small plan with no refining steps."""
+    return make_default_plan(shape=SMALL, num_refine_steps=0)
+
+
+def seeded_noise(plan):
+    return np.random.default_rng(plan.seed).standard_normal(plan.shape)
 
 
 def sample_down(model, z, t, grid, s):
@@ -55,6 +66,17 @@ class TestPlanValidation:
         grid = TimestepGrid(steps=small_plan.grid.steps, refine_set=deep)
         with pytest.raises(ValueError, match="exceeds grid depth"):
             replace(small_plan, grid=grid)
+
+    def test_image_prior_shape(self, small_plan):
+        other = CrossFrameDenoiser(recipe_denoiser("t2i", (4, 2, 8, 8)),
+                                   small_plan.t2i_model.params, small_plan.t2i_model.mix)
+        with pytest.raises(ValueError, match=r"image prior shape \(4, 2, 8, 8\) != "
+                                             r"video prior shape \(8, 2, 8, 8\)"):
+            replace(small_plan, t2i_model=other)
+
+    def test_shape_is_the_video_priors(self, small_plan):
+        assert "shape" not in {f.name for f in fields(small_plan)}
+        assert small_plan.shape == small_plan.t2v_model.prior.shape == SMALL
 
     def test_mask_length(self, small_plan):
         with pytest.raises(ValueError, match="mask length"):
@@ -208,11 +230,14 @@ class TestElevateSpatial:
 
 
 class TestElevateSample:
-    def test_no_refine_equals_t2i_baseline_bitwise(self):
-        plan = make_default_plan(shape=SMALL, num_refine_steps=0, seed=11)
+    def test_no_refine_equals_t2i_baseline_bitwise(self, refine_free_plan):
+        """Refine-free elevation is the image baseline: the inflated image
+        model's chain of ``ddim_step`` hops from the seeded noise."""
+        plan = replace(refine_free_plan, seed=11)
         z_elev, _ = elevate_sample(plan)
-        z_base, _ = baseline_sample(plan, "t2i")
-        np.testing.assert_array_equal(z_elev, z_base)
+        z_ref = sample_by_hops(plan.t2i_model, seeded_noise(plan),
+                               [*plan.grid.steps, 0], plan.t2i_schedule)
+        np.testing.assert_array_equal(z_elev, z_ref)
 
     def test_same_seed_bitwise_reproducible(self):
         plan = make_default_plan(shape=SMALL, seed=5)
@@ -221,7 +246,7 @@ class TestElevateSample:
         np.testing.assert_array_equal(a, b)
         assert trace_a == trace_b
 
-    def test_two_axis_improvement_small(self, sched_t2i):
+    def test_two_axis_improvement_small(self, refine_free_plan):
         # reduced-seed version of the full elevation-effect criterion
         pv = make_gp_prior(*SMALL, rho=0.9, spectrum_kind="lowpass")
         pi = make_gp_prior(*SMALL, rho=0.0, spectrum_kind="broadband")
@@ -232,9 +257,9 @@ class TestElevateSample:
             z, _ = elevate_sample(plan)
             elev_sd.append(spectrum_distance(z, pi))
             elev_fc.append(frame_consistency(z))
-            zb, _ = baseline_sample(plan, "t2v")
+            zb, _ = baseline_sample(plan)
             t2v_sd.append(spectrum_distance(zb, pi))
-            zb, _ = baseline_sample(plan, "t2i")
+            zb, _ = elevate_sample(replace(refine_free_plan, seed=seed))
             t2i_fc.append(frame_consistency(zb))
         assert np.median(elev_sd) < np.median(t2v_sd)
         assert np.median(elev_fc) > np.median(t2i_fc)
@@ -302,36 +327,20 @@ class TestTinyVideoPriorVariance:
 
 
 class TestBaseline:
-    def test_equals_ddim_sample_bitwise(self, small_plan, sched_t2i):
-        z, trace = baseline_sample(replace(small_plan, seed=3), "t2i")
-        z_ref = sample_by_hops(small_plan.t2i_model,
-                               np.random.default_rng(3).standard_normal(SMALL),
-                               [*small_plan.grid.steps, 0], sched_t2i)
+    def test_equals_ddim_sample_bitwise(self, small_plan):
+        plan = replace(small_plan, seed=3)
+        z, trace = baseline_sample(plan)
+        z_ref = sample_by_hops(plan.t2v_model, seeded_noise(plan),
+                               [*plan.grid.steps, 0], plan.t2v_schedule)
         np.testing.assert_array_equal(z, z_ref)
         assert trace_violations(trace) == []
+        assert {r["phase"] for r in trace} == {"init", "baseline.step"}
 
-    def test_zero_refine_t2i_equals_elevate_but_for_phase(self):
-        plan = make_default_plan(shape=SMALL, num_refine_steps=0, seed=6)
-        z_elev, trace_elev = elevate_sample(plan)
-        z_base, trace_base = baseline_sample(plan, "t2i")
-        np.testing.assert_array_equal(z_base, z_elev)
-
-        def without_phase(trace):
-            return [{k: v for k, v in r.items() if k != "phase"} for r in trace]
-
-        assert without_phase(trace_base) == without_phase(trace_elev)
-        assert {r["phase"] for r in trace_base} == {"init", "baseline.step"}
-
-    def test_unknown_model_rejected(self, small_plan):
-        with pytest.raises(ValueError, match="unknown baseline model"):
-            baseline_sample(small_plan, "t2x")
-
-    def test_t2v_more_consistent_than_t2i(self, small_plan):
+    def test_t2v_more_consistent_than_t2i(self, small_plan, refine_free_plan):
         fc_v, fc_i = [], []
         for seed in range(5):
-            plan = replace(small_plan, seed=seed)
-            zv, _ = baseline_sample(plan, "t2v")
-            zi, _ = baseline_sample(plan, "t2i")
+            zv, _ = baseline_sample(replace(small_plan, seed=seed))
+            zi, _ = elevate_sample(replace(refine_free_plan, seed=seed))
             fc_v.append(frame_consistency(zv))
             fc_i.append(frame_consistency(zi))
         assert np.median(fc_v) > np.median(fc_i)

@@ -21,7 +21,9 @@ from latent_elevator.harness import (
     sha256_file,
 )
 from latent_elevator.schedule import make_schedule
-from latent_elevator.videoio import save_latent
+from latent_elevator.videoio import load_latent, save_latent
+
+from conftest import sample_by_hops
 
 # Small, fast configuration exercised by most harness tests.
 TINY = {
@@ -540,6 +542,23 @@ class TestRunModes:
             b = m_base["files"][f"baseline_t2i_seed{seed:04d}.elvt"]
             assert a == b
 
+    def test_t2i_baseline_is_the_image_chain(self, tmp_path):
+        """A ``baseline_t2i`` cell is refine-free elevation: its latent is
+        the inflated image model's ``ddim_step`` chain from the seeded
+        noise, stored as float32, and every step is an ``elevate.step``."""
+        manifest = run(tiny("baseline_t2i", seeds=[1], render=False), output_dir=tmp_path)
+        # the oracle reads the plan's models, schedule and grid steps, which
+        # the cell's refine-free override leaves as they are
+        plan = build_plan(resolve_config(tiny("baseline_t2i")), seed=1)
+        z = np.random.default_rng(1).standard_normal(plan.shape)
+        oracle = sample_by_hops(plan.t2i_model, z, [*plan.grid.steps, 0], plan.t2i_schedule)
+        [row] = manifest["runs"]
+        np.testing.assert_array_equal(load_latent(tmp_path / row["latent"]),
+                                      oracle.astype(np.float32))
+        trace = [json.loads(line) for line in (tmp_path / row["trace"]).read_text().splitlines()]
+        assert {r["phase"] for r in trace} == {"init", "elevate.step"}
+        assert row["trace_violations"] == []
+
     def test_roundtrip_mode_reports_error_and_check_fails(self, tmp_path):
         # stateless first-order inversion cannot reach 1e-3 at 50 steps, so
         # the roundtrip check is expected to report a failure honestly
@@ -601,6 +620,10 @@ class TestPlanReuse:
         monkeypatch.setattr(harness, "build_plan", counting)
         run(tiny(mode, seeds=seeds, render=False), output_dir=tmp_path)
         assert calls == [seeds[0]] * builds
+        # a default plan is the one resolving its config builds, reseeded
+        calls.clear()
+        assert harness.make_default_plan(seed=7, shape=TINY["shape"]).seed == 7
+        assert calls == [0]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cells_equal_plans_built_per_seed(self, jobs, tmp_path):
