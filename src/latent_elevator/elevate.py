@@ -3,9 +3,9 @@ quality elevating.
 
 Each selected step of the chain is split in two. Temporal motion refining
 hands the current latent to the video model: project to clean, low-pass
-filter along the frame axis, partially re-noise and denoise under the
-video model's schedule, project to clean again, then deterministically
-invert back up to the current timestep under the image model's schedule.
+filter along the frame axis, partially re-noise and denoise to clean under
+the video model's schedule (SDEdit), then deterministically invert back up
+to the current timestep under the image model's schedule.
 Spatial quality elevating then runs one ordinary denoising step with the
 cross-frame-inflated image model. Unselected steps run only the latter.
 
@@ -106,13 +106,6 @@ def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
                   "std": float(np.sqrt(squares.sum() / z.size)), "frame_corr": corr})
 
 
-def _sdedit_timesteps(plan: ElevatorPlan, t: int) -> list:
-    """Descending chain the video-side partial re-noising walks: the grid's
-    own steps from ``t``, read as video schedule indices (index identity)."""
-    idx = plan.grid.index_of(t)
-    return [*plan.grid.steps, 0][idx : idx + plan.n_sdedit + 1]
-
-
 def refine_temporal(
     z_t: np.ndarray,
     t: int,
@@ -123,10 +116,10 @@ def refine_temporal(
     """Refine motion at timestep ``t`` and return a latent back in the
     image model's noise distribution at the same index.
 
-    Both clean projections, the image model's at ``t`` and the video
-    model's at the SDEdit chain's end ``t_out``, are one closed-form DDIM
-    hop to 0 (``ddim_sample`` on a one-step grid, the empty grid at
-    ``t_out == 0``), so refining calls no model."""
+    Each leg is one closed-form chain on the grid's steps from ``t`` down
+    (``below``), so refining calls no model: the image model's projection
+    at ``t``, the video model's SDEdit over ``n_sdedit`` hops and then to
+    0, and the image model's inversion up the whole of ``below``."""
     if t not in plan.grid.refine_set:
         raise ValueError(f"step not refinable: {t} not in refine_set")
     s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
@@ -136,6 +129,7 @@ def refine_temporal(
     # without bound as alpha_bar -> 0.
     projector = plan.t2i_model.base
 
+    below = plan.grid.steps[plan.grid.index_of(t):]
     clean = ddim_sample(projector, z_t, TimestepGrid((t,)), s_i)
     _record(trace, t, "refine.project", "t2i", "clean", clean)
 
@@ -143,14 +137,12 @@ def refine_temporal(
     _record(trace, t, "refine.lpff", None, "clean", clean)
 
     if plan.n_sdedit > 0:
-        chain = _sdedit_timesteps(plan, t)
-        z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain, s_v, rng)
-        _record(trace, t_out, "refine.sdedit", "t2v", "noise", z_v)
-        clean = ddim_sample(plan.t2v_model, z_v, TimestepGrid((t_out,) if t_out else ()), s_v)
-        _record(trace, t_out, "refine.project_t2v", "t2v", "clean", clean)
+        clean = sdedit_chain(plan.t2v_model, clean, TimestepGrid(below[:plan.n_sdedit + 1]),
+                             s_v, rng)
+        _record(trace, t, "refine.sdedit", "t2v", "clean", clean)
 
     if plan.inversion == "ddim":
-        z_out = ddim_invert(projector, clean, plan.grid, t, s_i)
+        z_out = ddim_invert(projector, clean, TimestepGrid(below), s_i)
     elif plan.inversion == "random_noise":
         z_out = forward_diffuse(clean, t, rng.standard_normal(clean.shape), s_i)
     else:  # same_noise: one draw shared by every frame

@@ -3,8 +3,8 @@
 A run is described by one JSON config; every omitted field takes a
 documented default and the manifest records the fully resolved value, so
 any manifest can be re-run bit for bit. Cells are independent and run on
-``min(jobs, cells)`` worker processes (in-process when that is 1), each
-owning its random stream and output files.
+``min(jobs, cells, CPUs)`` worker processes (in-process when that is 1),
+each owning its random stream and output files.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -279,7 +280,7 @@ def _run_one(resolved: dict, variant: dict, plan: ElevatorPlan, out_dir: str) ->
     elif variant["kind"] == "roundtrip":
         model, sched, grid = plan.t2i_model.base, plan.t2i_schedule, plan.grid
         z0 = sample_prior(model.prior, np.random.default_rng(seed))
-        z_top = ddim_invert(model, z0, grid, grid.steps[0], sched)
+        z_top = ddim_invert(model, z0, grid, sched)
         z = ddim_sample(model, z_top, grid, sched)
         extra["roundtrip_rel_err"] = _relative_error(z, z0)
         trace = []
@@ -408,6 +409,13 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or all of them without an affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(config: dict | None = None, output_dir=None) -> dict:
     """Execute a config over all its seeds; returns the manifest dict. A
     variant's plans differ across seeds only in ``seed``, so each cell's
@@ -421,7 +429,7 @@ def run(config: dict | None = None, output_dir=None) -> dict:
     t_start = time.perf_counter()
     cells = [(variant, replace(plan, seed=seed))
              for variant, plan in variants for seed in resolved["seeds"]]
-    workers = min(resolved["jobs"], len(cells))  # a pool forks every worker up front
+    workers = min(resolved["jobs"], len(cells), _cpu_count())  # a pool forks all up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

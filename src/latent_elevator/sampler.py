@@ -3,15 +3,15 @@
 ``ddim_step`` is the one denoising step for any ``Denoiser``: it projects
 to clean with the model's noise estimate and re-noises to its target with
 that same estimate, deterministically. The chains ``ddim_sample``,
-``ddim_invert`` and ``sdedit_chain`` walk a ``TimestepGrid`` and take an
-``AnalyticDenoiser``: under it every step and inversion hop is affine and
-diagonal in the prior's eigenbasis, so each chain composes into one gain
-and offset per eigenmode and calls no model. The paper's method works with
-any denoiser; the chains rely on this repo's video model and uninflated
-image posterior being analytic, while the inflated image model and the
-baselines step with ``ddim_step``. Randomness enters only through the
-``numpy.random.Generator`` that ``sdedit_chain`` draws its forward noise
-from.
+``ddim_invert`` and ``sdedit_chain`` each walk one whole ``TimestepGrid``
+and take an ``AnalyticDenoiser``: under it every step and inversion hop
+is affine and diagonal in the prior's eigenbasis, so each chain composes
+into one gain and offset per eigenmode and calls no model. The paper's
+method works with any denoiser; the chains rely on this repo's video
+model and uninflated image posterior being analytic, while the inflated
+image model and the baselines step with ``ddim_step``. Randomness enters
+only through the ``numpy.random.Generator`` that ``sdedit_chain`` draws
+its forward noise from.
 """
 from __future__ import annotations
 
@@ -78,33 +78,32 @@ def ddim_sample(
     """Run the full chain from ``grid.steps[0]`` down to a clean latent, in
     closed form; on a one-step grid that is the clean projection, and an
     empty grid returns ``z_init`` itself."""
-    return _chain(model, z_init, list(grid.hops()), s, invert=False)
+    return _chain(model, z_init, grid, s, invert=False)
 
 
 def ddim_invert(
     model: AnalyticDenoiser,
     z0: np.ndarray,
     grid: TimestepGrid,
-    target_t: int,
     s: NoiseSchedule,
 ) -> np.ndarray:
-    """Invert a clean latent up the grid to ``target_t`` in closed form,
-    calling no model. The hops ascend the grid from 0; each projects to
-    clean and re-noises with one noise estimate, the model's at the hop's
-    target on its current latent."""
-    ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
-    return _chain(model, z0, list(zip(ascending[:-1], ascending[1:])), s, invert=True)
+    """Invert a clean latent up the whole grid to ``grid.steps[0]`` in
+    closed form, calling no model: ``ddim_sample``'s hops walked upward
+    from 0, each projecting to clean and re-noising with one noise
+    estimate, the model's at the hop's target on its current latent."""
+    return _chain(model, z0, grid, s, invert=True)
 
 
 def _chain(
     model: AnalyticDenoiser,
     z: np.ndarray,
-    hops: list,
+    grid: TimestepGrid,
     s: NoiseSchedule,
     invert: bool,
 ) -> np.ndarray:
-    """Inversion (``invert``) or denoising hops ``(a, b)`` from ``a`` to
-    ``b`` in turn, composed into one map per eigenmode; no model call.
+    """The grid's hops ``(a, b)`` from ``a`` to ``b`` composed into one map
+    per eigenmode, no model call: ``grid.hops()`` down to 0, or (``invert``)
+    the same hops reversed, each with its ends swapped, up from 0.
 
     With ``r = sqrt(ab)``, ``q = sqrt(1 - ab)`` and ``g = eps_gain(ab_e)`` at
     the noisier end ``e = max(a, b)``, a hop re-noises with ``eps = g * (z -
@@ -124,13 +123,14 @@ def _chain(
     hop has ``k > 0`` and keeps the first form. The offset is composed
     only for a prior with a nonzero mean.
     """
-    if not hops:
+    if not grid.steps:
         return z
     model._check_shape(z)
+    _check_order(grid.steps[0], 0, s)  # a grid's steps descend, so this bounds every hop
+    hops = [(b, a) for a, b in reversed(list(grid.hops()))] if invert else grid.hops()
     gain, offset = 1.0, 0.0
     for a, b in hops:
-        e, lo = (b, a) if invert else (a, b)
-        _check_order(e, lo, s)
+        e = max(a, b)
         z_gain, k = _hop(s, a, b)
         g = model.eps_gain(s.alpha_bar[e])
         if invert:
@@ -153,15 +153,12 @@ def _chain(
 def sdedit_chain(
     model: AnalyticDenoiser,
     z_clean: np.ndarray,
-    chain: list,
+    grid: TimestepGrid,
     s: NoiseSchedule,
     rng: np.random.Generator,
-) -> tuple:
-    """Forward-diffuse to ``chain[0]`` with fresh noise, then step down the
-    remaining chain (last entry may be 0) in closed form. Returns
-    ``(latent, t_out)``."""
-    if not chain:
-        return z_clean, 0
+) -> np.ndarray:
+    """SDEdit: forward-diffuse to ``grid.steps[0]`` with one fresh draw of
+    noise, then denoise down the whole grid to a clean latent in closed
+    form."""
     eps = rng.standard_normal(z_clean.shape)
-    z = forward_diffuse(z_clean, chain[0], eps, s)
-    return _chain(model, z, list(zip(chain[:-1], chain[1:])), s, invert=False), chain[-1]
+    return ddim_sample(model, forward_diffuse(z_clean, grid.steps[0], eps, s), grid, s)

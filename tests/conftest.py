@@ -64,11 +64,12 @@ def invert_hop(model, z, t_from, t_to, s):
     return forward_diffuse(z0, t_to, eps, s)
 
 
-def invert_by_hops(model, z0, grid, target_t, s):
+def invert_by_hops(model, z0, grid, s):
     """DDIM inversion as the explicit chain of ``invert_hop`` hops up the
-    grid from 0 to ``target_t``: the oracle for the program's closed form,
-    which evaluates no model and shares no hop arithmetic with it."""
-    ascending = [0, *reversed(grid.steps[grid.index_of(target_t):])]
+    whole grid from 0 to ``grid.steps[0]``: the oracle for the program's
+    closed form, which evaluates no model and shares no hop arithmetic
+    with it."""
+    ascending = [0, *reversed(grid.steps)]
     z = z0
     for a, b in zip(ascending[:-1], ascending[1:]):
         z = invert_hop(model, z, a, b, s)
@@ -78,7 +79,7 @@ def invert_by_hops(model, z0, grid, target_t, s):
 def sample_by_hops(model, z, chain, s):
     """DDIM denoising as the explicit chain of ``ddim_step`` hops down the
     descending timesteps ``chain``: the oracle for the program's closed form
-    of ``ddim_sample`` and of ``sdedit_chain``'s steps."""
+    of ``ddim_sample`` and of ``sdedit_chain``'s denoising."""
     for t, t_prev in zip(chain[:-1], chain[1:]):
         z = ddim_step(model, z, t, t_prev, s)
     return z

@@ -206,7 +206,7 @@ def test_criterion_2_inversion_reconstruction(sched_t2i):
     errs, floors, mismatches = [], [], []
     for seed in SEEDS:
         z0 = sample_prior(prior, np.random.default_rng(seed))
-        top = ddim_invert(den, z0, grid, grid.steps[0], sched_t2i)
+        top = ddim_invert(den, z0, grid, sched_t2i)
         back = ddim_sample(den, top, grid, sched_t2i)
         expected = (z0.reshape(-1, 64) @ oracle_map.T).reshape(z0.shape)
         norm = np.linalg.norm(z0)

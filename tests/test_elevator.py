@@ -21,13 +21,14 @@ from latent_elevator import (
     refine_temporal,
     trace_violations,
 )
-from latent_elevator.elevate import _record, _sdedit_timesteps
+from latent_elevator.elevate import _record
+from latent_elevator.freqfilter import lpff
 from latent_elevator.harness import build_plan, resolve_config
 from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import project_clean, recipe_denoiser, sample_by_hops
+from conftest import invert_by_hops, project_clean, recipe_denoiser, sample_by_hops
 
 SMALL = (8, 2, 8, 8)
 
@@ -129,14 +130,10 @@ class TestRefineTemporal:
             clean = project_clean(
                 z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
             )
-            from latent_elevator.freqfilter import lpff
             clean = lpff(clean, plan.filter_mask)
-            idx = plan.grid.index_of(t)
-            chain = list(plan.grid.steps[idx: idx + plan.n_sdedit + 1])
-            z_v, t_out = sdedit_chain(plan.t2v_model, clean, chain,
-                                      plan.t2v_schedule, rng2)
-            eps_v = plan.t2v_model.predict_eps(z_v, t_out, plan.t2v_schedule)
-            clean2 = project_clean(z_v, eps_v, t_out, plan.t2v_schedule)
+            below = plan.grid.steps[plan.grid.index_of(t):]
+            clean2 = sdedit_chain(plan.t2v_model, clean, TimestepGrid(below[:plan.n_sdedit + 1]),
+                                  plan.t2v_schedule, rng2)
 
             z_back = sample_down(exact, z_tilde, t, plan.grid, sched_t2i)
             err = np.linalg.norm(z_back - clean2) / np.linalg.norm(clean2)
@@ -149,14 +146,48 @@ class TestRefineTemporal:
         knobs = {"num_steps": 8, "num_refine_steps": 1}
         plan = make_default_plan(shape=shape, n_sdedit=8, **knobs)
         (t,) = plan.grid.refine_set
-        assert _sdedit_timesteps(plan, t) == [*plan.grid.steps, 0]
+        assert plan.grid.steps.index(t) + plan.n_sdedit == len(plan.grid.steps)
         z, trace = elevate_sample(plan)
-        for phase in ("refine.sdedit", "refine.project_t2v"):
-            assert [r["timestep"] for r in trace if r["phase"] == phase] == [0]
+        assert [(r["timestep"], r["space"]) for r in trace
+                if r["phase"] == "refine.sdedit"] == [(t, "clean")]
         assert trace_violations(trace) == []
         assert np.all(np.isfinite(z))
         with pytest.raises(ValueError, match="exceeds grid depth"):
             make_default_plan(shape=shape, n_sdedit=9, **knobs)
+
+    @pytest.mark.parametrize("shape, knobs", [
+        (SMALL, {}),
+        ((4, 4, 8, 8), {"num_steps": 8, "num_refine_steps": 1, "n_sdedit": 8}),
+        ((3, 2, 5, 7), {"num_steps": 12, "num_refine_steps": 3, "n_sdedit": 2}),
+    ])
+    def test_exact_replay(self, shape, knobs):
+        """A refining step is exactly its recipe replayed by hand from the
+        step-by-step oracles: the image model's clean projection, the
+        filter, one forward draw from a generator of the same seed and the
+        video model's ``ddim_step`` chain over ``n_sdedit`` grid hops and
+        then to 0, and the image model's hop-by-hop inversion up the grid
+        from 0 to ``t``. Its trace is the four phases, all at ``t``."""
+        plan = make_default_plan(shape=shape, **knobs)
+        s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
+        base = plan.t2i_model.base
+        worst = 0.0
+        for t in plan.grid.refine_set:
+            below = plan.grid.steps[plan.grid.index_of(t):]
+            for seed in range(3):
+                z_t = np.random.default_rng(seed + 20).standard_normal(shape)
+                trace = []
+                got = refine_temporal(z_t, t, plan, np.random.default_rng(seed), trace)
+                clean = lpff(project_clean(z_t, base.predict_eps(z_t, t, s_i), t, s_i),
+                             plan.filter_mask)
+                eps = np.random.default_rng(seed).standard_normal(shape)
+                clean = sample_by_hops(plan.t2v_model, forward_diffuse(clean, t, eps, s_v),
+                                       [*below[:plan.n_sdedit + 1], 0], s_v)
+                expected = invert_by_hops(base, clean, TimestepGrid(steps=below), s_i)
+                worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
+                assert [(r["phase"], r["timestep"]) for r in trace] == [
+                    ("refine.project", t), ("refine.lpff", t), ("refine.sdedit", t),
+                    ("refine.invert.ddim", t)]
+        assert worst < 1e-12, worst
 
     def test_refine_raises_temporal_correlation(self, sched_t2i):
         plan = make_default_plan(shape=SMALL)
@@ -269,9 +300,9 @@ class TestElevateSample:
         _, trace = elevate_sample(plan)
         assert trace_violations(trace) == []
         phases = {r["phase"] for r in trace}
-        assert {"init", "refine.project", "refine.lpff", "refine.sdedit",
-                "refine.project_t2v", "refine.invert.ddim",
-                "elevate.step"} <= phases
+        assert phases == {"init", "refine.project", "refine.lpff", "refine.sdedit",
+                          "refine.invert.ddim", "elevate.step"}
+        assert len(trace) == 1 + len(plan.grid.steps) + 4 * len(plan.grid.refine_set)
         # one elevate record per grid step plus refine sub-phases
         assert sum(p == "elevate.step" for p in (r["phase"] for r in trace)) == len(
             plan.grid.steps
@@ -280,14 +311,12 @@ class TestElevateSample:
             assert set(r) == {"timestep", "phase", "model", "schedule", "space",
                               "mean", "std", "frame_corr"}
             assert np.isfinite(r["mean"]) and np.isfinite(r["std"])
-        # one recipe per refining step: filter, then an SDEdit chain
-        # n_sdedit grid steps deep on the video schedule
+        # one recipe per refining step: filter, then an SDEdit chain that
+        # ends in the video model's clean latent at the refining step
         refined = sorted(plan.grid.refine_set, reverse=True)
-        chain, steps = [*plan.grid.steps, 0], plan.grid.steps
         assert [r["timestep"] for r in trace if r["phase"] == "refine.lpff"] == refined
-        assert [r["timestep"] for r in trace if r["phase"] == "refine.sdedit"] == [
-            chain[steps.index(t) + plan.n_sdedit] for t in refined
-        ]
+        assert [(r["timestep"], r["space"]) for r in trace
+                if r["phase"] == "refine.sdedit"] == [(t, "clean") for t in refined]
 
     def test_trace_violation_detection(self):
         bad = [

@@ -504,7 +504,10 @@ class TestRunModes:
         parallel = run(tiny("elevate", jobs=2), output_dir=tmp_path / "p")
         assert serial["files"] == parallel["files"]
 
-    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+    @staticmethod
+    def pools_built(tmp_path, monkeypatch, cpus) -> list:
+        """The worker count of each pool that ``jobs: 8`` runs of one and of
+        three cells build on ``cpus`` CPUs."""
         built = []
 
         class InlinePool:
@@ -525,12 +528,23 @@ class TestRunModes:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
         run(tiny("baseline_t2v", seeds=[0], jobs=8), output_dir=tmp_path / "one")
-        assert built == []
         manifest = run(tiny("baseline_t2v", seeds=[0, 1, 2], jobs=8),
                        output_dir=tmp_path / "three")
-        assert built == [3]
         assert [r["seed"] for r in manifest["runs"]] == [0, 1, 2]
+        assert manifest["resolved_config"]["jobs"] == 8  # as asked, not as run
+        return built
+
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        assert self.pools_built(tmp_path, monkeypatch, cpus=4) == [3]
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, [])])
+    def test_pool_has_at_most_one_worker_per_cpu(self, tmp_path, monkeypatch, cpus, pools):
+        """A pool forks every worker at its first submit, so ``jobs`` far
+        above the CPU count must not start that many; one worker runs the
+        cells in-process."""
+        assert self.pools_built(tmp_path, monkeypatch, cpus) == pools
 
     def test_no_refine_elevate_matches_t2i_baseline_checksums(self, tmp_path):
         cfg = tiny("elevate")

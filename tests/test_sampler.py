@@ -111,19 +111,13 @@ class TestInversion:
         np.testing.assert_allclose(down, w_coef * m_coef * z, rtol=1e-12)
         assert np.linalg.norm(down - z) / np.linalg.norm(z) < 1e-4
 
-    def test_invert_target_not_on_grid(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
-        grid = select_timesteps(sched_t2i, 10)
-        with pytest.raises(ValueError, match="not on the grid"):
-            ddim_invert(den, rng.standard_normal(SHAPE), grid, 123, sched_t2i)
-
     def test_invert_smallest_step_single_hop(self, sched_t2i, rng):
         grid = select_timesteps(sched_t2i, 10)
         z0 = rng.standard_normal(SHAPE)
         t_min = grid.steps[-1]
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         np.testing.assert_allclose(
-            ddim_invert(den, z0, grid, t_min, sched_t2i),
+            ddim_invert(den, z0, TimestepGrid(steps=(t_min,)), sched_t2i),
             invert_hop(den, z0, 0, t_min, sched_t2i),
             rtol=1e-12,
         )
@@ -134,7 +128,7 @@ class TestInversion:
         den = AnalyticDenoiser(prior)
         grid = select_timesteps(sched_t2i, 400)
         z0 = rng.standard_normal(SHAPE)
-        top = ddim_invert(den, z0, grid, grid.steps[0], sched_t2i)
+        top = ddim_invert(den, z0, grid, sched_t2i)
         back = ddim_sample(den, top, grid, sched_t2i)
         assert np.linalg.norm(back - z0) / np.linalg.norm(z0) < 1e-4
 
@@ -148,7 +142,7 @@ class TestInversion:
         for k in (50, 100, 200):
             grid = select_timesteps(sched_t2i, k)
             z0 = sample_prior(prior, np.random.default_rng(12))
-            top = ddim_invert(den, z0, grid, grid.steps[0], sched_t2i)
+            top = ddim_invert(den, z0, grid, sched_t2i)
             back = ddim_sample(den, top, grid, sched_t2i)
             errs[k] = np.linalg.norm(back - z0) / np.linalg.norm(z0)
         assert errs[200] < errs[100] < errs[50] < 0.03
@@ -175,43 +169,48 @@ CLOSED_FORM_PRIORS = {
 class TestClosedFormInversion:
     """For an analytic model ``ddim_invert`` evaluates no model: it applies
     the composed hop gains per eigenmode. It must match the hop-by-hop
-    chain at every grid target."""
+    chain at every grid target ``t``, inverting up the sub-grid of the
+    grid's steps from ``t`` down."""
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
     def test_matches_hop_chain_at_every_target(self, name, sched_t2i):
         prior = CLOSED_FORM_PRIORS[name]()
         den = AnalyticDenoiser(prior)
-        grid = select_timesteps(sched_t2i, 50)
+        steps = select_timesteps(sched_t2i, 50).steps
         z0 = sample_prior(prior, np.random.default_rng(1))
         worst = 0.0
-        for t in grid.steps:
-            expected = invert_by_hops(den, z0, grid, t, sched_t2i)
-            got = ddim_invert(den, z0, grid, t, sched_t2i)
+        for i in range(len(steps)):
+            grid = TimestepGrid(steps=steps[i:])
+            expected = invert_by_hops(den, z0, grid, sched_t2i)
+            got = ddim_invert(den, z0, grid, sched_t2i)
             worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
         assert worst < 1e-12, (name, worst)
 
-    def test_errors_match_hop_chain(self, sched_t2i, rng):
+    def test_errors_match_hop_chain(self, sched_t2i):
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 10)
-        with pytest.raises(ValueError, match="not on the grid"):
-            ddim_invert(den, rng.standard_normal(SHAPE), grid, 123, sched_t2i)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            ddim_invert(den, np.zeros((2, 1, 4, 5)), grid, grid.steps[0], sched_t2i)
         short = custom_schedule([1.0, 0.8, 0.5])
-        with pytest.raises(ValueError, match="timestep out of range"):
-            ddim_invert(den, np.zeros(SHAPE), TimestepGrid(steps=(3, 1)), 3, short)
         floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
-        with pytest.raises(ValueError, match="degenerate alpha_bar at t=2"):
-            ddim_invert(den, np.zeros(SHAPE), TimestepGrid(steps=(3, 2)), 3, floor)
+        cases = [  # one fault each
+            (np.zeros((2, 1, 4, 5)), grid, sched_t2i, "shape mismatch"),
+            (np.zeros(SHAPE), TimestepGrid(steps=(3, 1)), short, "timestep out of range"),
+            (np.zeros(SHAPE), TimestepGrid(steps=(3, 2)), floor,
+             "degenerate alpha_bar at t=2"),
+        ]
+        for z0, g, sched, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ddim_invert(den, z0, g, sched)
+            with pytest.raises(ValueError, match=message):
+                invert_by_hops(den, z0, g, sched)
 
 
 def _rel_err(got, expected):
     return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
 
-def _sdedit_draw(z_clean, chain, s, rng):
-    """``sdedit_chain``'s start: its one draw, diffused to ``chain[0]``."""
-    return forward_diffuse(z_clean, chain[0], rng.standard_normal(z_clean.shape), s)
+def _sdedit_draw(z_clean, grid, s, rng):
+    """``sdedit_chain``'s start: its one draw, diffused to ``grid.steps[0]``."""
+    return forward_diffuse(z_clean, grid.steps[0], rng.standard_normal(z_clean.shape), s)
 
 
 def _raised(call) -> str:
@@ -221,7 +220,7 @@ def _raised(call) -> str:
 
 
 class TestClosedFormChains:
-    """For an analytic model ``ddim_sample`` and the denoising steps of
+    """For an analytic model ``ddim_sample`` and the denoising of
     ``sdedit_chain`` evaluate no model: they apply the composed step gains
     per eigenmode. They must match the ``ddim_step`` loop.
 
@@ -260,17 +259,18 @@ class TestClosedFormChains:
     def test_sdedit_chain_matches_step_loop(self, name, sched_t2i):
         prior = CLOSED_FORM_PRIORS[name]()
         den = AnalyticDenoiser(prior)
-        chain_to_0 = [*select_timesteps(sched_t2i, 50).steps, 0]
+        steps = select_timesteps(sched_t2i, 50).steps
         z_clean = sample_prior(prior, np.random.default_rng(1))
         worst = 0.0
-        # chains ending above 0 (the recipe's 9 steps down from the top, and
-        # one hop) and at 0 (the whole grid, and its last hop)
-        for chain in (chain_to_0[:10], chain_to_0[20:22], chain_to_0, chain_to_0[-2:]):
+        # the recipe's 9 hops down from the top, one hop mid-grid, the whole
+        # grid and its last step, each then projected to 0
+        for grid_steps in (steps[:10], steps[20:22], steps, steps[-1:]):
+            grid = TimestepGrid(steps=grid_steps)
+            chain = [*grid.steps, 0]
             rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
-            got, t_out = sdedit_chain(den, z_clean, chain, sched_t2i, rng)
-            z = _sdedit_draw(z_clean, chain, sched_t2i, oracle_rng)
+            got = sdedit_chain(den, z_clean, grid, sched_t2i, rng)
+            z = _sdedit_draw(z_clean, grid, sched_t2i, oracle_rng)
             expected = sample_by_hops(den, z, chain, sched_t2i)
-            assert t_out == chain[-1]
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             worst = max(worst, self.check(name, chain, got, expected, z))
         assert worst < 1e-12, (name, worst)
@@ -333,24 +333,18 @@ class TestClosedFormChains:
         z = rng.standard_normal(SHAPE)
         short = custom_schedule([1.0, 0.8, 0.5])
         floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
-        cases = [  # (ddim_sample args, sdedit_chain args), one fault each
-            ((z, TimestepGrid(steps=(3, 1)), short), (z, [3, 1], short)),
-            ((z, TimestepGrid(steps=(3, 2)), floor), (z, [3, 2], floor)),
-            ((np.zeros((2, 1, 4, 5)), grid, sched_t2i),
-             (np.zeros((2, 1, 4, 5)), [*grid.steps, 0], sched_t2i)),
-            (None, (z, [grid.steps[4], grid.steps[2]], sched_t2i)),
+        cases = [  # (latent, grid, schedule), one fault each
+            (z, TimestepGrid(steps=(3, 1)), short),
+            (z, TimestepGrid(steps=(3, 2)), floor),
+            (np.zeros((2, 1, 4, 5)), grid, sched_t2i),
         ]
-        for sample_args, sdedit_args in cases:
-            if sample_args is not None:
-                z_in, g, sched = sample_args
-                assert _raised(lambda: ddim_sample(den, z_in, g, sched)) == _raised(
-                    lambda: sample_by_hops(den, z_in, [*g.steps, 0], sched))
-            z_in, chain, sched = sdedit_args
-            got = _raised(lambda: sdedit_chain(den, z_in, chain, sched,
-                                               np.random.default_rng(0)))
+        for z_in, g, sched in cases:
+            chain = [*g.steps, 0]
+            assert _raised(lambda: ddim_sample(den, z_in, g, sched)) == _raised(
+                lambda: sample_by_hops(den, z_in, chain, sched))
+            got = _raised(lambda: sdedit_chain(den, z_in, g, sched, np.random.default_rng(0)))
             expected = _raised(lambda: sample_by_hops(
-                den, _sdedit_draw(z_in, chain, sched, np.random.default_rng(0)),
-                chain, sched))
+                den, _sdedit_draw(z_in, g, sched, np.random.default_rng(0)), chain, sched))
             assert got == expected
 
 
@@ -536,12 +530,16 @@ class TestSamplingLoops:
 
 class TestSdedit:
     def test_full_depth_reaches_zero(self, sched_t2i, rng):
+        """Over the whole grid the edit denoises its draw all the way to
+        timestep 0."""
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
         grid = select_timesteps(sched_t2i, 10)
-        z, t_out = sdedit_chain(den, rng.standard_normal(SHAPE), [*grid.steps, 0],
-                                sched_t2i, rng)
-        assert t_out == 0
+        z_clean = rng.standard_normal(SHAPE)
+        z = sdedit_chain(den, z_clean, grid, sched_t2i, np.random.default_rng(5))
         assert np.all(np.isfinite(z))
+        z_top = _sdedit_draw(z_clean, grid, sched_t2i, np.random.default_rng(5))
+        expected = sample_by_hops(den, z_top, [*grid.steps, 0], sched_t2i)
+        assert _rel_err(z, expected) < 1e-12
 
     def test_degenerate_prior_contracts_toward_mean(self, sched_t2i):
         """A vanishing-variance prior pulls the edited latent toward its
@@ -550,14 +548,12 @@ class TestSdedit:
         prior = make_gp_prior(*SHAPE, variance_scale=1e-6, mean=mean)
         den = AnalyticDenoiser(prior)
         grid = select_timesteps(sched_t2i, 10)
-        chain = list(grid.steps[4:8])  # three hops down the grid
+        below = TimestepGrid(steps=grid.steps[4:8])  # three hops, then to 0
         wins = 0
         for seed in range(50):
             rng = np.random.default_rng(seed + 100)
             z_in = mean + rng.standard_normal(SHAPE)
-            out, t_out = sdedit_chain(den, z_in, chain, sched_t2i, rng)
-            eps_hat = den.predict_eps(out, t_out, sched_t2i)
-            clean = project_clean(out, eps_hat, t_out, sched_t2i)
+            clean = sdedit_chain(den, z_in, below, sched_t2i, rng)
             if np.linalg.norm(clean - mean) < np.linalg.norm(z_in - mean):
                 wins += 1
         assert wins >= 45
@@ -568,5 +564,8 @@ class TestSdedit:
         z = rng.standard_normal(SHAPE)
         with pytest.raises(ValueError, match="not on the grid"):
             grid.index_of(123)  # where a chain down the grid from 123 would start
-        with pytest.raises(ValueError, match="order violation"):
-            sdedit_chain(den, z, [grid.steps[4], grid.steps[2]], sched_t2i, rng)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            TimestepGrid(steps=(grid.steps[4], grid.steps[2]))  # no chain walks up
+        with pytest.raises(ValueError, match="timestep out of range"):
+            sdedit_chain(den, z, TimestepGrid(steps=(sched_t2i.total_steps + 1,)),
+                         sched_t2i, rng)
