@@ -16,6 +16,7 @@ hand-off discipline is mechanically checkable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .attention import CrossFrameDenoiser
 from .denoiser import AnalyticDenoiser
 from .freqfilter import LowPassMask, lpff
-from .metrics import _frame_consistency
+from .metrics import _exponent, _frame_consistency
 from .sampler import ddim_invert, ddim_sample, ddim_step, sdedit_chain
 from .schedule import ALPHA_BAR_FLOOR, NoiseSchedule, TimestepGrid, forward_diffuse
 from .workspace import _scratch
@@ -86,24 +87,38 @@ class ElevatorPlan:
 
 
 def _record(trace: list, t, phase, model, space, z, schedule=None) -> None:
-    """Append one trace record; ``schedule`` defaults to the model's own,
-    and ``frame_corr`` is NaN where frame consistency is undefined (fewer
-    than two frames, or a zero frame). It is the raw kernel on ``z``'s own
-    scale, without the metrics' power-of-two rescaling, so it also reads
-    NaN where a frame's sum of squares underflows to 0. ``std`` is
-    ``np.std``'s two passes, the squared deviations from the mean summed,
-    with the deviations in the calling thread's workspace rather than a
-    fresh latent."""
+    """Append one trace record; ``schedule`` defaults to the model's own.
+    ``frame_corr`` is NaN where frame consistency is undefined (fewer than
+    two frames, or a zero frame). The statistics are taken on ``z``'s own
+    scale; where a sum of squares under- or overflows there (``std`` not in
+    (0, inf), or ``frame_corr`` NaN), they are taken again on ``z`` times
+    the metrics' power of two, which is exact, and ``mean`` and ``std``
+    are scaled back."""
+    mean, std, corr = _statistics(z)
+    if not 0 < std < math.inf or math.isnan(corr):
+        e = _exponent(z)
+        mean, std, corr = _statistics(np.ldexp(z, -e))
+        mean, std = float(np.ldexp(mean, e)), float(np.ldexp(std, e))
+    trace.append({"timestep": int(t), "phase": phase, "model": model,
+                  "schedule": schedule or model, "space": space, "mean": mean,
+                  "std": std, "frame_corr": corr})
+
+
+def _statistics(z: np.ndarray) -> tuple:
+    """``z``'s mean, std and frame consistency (NaN where undefined).
+    ``std`` is ``np.std``'s two passes, the squared deviations from the
+    mean summed, with the deviations in the calling thread's workspace
+    rather than a fresh latent."""
     try:
         corr = _frame_consistency(z)
     except ValueError:
         corr = float("nan")
     mean = z.mean()
     squares = np.subtract(z, mean, out=_scratch("latent", z.shape, np.float64))
-    np.multiply(squares, squares, out=squares)
-    trace.append({"timestep": int(t), "phase": phase, "model": model,
-                  "schedule": schedule or model, "space": space, "mean": float(mean),
-                  "std": float(np.sqrt(squares.sum() / z.size)), "frame_corr": corr})
+    with np.errstate(over="ignore"):  # an infinite std is taken again, rescaled
+        np.multiply(squares, squares, out=squares)
+        total = squares.sum()
+    return float(mean), float(np.sqrt(total / z.size)), corr
 
 
 def refine_temporal(

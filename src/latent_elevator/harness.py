@@ -32,7 +32,7 @@ from .elevate import (
     trace_violations,
 )
 from .freqfilter import SPATIAL, TEMPORAL, check_axes, gaussian_mask
-from .metrics import MetricReport, _relative_error, check_thresholds, compute_report
+from .metrics import MetricReport, _relative_error, compute_report
 from .sampler import ddim_invert, ddim_sample
 from .schedule import SCHEDULE_PARAMS, make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
@@ -48,6 +48,11 @@ MODES = (
     "roundtrip",
 )
 
+# What no run varies: the beta range of the linear schedule kinds, and the
+# seed of the random weights that stand in for trained attention.
+BETAS = {"beta_start": 1e-4, "beta_end": 2e-2}
+ATTENTION_SEED = 1234
+
 DEFAULT_CONFIG = {
     "mode": "elevate",
     "seeds": [0],
@@ -57,16 +62,8 @@ DEFAULT_CONFIG = {
     "check": False,
     "shape": [16, 4, 16, 16],
     "schedules": {
-        "t2i": {
-            "kind": "linear_beta",
-            "total_steps": 1000,
-            "params": {"beta_start": 1e-4, "beta_end": 2e-2},
-        },
-        "t2v": {
-            "kind": "scaled_linear_beta",
-            "total_steps": 1000,
-            "params": {"beta_start": 1e-4, "beta_end": 2e-2},
-        },
+        "t2i": {"kind": "linear_beta", "total_steps": 1000},
+        "t2v": {"kind": "scaled_linear_beta", "total_steps": 1000},
     },
     "priors": {
         "t2v": {"rho": 0.9, "spectrum_kind": "lowpass", "variance_scale": 1.0},
@@ -78,10 +75,8 @@ DEFAULT_CONFIG = {
         "n_sdedit": 9,
         "filter": {"d0": 0.25, "axes": ["temporal"]},
         "crossframe_mix": 0.3,
-        "attention_seed": 1234,
         "inversion": "ddim",
     },
-    "metrics": {"flicker_cutoff": 0.15, "detail_band": 0.10},
     "ablate_steps": {"step_counts": [50, 100]},
 }
 
@@ -126,9 +121,7 @@ def _leaf(default, value, where: str):
 def resolve_config(config: dict | None = None) -> dict:
     """Materialize every default; reject, before any compute, unknown keys
     and any value a run would fail on. Every variant's plan is built once,
-    for the first seed, so a plan error surfaces here rather than mid-run.
-    A schedule keeps the default params its kind reads and those the
-    config sets, which ``make_schedule`` rejects if its kind does not."""
+    for the first seed, so a plan error surfaces here rather than mid-run."""
     return _resolve(config)[0]
 
 
@@ -140,10 +133,6 @@ def _resolve(config: dict | None) -> tuple:
     if not isinstance(config, dict):
         raise ValueError(f"invalid config: the config must be a mapping, got {config!r}")
     resolved = _deep_merge(DEFAULT_CONFIG, config)
-    for name, sched in resolved["schedules"].items():
-        given = config.get("schedules", {}).get(name, {}).get("params", {})
-        reads = SCHEDULE_PARAMS.get(sched["kind"], ())
-        sched["params"] = {k: v for k, v in sched["params"].items() if k in reads or k in given}
     if resolved["mode"] not in MODES:
         raise ValueError(f"invalid config: unknown mode {resolved['mode']!r}")
     seeds = resolved["seeds"]
@@ -172,10 +161,6 @@ def _resolve(config: dict | None) -> tuple:
             raise ValueError(f"invalid config: priors.{name}.variance_scale must be finite "
                              f"and >= {np.finfo(float).tiny} (the smallest normal float64), "
                              f"got {prior['variance_scale']}")
-    try:
-        check_thresholds(shape, **resolved["metrics"])
-    except ValueError as err:
-        raise ValueError(f"invalid config: metrics.{err}") from err
     counts = resolved["ablate_steps"]["step_counts"]
     if resolved["mode"] == "ablate_steps" and (len(counts) < 2 or len(set(counts)) < len(counts)):
         raise ValueError(
@@ -192,7 +177,9 @@ def _resolve(config: dict | None) -> tuple:
 
 
 def _build_schedule(cfg: dict):
-    return make_schedule(cfg["kind"], cfg["total_steps"], **cfg["params"])
+    """The configured schedule, with the fixed betas its kind reads, if any."""
+    reads = SCHEDULE_PARAMS.get(cfg["kind"], ())
+    return make_schedule(cfg["kind"], cfg["total_steps"], **{k: BETAS[k] for k in reads})
 
 
 def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
@@ -204,7 +191,7 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     pv, pi = resolved["priors"]["t2v"], resolved["priors"]["t2i"]
     t2v_prior = make_gp_prior(f, c, h, w, pv["rho"], pv["spectrum_kind"], pv["variance_scale"])
     t2i_prior = make_gp_prior(f, c, h, w, pi["rho"], pi["spectrum_kind"], pi["variance_scale"])
-    params = make_attention_params(c, seed=plan_cfg["attention_seed"])
+    params = make_attention_params(c, seed=ATTENTION_SEED)
     t2i_schedule = _build_schedule(resolved["schedules"]["t2i"])
     grid = select_refine_steps(select_timesteps(t2i_schedule, plan_cfg["num_steps"]),
                                plan_cfg["num_refine_steps"])
@@ -292,13 +279,7 @@ def _run_one(resolved: dict, variant: dict, plan: ElevatorPlan, out_dir: str) ->
     save_latent(z, out / f"{stem}.elvt")
     write_atomic(out / f"{stem}.trace.jsonl",
                  "".join(json.dumps(record) + "\n" for record in trace).encode())
-    report = compute_report(
-        z,
-        plan.t2v_model.prior,
-        plan.t2i_model.base.prior,
-        cutoff=resolved["metrics"]["flicker_cutoff"],
-        band=resolved["metrics"]["detail_band"],
-    )
+    report = compute_report(z, plan.t2v_model.prior, plan.t2i_model.base.prior)
     renders, render_norm = [], None
     if resolved["render"]:
         vmin, vmax = float(z.min()), float(z.max())

@@ -16,6 +16,14 @@ import numpy as np
 
 from .synth import GaussianPrior, spatial_frequency_grid
 
+# The one threshold of each banded metric, so every run's metrics compare:
+# the temporal frequency magnitude (cycles per frame) above which energy
+# counts as flicker, and the spatial one (cycles per pixel) above which it
+# counts as detail. Each leaves DC below it and some bin above it at every
+# accepted shape (F >= 2, H, W >= 2).
+FLICKER_CUTOFF = 0.15
+DETAIL_BAND = 0.10
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -45,8 +53,12 @@ def _unit_scale(v: np.ndarray, by: np.ndarray | None = None) -> np.ndarray:
     exact, so a scale-free metric reads the same on the result bit for bit,
     while no sum of squares at a tiny or huge scale underflows or
     overflows. An all-zero ``v`` stays all-zero, and its metrics raise."""
-    _, e = np.frexp(np.max(np.abs(v if by is None else by)))
-    return np.ldexp(v, -e)
+    return np.ldexp(v, -_exponent(v if by is None else by))
+
+
+def _exponent(v: np.ndarray) -> int:
+    """The ``e`` of the power of two ``2**e`` just above ``max|v|``."""
+    return int(np.frexp(np.max(np.abs(v)))[1])
 
 
 def _relative_error(v: np.ndarray, ref: np.ndarray) -> float:
@@ -77,7 +89,7 @@ def _frame_consistency(v: np.ndarray) -> float:
     return float(np.mean(dots / (norms[:-1] * norms[1:])))
 
 
-def flicker_energy(v: np.ndarray, cutoff: float = 0.15) -> float:
+def flicker_energy(v: np.ndarray, cutoff: float = FLICKER_CUTOFF) -> float:
     """Fraction of temporal-DFT energy above ``cutoff``, energy-weighted
     over channels and pixels; 0 for a constant-in-time video."""
     return _flicker_energy(_unit_scale(v), cutoff)
@@ -95,7 +107,7 @@ def _flicker_energy(v: np.ndarray, cutoff: float) -> float:
     return float(energy[high].sum() / total)
 
 
-def spatial_detail(v: np.ndarray, band: float = 0.10) -> float:
+def spatial_detail(v: np.ndarray, band: float = DETAIL_BAND) -> float:
     """Per-frame fraction of spatial-DFT energy beyond frequency magnitude
     ``band``, averaged over frames."""
     return _spatial_detail(_bin_energy(_unit_scale(v)), band)
@@ -142,35 +154,16 @@ def _spectrum_distance(energy: np.ndarray, prior: GaussianPrior) -> float:
     return float(np.abs(energy / total - spec / spec.sum()).sum())
 
 
-def check_thresholds(shape, flicker_cutoff: float, detail_band: float) -> None:
-    """Reject a threshold that measures nothing at an (F, C, H, W) shape:
-    each must keep DC below it (``>= 0``) and some bin above it (below the
-    largest frequency magnitude it thresholds)."""
-    f, _, h, w = shape
-    for name, value, top in (
-        ("flicker_cutoff", flicker_cutoff, np.abs(np.fft.fftfreq(f)).max()),
-        ("detail_band", detail_band, spatial_frequency_grid(h, w).max()),
-    ):
-        if not 0 <= value < top:
-            raise ValueError(f"{name} must lie in [0, {top:.4g}) at shape {tuple(shape)}, "
-                             f"got {value}")
-
-
-def compute_report(
-    v: np.ndarray,
-    t2v_prior: GaussianPrior,
-    t2i_prior: GaussianPrior,
-    cutoff: float = 0.15,
-    band: float = 0.10,
-) -> MetricReport:
-    """Every metric of ``v``, on one power-of-two rescaling of it; the
-    spatial ones share one spatial spectrum."""
+def compute_report(v: np.ndarray, t2v_prior: GaussianPrior,
+                   t2i_prior: GaussianPrior) -> MetricReport:
+    """Every metric of ``v`` at the fixed thresholds, on one power-of-two
+    rescaling of it; the spatial ones share one spatial spectrum."""
     v = _unit_scale(v)
     energy = _bin_energy(v)
     return MetricReport(
         frame_consistency=_frame_consistency(v),
-        flicker_energy=_flicker_energy(v, cutoff),
-        spatial_detail=_spatial_detail(energy, band),
+        flicker_energy=_flicker_energy(v, FLICKER_CUTOFF),
+        spatial_detail=_spatial_detail(energy, DETAIL_BAND),
         spectrum_distance_t2i=_spectrum_distance(energy, t2i_prior),
         spectrum_distance_t2v=_spectrum_distance(energy, t2v_prior),
     )

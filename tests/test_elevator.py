@@ -421,6 +421,23 @@ class TestRecord:
         assert abs(record["frame_corr"] - np.mean(cosines)) <= 1e-14
 
 
+    @pytest.mark.parametrize("k", [-700, 0, 508, 600])
+    def test_power_of_two_scaling_scales_mean_and_std(self, k):
+        """At 2**-700 times a unit latent every square underflows to 0; at
+        2**508 times it the squares are finite but their sums overflow, and
+        at 2**600 the squares overflow too. The record still holds the unit
+        latent's statistics, ``mean`` and ``std`` scaled by the same power
+        of two."""
+        z = np.random.default_rng(0).standard_normal((16, 4, 16, 16))
+        trace: list = []
+        _record(trace, 5, "x", "t2v", "noise", z)
+        _record(trace, 5, "x", "t2v", "noise", np.ldexp(z, k))
+        unit, scaled = trace
+        assert scaled["mean"] == math.ldexp(unit["mean"], k)
+        assert scaled["std"] == math.ldexp(unit["std"], k)
+        assert scaled["frame_corr"] == unit["frame_corr"]
+
+
 class TestDefaultPlan:
     def test_default_geometry(self):
         plan = make_default_plan()

@@ -47,7 +47,7 @@ class TestConfig:
         resolved = resolve_config({})
         assert resolved["plan"]["num_steps"] == 50
         assert resolved["schedules"]["t2v"]["kind"] == "scaled_linear_beta"
-        assert resolved["metrics"] == {"flicker_cutoff": 0.15, "detail_band": 0.10}
+        assert resolved["schedules"]["t2i"] == {"kind": "linear_beta", "total_steps": 1000}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -88,6 +88,8 @@ class TestConfig:
         # every DDIM step is deterministic
         "eta_t2v",
         "eta_t2i",
+        # the random weights that stand in for trained attention are fixed
+        "attention_seed",
     ])
     def test_guidance_scale_is_not_a_knob(self, key):
         *parents, leaf = key.split(".")
@@ -96,6 +98,22 @@ class TestConfig:
             plan = {name: plan}
         with pytest.raises(ValueError, match=f"unknown key 'plan.{key}'"):
             resolve_config({"plan": plan})
+
+    @pytest.mark.parametrize("config,path", [
+        # metric thresholds and schedule betas are fixed
+        ({"metrics": {}}, "metrics"),
+        ({"metrics": {"flicker_cutoff": 0.15}}, "metrics"),
+        ({"schedules": {"t2v": {"params": {"beta_start": 1e-4, "beta_end": 2e-2}}}},
+         "schedules.t2v.params"),
+    ], ids=["metrics", "metrics.flicker_cutoff", "schedules.t2v.params"])
+    def test_removed_leaves_are_unknown_keys(self, config, path):
+        with pytest.raises(ValueError, match=f"invalid config: unknown key '{path}'"):
+            resolve_config(config)
+
+    def test_unknown_schedule_kind_is_named(self):
+        with pytest.raises(ValueError, match="elevate: invalid params: unknown schedule kind "
+                                             "'quadratic'"):
+            resolve_config({"schedules": {"t2v": {"kind": "quadratic"}}})
 
     def test_cosine_schedule_rejected_up_front(self):
         # alpha_bar[T] of the 1000-step cosine schedule is 2.4e-9, below the
@@ -111,18 +129,17 @@ class TestConfig:
         assert manifest["runs"][0]["trace_violations"] == []
 
     def test_schedule_params_follow_the_kind(self, tmp_path):
+        """A schedule gets the fixed betas exactly when its kind reads them:
+        ``make_schedule`` refuses a param its kind does not read."""
         cfg = tiny("elevate", seeds=[0], render=False)
         cfg["schedules"] = {"t2i": {"kind": "cosine", "total_steps": 400},
                             "t2v": {"total_steps": 400}}
-        resolved = resolve_config(cfg)
-        assert resolved["schedules"]["t2i"]["params"] == {}
-        assert resolved["schedules"]["t2v"]["params"] == {"beta_start": 1e-4, "beta_end": 2e-2}
         manifest = run(cfg, output_dir=tmp_path)
-        assert manifest["schedules"]["t2i"]["params"] == {}
-        # cosine reads no betas: setting one is refused, not ignored
-        cfg["schedules"]["t2i"]["params"] = {"beta_start": 1e-4}
-        with pytest.raises(ValueError, match="invalid config: elevate: .*kind 'cosine' reads"):
-            resolve_config(cfg)
+        expected = {"t2i": make_schedule("cosine", 400),
+                    "t2v": make_schedule("scaled_linear_beta", 400,
+                                         beta_start=1e-4, beta_end=2e-2)}
+        for name, schedule in expected.items():
+            assert manifest["schedules"][name]["alpha_bar"] == schedule.alpha_bar.tolist()
 
     def test_ablate_steps_beyond_schedule_writes_nothing(self, tmp_path):
         cfg = tiny("ablate_steps", seeds=[0], render=False)
@@ -182,18 +199,6 @@ class TestConfig:
         assert resolved["plan"]["filter"]["d0"] == 1.0
         assert isinstance(resolved["plan"]["crossframe_mix"], float)
 
-    @pytest.mark.parametrize("key", ["flicker_cutoff", "detail_band"])
-    @pytest.mark.parametrize("value", [-1, 0.5, 2.0])
-    def test_metric_thresholds_must_measure_something(self, key, value):
-        # at 16 frames |f| <= 0.5 and on 16 x 16 frames |f| <= 0.707, so a
-        # detail band of 0.5 still leaves the corner bins above it
-        config = {"metrics": {key: value}}
-        if key == "detail_band" and value == 0.5:
-            resolve_config(config)
-        else:
-            with pytest.raises(ValueError, match=f"invalid config: metrics.{key}"):
-                resolve_config(config)
-
     def test_defaults_not_mutated(self):
         before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
         resolve_config({"plan": {"num_steps": 30}})
@@ -217,10 +222,10 @@ class TestConfig:
         np.testing.assert_array_equal(za, zb)
 
 
-def plan_leaves(node, prefix=""):
+def config_leaves(node, prefix=""):
     for key, value in node.items():
         if isinstance(value, dict):
-            yield from plan_leaves(value, f"{prefix}{key}.")
+            yield from config_leaves(value, f"{prefix}{key}.")
         else:
             yield f"{prefix}{key}"
 
@@ -231,26 +236,44 @@ KNOB_ALTERNATIVES = {
     "num_refine_steps": 3,
     "n_sdedit": 4,
     "crossframe_mix": 0.6,
-    "attention_seed": 7,
     "inversion": "same_noise",
     "filter.d0": 0.1,
     "filter.axes": ["temporal", "spatial"],
+}
+
+# One alternative per leaf of DEFAULT_CONFIG's schedules and priors, as a
+# config override; a plan requires the two total_steps equal, so one
+# override changes both.
+SAMPLING_ALTERNATIVES = {
+    "schedules.t2i.kind": {"schedules": {"t2i": {"kind": "scaled_linear_beta"}}},
+    "schedules.t2v.kind": {"schedules": {"t2v": {"kind": "linear_beta"}}},
+    "schedules.total_steps": {"schedules": {"t2i": {"total_steps": 500},
+                                            "t2v": {"total_steps": 500}}},
+    **{f"priors.{name}.{key}": {"priors": {name: {key: value}}}
+       for name, kind in (("t2v", "flat"), ("t2i", "lowpass"))
+       for key, value in (("rho", 0.5), ("spectrum_kind", kind), ("variance_scale", 2.0))},
 }
 
 
 class TestNoDeadKnobs:
     KNOB_CONFIG = {"mode": "elevate", "shape": [4, 4, 8, 8], "seeds": [0], "render": False}
 
-    def latent_checksum(self, out, plan=None):
-        cfg = dict(self.KNOB_CONFIG, plan=plan or {})
-        return run(cfg, output_dir=out)["files"]["elevate_seed0000.elvt"]
+    def latent_checksum(self, out, **override):
+        return run({**self.KNOB_CONFIG, **override}, output_dir=out)["files"][
+            "elevate_seed0000.elvt"]
 
     @pytest.fixture(scope="class")
     def default_checksum(self, tmp_path_factory):
         return self.latent_checksum(tmp_path_factory.mktemp("default"))
 
     def test_every_plan_leaf_has_an_alternative(self):
-        assert set(KNOB_ALTERNATIVES) == set(plan_leaves(DEFAULT_CONFIG["plan"]))
+        assert set(KNOB_ALTERNATIVES) == set(config_leaves(DEFAULT_CONFIG["plan"]))
+
+    def test_every_sampling_leaf_has_an_alternative(self):
+        covered = [leaf for override in SAMPLING_ALTERNATIVES.values()
+                   for leaf in config_leaves(override)]
+        sampling = {key: DEFAULT_CONFIG[key] for key in ("schedules", "priors")}
+        assert sorted(covered) == sorted(config_leaves(sampling))
 
     @pytest.mark.parametrize("leaf", sorted(KNOB_ALTERNATIVES))
     def test_knob_changes_the_latent(self, leaf, default_checksum, tmp_path):
@@ -260,7 +283,12 @@ class TestNoDeadKnobs:
         for name in parents:
             node = node.setdefault(name, {})
         node[key] = KNOB_ALTERNATIVES[leaf]
-        assert self.latent_checksum(tmp_path, plan) != default_checksum
+        assert self.latent_checksum(tmp_path, plan=plan) != default_checksum
+
+    @pytest.mark.parametrize("leaf", sorted(SAMPLING_ALTERNATIVES))
+    def test_sampling_knob_changes_the_latent(self, leaf, default_checksum, tmp_path):
+        override = SAMPLING_ALTERNATIVES[leaf]
+        assert self.latent_checksum(tmp_path, **override) != default_checksum
 
 
 # The one setting each ablation arm changes, as the plain run it equals:
@@ -325,20 +353,20 @@ LEAF_VALUES = {
     ("plan", "num_refine_steps"): ([0, 1, 2], [9, -1, 1.0, None]),
     ("plan", "n_sdedit"): ([0, 1, 2, 3], [9, -1, 2.5]),
     ("plan", "crossframe_mix"): ([0.0, 0.3, 1.0], [2.0, -1.0, NAN, True]),
-    ("plan", "attention_seed"): ([0, 7], [-1, 1.5]),
     ("plan", "inversion"): (["ddim", "same_noise", "random_noise"], ["exact", 0]),
     ("plan", "filter", "d0"): ([0.25, 0.05, 2, math.inf], [0, -1.0, NAN, "0.25"]),
     ("plan", "filter", "axes"): ([["temporal"], ["temporal", "spatial"], ("temporal",)],
                                  [["spatial"], [], "temporal", [1]]),
     ("priors", "t2v", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
+    ("priors", "t2i", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
     ("priors", "t2i", "variance_scale"): ([1.0, 0.5], [0.0, -1.0, NAN]),
     ("priors", "t2v", "variance_scale"): ([1.0, 2], [0, NAN]),
+    ("priors", "t2v", "spectrum_kind"): (["lowpass", "broadband", "flat"], ["bogus"]),
     ("priors", "t2i", "spectrum_kind"): (["broadband", "flat", "lowpass"], ["bogus"]),
     ("schedules", "t2i", "kind"): (["linear_beta", "scaled_linear_beta", "cosine"],
                                    ["bogus"]),
-    ("schedules", "t2v", "params", "beta_end"): ([2e-2, 1e-3, 0.5], [2.0, -1.0]),
-    ("metrics", "flicker_cutoff"): ([0.0, 0.15, 0.3], [0.5, -1, 2.0, NAN, "x"]),
-    ("metrics", "detail_band"): ([0.0, 0.1, 0.5], [0.8, 2.0, -1, NAN]),
+    ("schedules", "t2v", "kind"): (["scaled_linear_beta", "linear_beta", "cosine"],
+                                   ["bogus"]),
     ("seeds",): ([[0], [0, 1], [5]], [[-1], [0, 0], "0", 3]),
     ("render",): ([True, False], ["no"]),
     ("check",): ([True, False], [1]),
@@ -346,6 +374,19 @@ LEAF_VALUES = {
                                       [[3], [3, 3], [], [0, 2], [2, 2.5]]),
 }
 ALWAYS_SET = (("plan", "num_steps"), ("plan", "num_refine_steps"), ("plan", "n_sdedit"))
+# The leaves small_configs draws from its own ranges, and those no config of
+# it sets: where a run writes and how many workers it uses change no output.
+DRAWN = (("mode",), ("shape",), ("schedules", "t2i", "total_steps"),
+         ("schedules", "t2v", "total_steps"))
+NOT_FUZZED = (("output_dir",), ("jobs",))
+
+
+def paths(config) -> list:
+    return [tuple(leaf.split(".")) for leaf in config_leaves(config)]
+
+
+def test_every_leaf_is_fuzzed_drawn_or_excluded():
+    assert sorted([*LEAF_VALUES, *DRAWN, *NOT_FUZZED]) == sorted(paths(DEFAULT_CONFIG))
 
 
 @st.composite
@@ -388,6 +429,7 @@ def test_config_is_rejected_or_runs_clean(config):
     """Any config is either rejected up front with ValueError, or it runs to
     completion with no trace violation and a manifest listing exactly the
     files on disk."""
+    assert set(paths(config)) <= {*LEAF_VALUES, *DRAWN}
     try:
         resolve_config(config)
     except ValueError:
@@ -397,6 +439,11 @@ def test_config_is_rejected_or_runs_clean(config):
         assert all(r["trace_violations"] == [] for r in manifest["runs"])
         on_disk = {p.name for p in Path(tmp).iterdir()} - {"manifest.json"}
         assert set(manifest["files"]) == on_disk
+
+
+def refuse(constant):
+    """A ``parse_constant`` for ``json.loads`` that admits only standard JSON."""
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 class TestRunModes:
@@ -421,8 +468,9 @@ class TestRunModes:
         for name, cfg in manifest["resolved_config"]["schedules"].items():
             entry = manifest["schedules"][name]
             assert entry == {**cfg, "alpha_bar": entry["alpha_bar"]}
-            assert list(entry) == ["kind", "total_steps", "params", "alpha_bar"]
-            rebuilt = make_schedule(entry["kind"], entry["total_steps"], **entry["params"])
+            assert list(entry) == ["kind", "total_steps", "alpha_bar"]
+            rebuilt = make_schedule(entry["kind"], entry["total_steps"],
+                                    beta_start=1e-4, beta_end=2e-2)
             assert rebuilt.alpha_bar.tolist() == entry["alpha_bar"]
 
     def test_manifest_file_reads_back_as_the_returned_manifest(self, tmp_path):
@@ -486,9 +534,6 @@ class TestRunModes:
         assert m1["files"] == m2["files"]
 
     def test_manifest_is_strict_json_with_infinite_d0(self, tmp_path):
-        def refuse(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         cfg = tiny("elevate", seeds=[0], render=False,
                    plan=dict(TINY["plan"], filter={"d0": math.inf}))
         m1 = run(cfg, output_dir=tmp_path / "a")
@@ -594,12 +639,22 @@ class TestRunModes:
                "priors": {"t2v": {"rho": 0.0, "variance_scale": 1e-300},
                           "t2i": {"rho": 0.3}},
                "plan": {"num_steps": 2, "num_refine_steps": 1, "n_sdedit": 2,
-                        "crossframe_mix": 1.0},
-               "metrics": {"flicker_cutoff": 0.0, "detail_band": 0.0}}
+                        "crossframe_mix": 1.0}}
         manifest = run(cfg, output_dir=tmp_path)
         assert (tmp_path / "manifest.json").exists()
         for r in manifest["runs"]:
             assert all(math.isfinite(v) for v in r["metrics"].values())
+
+    def test_tiny_video_prior_variance_writes_a_strict_json_trace(self, tmp_path):
+        """At video-prior variance 1e-200 the video model's latents have
+        sums of squares that underflow to 0; their trace records are still
+        taken, on a power-of-two rescaling, as finite standard JSON."""
+        cfg = {"shape": [4, 4, 8, 8], "render": False,
+               "priors": {"t2v": {"variance_scale": 1e-200}}}
+        manifest = run(cfg, output_dir=tmp_path)
+        text = (tmp_path / manifest["runs"][0]["trace"]).read_text()
+        records = [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+        assert all(r["std"] > 0 for r in records)
 
     def test_ablate_variants_present(self, tmp_path):
         cfg = tiny("ablate_inversion", seeds=[0], render=False)

@@ -13,7 +13,7 @@ from latent_elevator import (
     spectrum_distance,
 )
 from latent_elevator import metrics
-from latent_elevator.metrics import check_thresholds
+from latent_elevator.metrics import DETAIL_BAND, FLICKER_CUTOFF
 from latent_elevator.synth import make_gp_prior, sample_prior, spatial_frequency_grid
 
 
@@ -153,21 +153,24 @@ class TestSpectrumDistance:
 
 
 class TestThresholds:
+    """The fixed thresholds measure something at the smallest accepted
+    shapes, F in {2, 3} and H, W in {2, 3}: DC lies below each (a metric
+    counts only bins above its threshold) and at least one bin above."""
+
+    SHAPES = [(f, 1, h, w) for f in (2, 3) for h in (2, 3) for w in (2, 3)]
+
     def test_band_must_exclude_dc_and_keep_a_bin(self):
-        # 3 frames: |f| <= 1/3; 2 x 2 frames: |f| <= sqrt(0.5)
-        check_thresholds((3, 1, 2, 2), 0.0, 0.0)
-        check_thresholds((3, 1, 2, 2), 0.33, 0.7)
-        for cutoff in (-0.01, 1 / 3, 2.0):
-            with pytest.raises(ValueError, match="flicker_cutoff"):
-                check_thresholds((3, 1, 2, 2), cutoff, 0.1)
-        for band in (-0.01, 0.71, float("nan")):
-            with pytest.raises(ValueError, match="detail_band"):
-                check_thresholds((3, 1, 2, 2), 0.15, band)
+        for f, _, h, w in self.SHAPES:
+            temporal = np.abs(np.fft.fftfreq(f))
+            assert temporal[0] == 0 <= FLICKER_CUTOFF < temporal.max()
+            spatial = spatial_frequency_grid(h, w)
+            assert spatial[0, 0] == 0 <= DETAIL_BAND < spatial.max()
 
     def test_accepted_extremes_measure_a_band(self, rng):
-        video = rng.standard_normal((3, 1, 2, 2))
-        assert 0 < flicker_energy(video, 0.33) < 1
-        assert 0 < spatial_detail(video, 0.7) < 1
+        for shape in self.SHAPES:
+            video = rng.standard_normal(shape)
+            assert 0 < flicker_energy(video) < 1
+            assert 0 < spatial_detail(video) < 1
 
 
 class TestReport:
@@ -197,12 +200,12 @@ class TestReport:
         v = rng.standard_normal(shape)
         t2v = make_gp_prior(*shape, rho=0.9, spectrum_kind="lowpass")
         t2i = make_gp_prior(*shape, rho=0.0, spectrum_kind="broadband")
-        report = compute_report(v, t2v, t2i, cutoff=0.15, band=0.2)
+        report = compute_report(v, t2v, t2i)
         energy = (np.abs(np.fft.fft2(v, axes=(-2, -1))) ** 2).sum(axis=1)
         # the metrics below are blind to a mirror that flips rows wrongly:
         # their masks and spectra are symmetric under k -> -k
         np.testing.assert_allclose(metrics._bin_energy(v), energy, rtol=1e-12)
-        high = spatial_frequency_grid(*shape[2:]) > 0.2
+        high = spatial_frequency_grid(*shape[2:]) > 0.10
         detail = np.mean(energy[:, high].sum(axis=1) / energy.sum(axis=(1, 2)))
         pooled = energy.sum(axis=0) / energy.sum()
 
@@ -217,7 +220,7 @@ class TestReport:
                     "spectrum_distance_t2v": distance(t2v)}
         for name, value in report.to_dict().items():
             assert abs(value - expected[name]) <= 1e-12 * abs(expected[name]), name
-        assert report.spatial_detail == spatial_detail(v, 0.2)
+        assert report.spatial_detail == spatial_detail(v)
         assert report.spectrum_distance_t2i == spectrum_distance(v, t2i)
 
 
