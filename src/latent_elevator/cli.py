@@ -80,16 +80,13 @@ def main(argv=None) -> int:
     for name, stats in manifest["aggregate"].items():
         summary = ", ".join(f"{k}={v:.4f}" for k, v in sorted(stats.items()))
         print(f"{name}: {summary}")
-    checks = manifest["checks"]
-    if checks.get("enabled"):
-        if checks["passed"]:
-            print("checks: all passed")
-        else:
-            for failure in checks["failures"]:
-                print(f"check failed: {failure}", file=sys.stderr)
-            return 1
+    failures = manifest["checks"].get("failures", [])
+    if manifest["checks"]["enabled"] and not failures:
+        print("checks: all passed")
+    for failure in failures:
+        print(f"check failed: {failure}", file=sys.stderr)
     print(f"manifest: {os.path.join(manifest['resolved_config']['output_dir'], 'manifest.json')}")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

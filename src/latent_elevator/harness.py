@@ -34,7 +34,7 @@ from .elevate import (
 from .freqfilter import SPATIAL, TEMPORAL, check_axes, gaussian_mask
 from .metrics import MetricReport, _relative_error, compute_report
 from .sampler import ddim_invert, ddim_sample
-from .schedule import SCHEDULE_PARAMS, make_schedule, select_refine_steps, select_timesteps
+from .schedule import make_schedule, select_refine_steps, select_timesteps
 from .synth import make_gp_prior, sample_prior
 from .videoio import RENDER_CHANNELS, render_frames, save_latent, write_atomic
 
@@ -48,9 +48,8 @@ MODES = (
     "roundtrip",
 )
 
-# What no run varies: the beta range of the linear schedule kinds, and the
-# seed of the random weights that stand in for trained attention.
-BETAS = {"beta_start": 1e-4, "beta_end": 2e-2}
+# the seed of the random weights that stand in for trained attention, which
+# no run varies
 ATTENTION_SEED = 1234
 
 DEFAULT_CONFIG = {
@@ -61,10 +60,8 @@ DEFAULT_CONFIG = {
     "jobs": 1,
     "check": False,
     "shape": [16, 4, 16, 16],
-    "schedules": {
-        "t2i": {"kind": "linear_beta", "total_steps": 1000},
-        "t2v": {"kind": "scaled_linear_beta", "total_steps": 1000},
-    },
+    # each model's schedule kind, on one timestep axis both index
+    "schedules": {"total_steps": 1000, "t2i": "linear_beta", "t2v": "scaled_linear_beta"},
     "priors": {
         "t2v": {"rho": 0.9, "spectrum_kind": "lowpass", "variance_scale": 1.0},
         "t2i": {"rho": 0.0, "spectrum_kind": "broadband", "variance_scale": 1.0},
@@ -176,12 +173,6 @@ def _resolve(config: dict | None) -> tuple:
     return resolved, variants
 
 
-def _build_schedule(cfg: dict):
-    """The configured schedule, with the fixed betas its kind reads, if any."""
-    reads = SCHEDULE_PARAMS.get(cfg["kind"], ())
-    return make_schedule(cfg["kind"], cfg["total_steps"], **{k: BETAS[k] for k in reads})
-
-
 def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     """Build the models and the full plan from a resolved config, the JSON
     form of an ElevatorPlan. A variant's cell passes the config with the
@@ -189,10 +180,11 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     f, c, h, w = resolved["shape"]
     plan_cfg, filt = resolved["plan"], resolved["plan"]["filter"]
     pv, pi = resolved["priors"]["t2v"], resolved["priors"]["t2i"]
+    sched = resolved["schedules"]
     t2v_prior = make_gp_prior(f, c, h, w, pv["rho"], pv["spectrum_kind"], pv["variance_scale"])
     t2i_prior = make_gp_prior(f, c, h, w, pi["rho"], pi["spectrum_kind"], pi["variance_scale"])
     params = make_attention_params(c, seed=ATTENTION_SEED)
-    t2i_schedule = _build_schedule(resolved["schedules"]["t2i"])
+    t2i_schedule = make_schedule(sched["t2i"], sched["total_steps"])
     grid = select_refine_steps(select_timesteps(t2i_schedule, plan_cfg["num_steps"]),
                                plan_cfg["num_refine_steps"])
     # spatial gains are what makes lpff filter over (H, W) too
@@ -200,7 +192,7 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     mask = gaussian_mask(f, filt["d0"], spatial_shape=(h, w) if spatial else None)
     return ElevatorPlan(
         t2v_model=AnalyticDenoiser(t2v_prior),
-        t2v_schedule=_build_schedule(resolved["schedules"]["t2v"]),
+        t2v_schedule=make_schedule(sched["t2v"], sched["total_steps"]),
         t2i_model=CrossFrameDenoiser(AnalyticDenoiser(t2i_prior), params,
                                      plan_cfg["crossframe_mix"]),
         t2i_schedule=t2i_schedule,
@@ -435,15 +427,17 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         )
     write_atomic(csv_path, table.getvalue().encode())
 
+    first = variants[0][1]
     manifest = {
         "tool": {"name": "latent-elevator", "version": __version__},
         "mode": resolved["mode"],
         "resolved_config": _strict_json(resolved),
-        # each resolved schedule config with its full coefficient array, so a
-        # foreign implementation can audit the exact schedules this run used
+        # the schedules every cell ran, which variants do not vary, each with
+        # its full coefficient array, so a foreign implementation can audit them
         "schedules": {
-            name: {**cfg, "alpha_bar": _build_schedule(cfg).alpha_bar.tolist()}
-            for name, cfg in resolved["schedules"].items()
+            name: {"kind": s.kind, "total_steps": s.total_steps,
+                   "alpha_bar": s.alpha_bar.tolist()}
+            for name, s in (("t2i", first.t2i_schedule), ("t2v", first.t2v_schedule))
         },
         "runs": runs,
         "aggregate": agg,

@@ -22,27 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the params each schedule kind reads
-SCHEDULE_PARAMS = {
-    "linear_beta": ("beta_start", "beta_end"),
-    "scaled_linear_beta": ("beta_start", "beta_end"),
-    "cosine": (),
-}
-
 # alpha_bar floor below which the clean projection is refused rather than
 # returning huge, meaningless values.
 ALPHA_BAR_FLOOR = 1e-8
 
+# the beta range of the linear kinds, DDPM's (Ho et al. 2020)
+BETA_START, BETA_END = 1e-4, 2e-2
 
-def _betas_for(kind: str, total_steps: int, **params) -> np.ndarray:
+
+def _betas_for(kind: str, total_steps: int) -> np.ndarray:
     if kind == "linear_beta":
-        b0, b1 = params["beta_start"], params["beta_end"]
-        _check_beta_range(b0, b1)
-        return np.linspace(b0, b1, total_steps)
+        return np.linspace(BETA_START, BETA_END, total_steps)
     if kind == "scaled_linear_beta":
-        b0, b1 = params["beta_start"], params["beta_end"]
-        _check_beta_range(b0, b1)
-        return np.linspace(math.sqrt(b0), math.sqrt(b1), total_steps) ** 2
+        return np.linspace(math.sqrt(BETA_START), math.sqrt(BETA_END), total_steps) ** 2
     if kind == "cosine":
         s = 0.008  # the offset of Nichol & Dhariwal 2021
         ts = np.arange(total_steps + 1) / total_steps
@@ -50,20 +42,13 @@ def _betas_for(kind: str, total_steps: int, **params) -> np.ndarray:
         bar = bar / bar[0]
         betas = 1.0 - bar[1:] / bar[:-1]
         return np.clip(betas, 1e-8, 0.999)
-
-
-def _check_beta_range(b0: float, b1: float) -> None:
-    if not (0.0 < b0 < b1 < 1.0):
-        raise ValueError(
-            f"invalid params: need 0 < beta_start < beta_end < 1, got ({b0}, {b1})"
-        )
+    raise ValueError(f"invalid params: unknown schedule kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Cumulative signal coefficients ``alpha_bar[0..T]`` for one model."""
 
-    total_steps: int
     alpha_bar: np.ndarray
     kind: str
 
@@ -71,16 +56,18 @@ class NoiseSchedule:
         bar = np.asarray(self.alpha_bar, dtype=np.float64)
         bar.setflags(write=False)
         object.__setattr__(self, "alpha_bar", bar)
-        if self.total_steps < 1:
-            raise ValueError("invalid params: total_steps must be >= 1")
-        if bar.shape != (self.total_steps + 1,):
-            raise ValueError("alpha_bar must have total_steps + 1 entries")
+        if bar.ndim != 1 or len(bar) < 2:
+            raise ValueError("alpha_bar must have at least 2 entries")
         if bar[0] != 1.0:
             raise ValueError("alpha_bar[0] must be exactly 1")
         if np.any(np.diff(bar) >= 0):
             raise ValueError("alpha_bar must be strictly decreasing")
         if np.any(bar <= 0) or np.any(bar > 1):
             raise ValueError("alpha_bar entries must lie in (0, 1]")
+
+    @property
+    def total_steps(self) -> int:
+        return len(self.alpha_bar) - 1
 
 
 @dataclass(frozen=True)
@@ -112,20 +99,14 @@ class TimestepGrid:
         return zip(self.steps, self.steps[1:] + (0,))
 
 
-def make_schedule(kind: str, total_steps: int, **params) -> NoiseSchedule:
-    """Build a schedule of the given kind from exactly the params that kind
-    reads; ``alpha_bar[t]`` is the running product of ``1 - beta_s`` for
-    ``s <= t``."""
+def make_schedule(kind: str, total_steps: int) -> NoiseSchedule:
+    """Build a ``total_steps`` schedule of the given kind; ``alpha_bar[t]``
+    is the running product of ``1 - beta_s`` for ``s <= t``."""
     if total_steps < 1:
         raise ValueError("invalid params: total_steps must be >= 1")
-    if kind not in SCHEDULE_PARAMS:
-        raise ValueError(f"invalid params: unknown schedule kind {kind!r}")
-    if set(params) != set(SCHEDULE_PARAMS[kind]):
-        raise ValueError(f"invalid params: kind {kind!r} reads {list(SCHEDULE_PARAMS[kind])}, "
-                         f"got {sorted(params)}")
-    betas = _betas_for(kind, total_steps, **params)
+    betas = _betas_for(kind, total_steps)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return NoiseSchedule(total_steps=total_steps, alpha_bar=alpha_bar, kind=kind)
+    return NoiseSchedule(alpha_bar=alpha_bar, kind=kind)
 
 
 def _check_timestep(s: NoiseSchedule, t: int, lo: int) -> None:

@@ -15,12 +15,12 @@ from latent_elevator.synth import make_gp_prior
 
 @pytest.fixture(scope="session")
 def sched_t2i():
-    return make_schedule("linear_beta", 1000, beta_start=1e-4, beta_end=2e-2)
+    return make_schedule("linear_beta", 1000)
 
 
 @pytest.fixture(scope="session")
 def sched_t2v():
-    return make_schedule("scaled_linear_beta", 1000, beta_start=1e-4, beta_end=2e-2)
+    return make_schedule("scaled_linear_beta", 1000)
 
 
 @pytest.fixture

@@ -29,8 +29,7 @@ def oracle_eps(prior, z, t, s, shift=None):
 
 
 def half_alpha_schedule():
-    return NoiseSchedule(total_steps=1, alpha_bar=np.array([1.0, 0.5]),
-                         kind="linear_beta")
+    return NoiseSchedule(alpha_bar=np.array([1.0, 0.5]), kind="linear_beta")
 
 
 def band_fraction(x, cut=0.25):

@@ -54,7 +54,7 @@ def sample_down(model, z, t, grid, s):
 
 class TestPlanValidation:
     def test_mismatched_total_steps(self, small_plan):
-        other = make_schedule("linear_beta", 500, beta_start=1e-4, beta_end=2e-2)
+        other = make_schedule("linear_beta", 500)
         with pytest.raises(ValueError, match="share total_steps"):
             replace(small_plan, t2v_schedule=other)
 

@@ -46,8 +46,8 @@ class TestConfig:
     def test_defaults_materialize(self):
         resolved = resolve_config({})
         assert resolved["plan"]["num_steps"] == 50
-        assert resolved["schedules"]["t2v"]["kind"] == "scaled_linear_beta"
-        assert resolved["schedules"]["t2i"] == {"kind": "linear_beta", "total_steps": 1000}
+        assert resolved["schedules"] == {"total_steps": 1000, "t2i": "linear_beta",
+                                         "t2v": "scaled_linear_beta"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -100,46 +100,58 @@ class TestConfig:
             resolve_config({"plan": plan})
 
     @pytest.mark.parametrize("config,path", [
-        # metric thresholds and schedule betas are fixed
+        # metric thresholds are fixed
         ({"metrics": {}}, "metrics"),
         ({"metrics": {"flicker_cutoff": 0.15}}, "metrics"),
-        ({"schedules": {"t2v": {"params": {"beta_start": 1e-4, "beta_end": 2e-2}}}},
-         "schedules.t2v.params"),
-    ], ids=["metrics", "metrics.flicker_cutoff", "schedules.t2v.params"])
+    ], ids=["metrics", "metrics.flicker_cutoff"])
     def test_removed_leaves_are_unknown_keys(self, config, path):
         with pytest.raises(ValueError, match=f"invalid config: unknown key '{path}'"):
             resolve_config(config)
 
+    @pytest.mark.parametrize("schedule,value", [
+        ("t2v", {"params": {"beta_start": 1e-4, "beta_end": 2e-2}}),
+        ("t2v", {"kind": "scaled_linear_beta", "total_steps": 1000}),
+        ("t2i", {"total_steps": 400}),
+        ("t2i", {"kind": "cosine"}),
+    ], ids=["schedules.t2v.params", "schedules.t2v", "schedules.t2i.total_steps",
+            "schedules.t2i.kind"])
+    def test_old_schedule_shape_is_rejected(self, schedule, value):
+        # a schedule is its kind alone; the betas are fixed and both share
+        # schedules.total_steps
+        default = DEFAULT_CONFIG["schedules"][schedule]
+        with pytest.raises(ValueError, match=f"invalid config: schedules.{schedule} must have "
+                                             f"the type of its default '{default}'"):
+            resolve_config({"schedules": {schedule: value}})
+
     def test_unknown_schedule_kind_is_named(self):
         with pytest.raises(ValueError, match="elevate: invalid params: unknown schedule kind "
                                              "'quadratic'"):
-            resolve_config({"schedules": {"t2v": {"kind": "quadratic"}}})
+            resolve_config({"schedules": {"t2v": "quadratic"}})
 
     def test_cosine_schedule_rejected_up_front(self):
         # alpha_bar[T] of the 1000-step cosine schedule is 2.4e-9, below the
         # clean-projection floor, and every grid starts at T
         with pytest.raises(ValueError, match="t2i schedule 'cosine'"):
-            resolve_config({"schedules": {"t2i": {"kind": "cosine"}}})
+            resolve_config({"schedules": {"t2i": "cosine"}})
 
     def test_short_cosine_schedule_runs(self, tmp_path):
         cfg = tiny("elevate", seeds=[0], render=False)
-        cfg["schedules"] = {"t2i": {"kind": "cosine", "total_steps": 400},
-                            "t2v": {"total_steps": 400}}
+        cfg["schedules"] = {"t2i": "cosine", "total_steps": 400}
         manifest = run(cfg, output_dir=tmp_path)
         assert manifest["runs"][0]["trace_violations"] == []
 
-    def test_schedule_params_follow_the_kind(self, tmp_path):
-        """A schedule gets the fixed betas exactly when its kind reads them:
-        ``make_schedule`` refuses a param its kind does not read."""
-        cfg = tiny("elevate", seeds=[0], render=False)
-        cfg["schedules"] = {"t2i": {"kind": "cosine", "total_steps": 400},
-                            "t2v": {"total_steps": 400}}
+    @pytest.mark.parametrize("mode", ["elevate", "ablate_inversion"])
+    def test_manifest_schedules_are_the_plans(self, mode, tmp_path):
+        """The manifest records the schedules of the plans that
+        ``resolve_config`` built, which every variant shares."""
+        cfg = tiny(mode, seeds=[0], render=False)
+        cfg["schedules"] = {"t2i": "cosine", "total_steps": 400}
         manifest = run(cfg, output_dir=tmp_path)
-        expected = {"t2i": make_schedule("cosine", 400),
-                    "t2v": make_schedule("scaled_linear_beta", 400,
-                                         beta_start=1e-4, beta_end=2e-2)}
-        for name, schedule in expected.items():
-            assert manifest["schedules"][name]["alpha_bar"] == schedule.alpha_bar.tolist()
+        kinds = {"t2i": "cosine", "t2v": "scaled_linear_beta"}
+        for _, plan in harness._resolve(cfg)[1]:
+            for name, s in (("t2i", plan.t2i_schedule), ("t2v", plan.t2v_schedule)):
+                assert manifest["schedules"][name] == {
+                    "kind": kinds[name], "total_steps": 400, "alpha_bar": s.alpha_bar.tolist()}
 
     def test_ablate_steps_beyond_schedule_writes_nothing(self, tmp_path):
         cfg = tiny("ablate_steps", seeds=[0], render=False)
@@ -242,13 +254,11 @@ KNOB_ALTERNATIVES = {
 }
 
 # One alternative per leaf of DEFAULT_CONFIG's schedules and priors, as a
-# config override; a plan requires the two total_steps equal, so one
-# override changes both.
+# config override, named for what it changes.
 SAMPLING_ALTERNATIVES = {
-    "schedules.t2i.kind": {"schedules": {"t2i": {"kind": "scaled_linear_beta"}}},
-    "schedules.t2v.kind": {"schedules": {"t2v": {"kind": "linear_beta"}}},
-    "schedules.total_steps": {"schedules": {"t2i": {"total_steps": 500},
-                                            "t2v": {"total_steps": 500}}},
+    "schedules.t2i.kind": {"schedules": {"t2i": "scaled_linear_beta"}},
+    "schedules.t2v.kind": {"schedules": {"t2v": "linear_beta"}},
+    "schedules.total_steps": {"schedules": {"total_steps": 500}},
     **{f"priors.{name}.{key}": {"priors": {name: {key: value}}}
        for name, kind in (("t2v", "flat"), ("t2i", "lowpass"))
        for key, value in (("rho", 0.5), ("spectrum_kind", kind), ("variance_scale", 2.0))},
@@ -363,10 +373,8 @@ LEAF_VALUES = {
     ("priors", "t2v", "variance_scale"): ([1.0, 2], [0, NAN]),
     ("priors", "t2v", "spectrum_kind"): (["lowpass", "broadband", "flat"], ["bogus"]),
     ("priors", "t2i", "spectrum_kind"): (["broadband", "flat", "lowpass"], ["bogus"]),
-    ("schedules", "t2i", "kind"): (["linear_beta", "scaled_linear_beta", "cosine"],
-                                   ["bogus"]),
-    ("schedules", "t2v", "kind"): (["scaled_linear_beta", "linear_beta", "cosine"],
-                                   ["bogus"]),
+    ("schedules", "t2i"): (["linear_beta", "scaled_linear_beta", "cosine"], ["bogus"]),
+    ("schedules", "t2v"): (["scaled_linear_beta", "linear_beta", "cosine"], ["bogus"]),
     ("seeds",): ([[0], [0, 1], [5]], [[-1], [0, 0], "0", 3]),
     ("render",): ([True, False], ["no"]),
     ("check",): ([True, False], [1]),
@@ -376,8 +384,7 @@ LEAF_VALUES = {
 ALWAYS_SET = (("plan", "num_steps"), ("plan", "num_refine_steps"), ("plan", "n_sdedit"))
 # The leaves small_configs draws from its own ranges, and those no config of
 # it sets: where a run writes and how many workers it uses change no output.
-DRAWN = (("mode",), ("shape",), ("schedules", "t2i", "total_steps"),
-         ("schedules", "t2v", "total_steps"))
+DRAWN = (("mode",), ("shape",), ("schedules", "total_steps"))
 NOT_FUZZED = (("output_dir",), ("jobs",))
 
 
@@ -403,8 +410,7 @@ def small_configs(draw):
         "mode": draw(st.sampled_from(MODES)),
         "shape": [draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 3, 4])),
                   pick([2, 3, 4], [1]), pick([2, 3, 4], [1])],
-        "schedules": {"t2i": {"total_steps": total_steps},
-                      "t2v": {"total_steps": total_steps}},
+        "schedules": {"total_steps": total_steps},
     }
     others = sorted(set(LEAF_VALUES) - set(ALWAYS_SET))
     for path in [*ALWAYS_SET, *draw(st.sets(st.sampled_from(others), max_size=4))]:
@@ -463,14 +469,15 @@ class TestRunModes:
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per seed
         assert "elevate" in manifest["aggregate"]
-        # the manifest carries auditable schedules: each resolved config
-        # plus the full array, which make_schedule rebuilds exactly
-        for name, cfg in manifest["resolved_config"]["schedules"].items():
+        # the manifest carries auditable schedules: each one's kind and
+        # length plus the full array, which make_schedule rebuilds exactly
+        schedules = manifest["resolved_config"]["schedules"]
+        for name in ("t2i", "t2v"):
             entry = manifest["schedules"][name]
-            assert entry == {**cfg, "alpha_bar": entry["alpha_bar"]}
             assert list(entry) == ["kind", "total_steps", "alpha_bar"]
-            rebuilt = make_schedule(entry["kind"], entry["total_steps"],
-                                    beta_start=1e-4, beta_end=2e-2)
+            assert (entry["kind"], entry["total_steps"]) == (schedules[name],
+                                                             schedules["total_steps"])
+            rebuilt = make_schedule(entry["kind"], entry["total_steps"])
             assert rebuilt.alpha_bar.tolist() == entry["alpha_bar"]
 
     def test_manifest_file_reads_back_as_the_returned_manifest(self, tmp_path):
@@ -635,7 +642,7 @@ class TestRunModes:
         tiny but nonzero, so the latent stays measurable and the run
         completes."""
         cfg = {"shape": [5, 3, 3, 2], "render": False, "seeds": [0, 1],
-               "schedules": {"t2i": {"total_steps": 10}, "t2v": {"total_steps": 10}},
+               "schedules": {"total_steps": 10},
                "priors": {"t2v": {"rho": 0.0, "variance_scale": 1e-300},
                           "t2i": {"rho": 0.3}},
                "plan": {"num_steps": 2, "num_refine_steps": 1, "n_sdedit": 2,
@@ -775,4 +782,7 @@ class TestCli:
         code = main(["roundtrip", "--config", str(cfg_path), "--seeds", "0",
                      "--check", "--output", str(tmp_path / "out")])
         assert code == 1
-        assert "check failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "check failed" in captured.err
+        # the run wrote a manifest, so a failed check names it too
+        assert f"manifest: {tmp_path / 'out' / 'manifest.json'}" in captured.out.splitlines()

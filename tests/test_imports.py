@@ -1,7 +1,7 @@
 """Every imported name is read somewhere in its module, every parameter
-of a package function is read in its body, and every top-level function
-or class of the package is read somewhere in it: an import, a parameter
-or a definition nothing reads is dead code."""
+of a package function is read in its body, and every top-level function,
+class or assigned name of the package is read somewhere in it: an import,
+a parameter or a definition nothing reads is dead code."""
 from __future__ import annotations
 
 import ast
@@ -78,15 +78,31 @@ def test_unused_params_are_flagged():
     assert unused_params(source) == ["inner.u", "method.args", "method.c", "step.rng"]
 
 
+def _defined_names(node) -> list:
+    """The names a top-level statement defines: a function's or class's, or
+    each name an assignment binds, dunders such as ``__all__`` exempt."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+            and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def unread_definitions(sources: dict) -> list:
-    """``file:name`` for each top-level function or class of the ``{file:
-    source}`` modules that no module reads, as an ``ast.Name`` load or an
-    attribute; a name an ``__init__.py`` imports is re-exported, so read."""
+    """``file:name`` for each top-level function, class or assigned name of
+    the ``{file: source}`` modules that no module reads, as an ``ast.Name``
+    load or an attribute; a name an ``__init__.py`` imports is re-exported,
+    so read."""
     defined, read = [], set()
     for name, source in sources.items():
         tree = ast.parse(source)
-        defined += [(name, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        defined += [(name, d) for node in tree.body for d in _defined_names(node)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -108,5 +124,8 @@ def test_unread_definitions_are_flagged():
                  "def helper():\n    return 1\n\ndef orphan():\n    return helper\n\n"
                  "class Unused:\n    def method(self):\n        return 0\n"),
         "b.py": "from a import orphan as _o\n\ndef used():\n    return 2\n",
+        "c.py": ("__all__ = ['LIMIT']\nLIMIT, (LOW, HIGH) = 3, (0, 9)\nSTALE: int = 1\n"
+                 "TABLE = {}\nTABLE['k'] = LOW\n\ndef bound(x):\n    return min(x, b.CAP)\n"),
     }
-    assert unread_definitions(sources) == ["a.py:Unused", "a.py:orphan"]
+    assert unread_definitions(sources) == ["a.py:Unused", "a.py:orphan", "c.py:HIGH",
+                                           "c.py:LIMIT", "c.py:STALE", "c.py:bound"]

@@ -19,76 +19,81 @@ KINDS = ("linear_beta", "scaled_linear_beta", "cosine")
 
 
 def custom_schedule(alpha_bar):
-    return NoiseSchedule(
-        total_steps=len(alpha_bar) - 1,
-        alpha_bar=np.asarray(alpha_bar, dtype=float),
-        kind="linear_beta",
-    )
+    return NoiseSchedule(alpha_bar=np.asarray(alpha_bar, dtype=float), kind="linear_beta")
+
+
+def running_product(betas):
+    """``[1, 1 - b_1, (1 - b_1)(1 - b_2), ...]`` as a plain loop."""
+    acc, bar = 1.0, [1.0]
+    for b in betas:
+        acc *= 1.0 - b
+        bar.append(acc)
+    return bar
+
+
+def linear_betas(total):
+    return [1e-4 + (2e-2 - 1e-4) * k / (total - 1) for k in range(total)]
+
+
+def scaled_linear_betas(total):
+    # linear in sqrt(beta), from sqrt(1e-4) = 0.01 to sqrt(2e-2)
+    return [(0.01 + (math.sqrt(2e-2) - 0.01) * k / (total - 1)) ** 2 for k in range(total)]
+
+
+def cosine_betas(total):
+    # Nichol & Dhariwal 2021, offset 0.008, each beta clipped to [1e-8, 0.999]
+    f = [math.cos((t / total + 0.008) / 1.008 * math.pi / 2) ** 2 for t in range(total + 1)]
+    return [min(max(1.0 - f[t] / f[t - 1], 1e-8), 0.999) for t in range(1, total + 1)]
 
 
 class TestMakeSchedule:
-    def test_linear_matches_loop_oracle(self, sched_t2i):
-        # oracle: plain running product over the beta grid
-        betas = np.linspace(1e-4, 2e-2, 1000)
-        acc = 1.0
-        bar = [1.0]
-        for b in betas:
-            acc *= 1.0 - b
-            bar.append(acc)
-        np.testing.assert_allclose(sched_t2i.alpha_bar, bar, rtol=1e-12)
-        assert sched_t2i.alpha_bar[1000] == pytest.approx(4.0358297653756764e-05)
+    @staticmethod
+    def check_oracle(kind, betas, last):
+        """The 1000-step schedule of ``kind`` against the running product of
+        its fixed betas, and its ``alpha_bar[T]``."""
+        s = make_schedule(kind, 1000)
+        np.testing.assert_allclose(s.alpha_bar, running_product(betas(1000)), rtol=1e-12)
+        assert s.alpha_bar[1000] == pytest.approx(last, rel=1e-12)
+        assert (s.kind, s.total_steps) == (kind, 1000)
+
+    def test_linear_matches_loop_oracle(self):
+        self.check_oracle("linear_beta", linear_betas, 4.035829765375676e-05)
+
+    def test_scaled_linear_matches_loop_oracle(self):
+        self.check_oracle("scaled_linear_beta", scaled_linear_betas, 7.334124595808159e-04)
+
+    def test_cosine_matches_loop_oracle(self):
+        self.check_oracle("cosine", cosine_betas, 2.4287669070348542e-09)
 
     def test_single_step(self):
-        s = make_schedule("linear_beta", 1, beta_start=0.5, beta_end=0.5000000001)
-        np.testing.assert_allclose(s.alpha_bar, [1.0, 0.5], atol=1e-9)
+        # one step of a linear kind takes beta_start
+        s = make_schedule("linear_beta", 1)
+        np.testing.assert_array_equal(s.alpha_bar, [1.0, 1.0 - 1e-4])
+        assert s.total_steps == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_head_and_monotone(self, kind):
-        params = {} if kind == "cosine" else {"beta_start": 1e-3, "beta_end": 0.1}
-        s = make_schedule(kind, 10, **params)
+        s = make_schedule(kind, 10)
         assert s.alpha_bar[0] == 1.0
         assert np.all(np.diff(s.alpha_bar) < 0)
         assert np.all(s.alpha_bar > 0)
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            {"beta_start": 0.02, "beta_end": 0.01},
-            {"beta_start": 0.0, "beta_end": 0.01},
-            {"beta_start": 0.5, "beta_end": 1.5},
-        ],
-    )
-    def test_invalid_beta_params(self, params):
-        with pytest.raises(ValueError, match="invalid params"):
-            make_schedule("linear_beta", 10, **params)
-
-    @pytest.mark.parametrize("kind,params", [
-        ("cosine", {"beta_start": 1e-4}),
-        ("cosine", {"offset": 0.01}),
-        ("linear_beta", {"beta_start": 1e-4}),
-        ("scaled_linear_beta", {"beta_start": 1e-4, "beta_end": 2e-2, "offset": 0.01}),
-    ])
-    def test_params_are_the_kinds(self, kind, params):
-        # a param the kind does not read, or a missing one, is an error
-        with pytest.raises(ValueError, match=f"kind '{kind}' reads"):
-            make_schedule(kind, 10, **params)
-
     def test_invalid_kind_and_steps(self):
+        with pytest.raises(ValueError, match="invalid params: unknown schedule kind 'quadratic'"):
+            make_schedule("quadratic", 10)
         with pytest.raises(ValueError, match="invalid params"):
-            make_schedule("quadratic", 10, beta_start=1e-4, beta_end=2e-2)
-        with pytest.raises(ValueError, match="invalid params"):
-            make_schedule("linear_beta", 0, beta_start=1e-4, beta_end=2e-2)
+            make_schedule("linear_beta", 0)
 
-    @given(
-        kind=st.sampled_from(KINDS),
-        total=st.integers(1, 200),
-        b0=st.floats(1e-6, 0.05),
-        ratio=st.floats(1.5, 20.0),
-    )
+    @pytest.mark.parametrize("alpha_bar", [[1.0], [], [[1.0, 0.5]]])
+    def test_schedule_needs_two_entries(self, alpha_bar):
+        with pytest.raises(ValueError, match="at least 2 entries"):
+            NoiseSchedule(alpha_bar=np.asarray(alpha_bar, dtype=float), kind="linear_beta")
+
+    @given(kind=st.sampled_from(KINDS), total=st.integers(1, 200))
     @settings(max_examples=40, deadline=None)
-    def test_invariants_over_random_params(self, kind, total, b0, ratio):
-        params = {} if kind == "cosine" else {"beta_start": b0, "beta_end": min(b0 * ratio, 0.9)}
-        s = make_schedule(kind, total, **params)
+    def test_invariants_over_random_params(self, kind, total):
+        s = make_schedule(kind, total)
+        assert s.total_steps == total
         assert s.alpha_bar[0] == 1.0
         assert np.all(np.diff(s.alpha_bar) < 0)
         assert np.all((s.alpha_bar > 0) & (s.alpha_bar <= 1))
@@ -173,7 +178,7 @@ class TestTimestepSelection:
         assert select_timesteps(sched_t2i, 4).steps == (1000, 750, 500, 250)
 
     def test_full_grid(self):
-        s = make_schedule("linear_beta", 10, beta_start=1e-3, beta_end=2e-2)
+        s = make_schedule("linear_beta", 10)
         assert select_timesteps(s, 10).steps == tuple(range(10, 0, -1))
 
     def test_out_of_range(self, sched_t2i):
@@ -186,7 +191,7 @@ class TestTimestepSelection:
     @settings(max_examples=40, deadline=None)
     def test_grid_properties(self, total, data):
         k = data.draw(st.integers(1, total))
-        s = make_schedule("linear_beta", total, beta_start=1e-4, beta_end=2e-2)
+        s = make_schedule("linear_beta", total)
         grid = select_timesteps(s, k)
         assert len(grid.steps) == k
         assert grid.steps[0] == total
