@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Denoiser
-from .schedule import NoiseSchedule
 from .workspace import _scratch
 
 # logits per query block: 512 KiB of float64, a quarter of a 2 MiB L2 cache;
@@ -144,18 +143,20 @@ class CrossFrameDenoiser:
     The base prediction is reshaped into per-frame token matrices (one
     token per pixel, width C), passed through first-only cross-frame
     attention, and blended back: ``(1 - mix) * eps + mix * attended``.
-    ``mix == 0`` returns the base prediction unchanged, bit for bit.
+    ``mix == 0`` returns the base prediction unchanged, bit for bit. The
+    wrapper runs on its base's schedule.
     """
 
     def __init__(self, base: Denoiser, params: AttentionParams, mix: float):
         if not 0.0 <= mix <= 1.0:
             raise ValueError(f"mix must be in [0, 1], got {mix}")
         self.base = base
+        self.schedule = base.schedule
         self.params = params
         self.mix = mix
 
-    def predict_eps(self, z: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-        eps = self.base.predict_eps(z, t, s)
+    def predict_eps(self, z: np.ndarray, t: int) -> np.ndarray:
+        eps = self.base.predict_eps(z, t)
         if self.mix == 0.0:
             return eps
         f, c, h, w = eps.shape

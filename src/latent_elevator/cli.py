@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode, help=f"run the {mode} mode")
         p.add_argument("--config", help="JSON config path (defaults apply otherwise)")
         p.add_argument("--seeds", help="e.g. 0,1,2 or 0:20")
-        p.add_argument("--jobs", type=int, help="parallel seed runs")
+        p.add_argument("--jobs", type=int,
+                       help="cells to run in parallel, at most one worker per cell and per CPU")
         p.add_argument("--check", action="store_true",
                        help="evaluate mode invariants; nonzero exit on failure")
         p.add_argument("--output", help="output directory")

@@ -2,7 +2,9 @@
 
 The ``Denoiser`` interface is the epsilon-prediction convention: given a
 noisy latent at timestep ``t``, predict the unit Gaussian noise that the
-forward process injected. ``AnalyticDenoiser`` is the Bayes-optimal such
+forward process injected. A denoiser owns the ``NoiseSchedule`` it was
+trained on, and ``t`` indexes that schedule, so no caller hands a model a
+schedule. ``AnalyticDenoiser`` is the Bayes-optimal such
 predictor for a ``GaussianPrior``, evaluated exactly in the prior's
 eigenbasis (AR(1) eigenvectors across frames, 2-D DFT across space), so
 sampler and orchestration code can be verified against closed forms
@@ -26,8 +28,11 @@ from .workspace import _scratch
 
 
 class Denoiser(Protocol):
-    def predict_eps(self, z: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-        """Predict the injected unit noise; output shape equals input shape."""
+    schedule: NoiseSchedule
+
+    def predict_eps(self, z: np.ndarray, t: int) -> np.ndarray:
+        """Predict the noise injected at timestep ``t`` of ``schedule``;
+        output shape equals input shape."""
         ...
 
 
@@ -43,13 +48,14 @@ class AnalyticDenoiser:
     the prior's ``S[k] == S[-k]`` symmetry makes those columns hold every
     distinct eigenvalue. Modes are laid out ``(F, C, W // 2 + 1, H)``, the
     half-spectrum axis before the height axis, so that every FFT pass runs
-    along a contiguous axis.
+    along a contiguous axis. Timesteps index ``schedule``.
 
     Immutable after construction; safe for concurrent use.
     """
 
-    def __init__(self, prior: GaussianPrior):
+    def __init__(self, prior: GaussianPrior, schedule: NoiseSchedule):
         self.prior = prior
+        self.schedule = schedule
         F, C, H, W = prior.shape
         self._half_shape = (F, C, H, W // 2 + 1)  # after the rfft over W
         self._modes_shape = (F, C, W // 2 + 1, H)
@@ -115,10 +121,10 @@ class AnalyticDenoiser:
         if z.shape != self.prior.shape:
             raise ValueError(f"shape mismatch: {z.shape} vs prior {self.prior.shape}")
 
-    def predict_eps(self, z: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
+    def predict_eps(self, z: np.ndarray, t: int) -> np.ndarray:
         self._check_shape(z)
-        _check_timestep(s, t, lo=1)
-        ab = s.alpha_bar[t]
+        _check_timestep(self.schedule, t, lo=1)
+        ab = self.schedule.alpha_bar[t]
         modes = self._to_modes(z)
         if self.mean_modes is not None:
             modes -= np.sqrt(ab) * self.mean_modes

@@ -184,18 +184,15 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     t2v_prior = make_gp_prior(f, c, h, w, pv["rho"], pv["spectrum_kind"], pv["variance_scale"])
     t2i_prior = make_gp_prior(f, c, h, w, pi["rho"], pi["spectrum_kind"], pi["variance_scale"])
     params = make_attention_params(c, seed=ATTENTION_SEED)
-    t2i_schedule = make_schedule(sched["t2i"], sched["total_steps"])
-    grid = select_refine_steps(select_timesteps(t2i_schedule, plan_cfg["num_steps"]),
+    t2i_base = AnalyticDenoiser(t2i_prior, make_schedule(sched["t2i"], sched["total_steps"]))
+    grid = select_refine_steps(select_timesteps(t2i_base.schedule, plan_cfg["num_steps"]),
                                plan_cfg["num_refine_steps"])
     # spatial gains are what makes lpff filter over (H, W) too
     spatial = SPATIAL in check_axes(filt["axes"])
     mask = gaussian_mask(f, filt["d0"], spatial_shape=(h, w) if spatial else None)
     return ElevatorPlan(
-        t2v_model=AnalyticDenoiser(t2v_prior),
-        t2v_schedule=make_schedule(sched["t2v"], sched["total_steps"]),
-        t2i_model=CrossFrameDenoiser(AnalyticDenoiser(t2i_prior), params,
-                                     plan_cfg["crossframe_mix"]),
-        t2i_schedule=t2i_schedule,
+        t2v_model=AnalyticDenoiser(t2v_prior, make_schedule(sched["t2v"], sched["total_steps"])),
+        t2i_model=CrossFrameDenoiser(t2i_base, params, plan_cfg["crossframe_mix"]),
         grid=grid,
         n_sdedit=plan_cfg["n_sdedit"],
         filter_mask=mask,
@@ -257,10 +254,9 @@ def _run_one(resolved: dict, variant: dict, plan: ElevatorPlan, out_dir: str) ->
     elif variant["kind"] == "baseline":
         z, trace = baseline_sample(plan)
     elif variant["kind"] == "roundtrip":
-        model, sched, grid = plan.t2i_model.base, plan.t2i_schedule, plan.grid
+        model, grid = plan.t2i_model.base, plan.grid
         z0 = sample_prior(model.prior, np.random.default_rng(seed))
-        z_top = ddim_invert(model, z0, grid, sched)
-        z = ddim_sample(model, z_top, grid, sched)
+        z = ddim_sample(model, ddim_invert(model, z0, grid), grid)
         extra["roundtrip_rel_err"] = _relative_error(z, z0)
         trace = []
     else:
@@ -437,7 +433,7 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         "schedules": {
             name: {"kind": s.kind, "total_steps": s.total_steps,
                    "alpha_bar": s.alpha_bar.tolist()}
-            for name, s in (("t2i", first.t2i_schedule), ("t2v", first.t2v_schedule))
+            for name, s in (("t2i", first.t2i_model.schedule), ("t2v", first.t2v_model.schedule))
         },
         "runs": runs,
         "aggregate": agg,

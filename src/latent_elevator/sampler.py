@@ -2,7 +2,10 @@
 
 ``ddim_step`` is the one denoising step for any ``Denoiser``: it projects
 to clean with the model's noise estimate and re-noises to its target with
-that same estimate, deterministically. The chains ``ddim_sample``,
+that same estimate, deterministically. Every step and chain runs under
+the stepping model's own schedule, ``model.schedule``, and none takes a
+schedule of its own; only the schedule-level helpers (``_hop``,
+``_check_order``, ``forward_diffuse``) do. The chains ``ddim_sample``,
 ``ddim_invert`` and ``sdedit_chain`` each walk one whole ``TimestepGrid``
 and take an ``AnalyticDenoiser``: under it every step and inversion hop
 is affine and diagonal in the prior's eigenbasis, so each chain composes
@@ -47,21 +50,16 @@ def _hop(s: NoiseSchedule, a: int, b: int) -> tuple:
     return r_b / r_a, q_b - r_b * q_a / r_a
 
 
-def ddim_step(
-    model: Denoiser,
-    z_t: np.ndarray,
-    t: int,
-    t_prev: int,
-    s: NoiseSchedule,
-) -> np.ndarray:
+def ddim_step(model: Denoiser, z_t: np.ndarray, t: int, t_prev: int) -> np.ndarray:
     """One deterministic denoising step from ``t`` down to ``t_prev``:
     ``sqrt(ab_prev) * z0_hat + sqrt(1 - ab_prev) * eps_hat``, with the
     noise estimate evaluated at ``t``. Computed as the hop ``(r_b / r_a) *
     z + k * eps`` (see ``_hop``) in one fresh array, with ``k * eps`` in
     the calling thread's workspace, leaving the model's returned ``eps``
     unwritten."""
+    s = model.schedule
     _check_order(t, t_prev, s)
-    eps = model.predict_eps(z_t, t, s)
+    eps = model.predict_eps(z_t, t)
     _check_same_shape(z_t, eps)
     z_gain, k = _hop(s, t, t_prev)
     out = np.multiply(z_t, z_gain)
@@ -69,38 +67,22 @@ def ddim_step(
     return out
 
 
-def ddim_sample(
-    model: AnalyticDenoiser,
-    z_init: np.ndarray,
-    grid: TimestepGrid,
-    s: NoiseSchedule,
-) -> np.ndarray:
+def ddim_sample(model: AnalyticDenoiser, z_init: np.ndarray, grid: TimestepGrid) -> np.ndarray:
     """Run the full chain from ``grid.steps[0]`` down to a clean latent, in
     closed form; on a one-step grid that is the clean projection, and an
     empty grid returns ``z_init`` itself."""
-    return _chain(model, z_init, grid, s, invert=False)
+    return _chain(model, z_init, grid, invert=False)
 
 
-def ddim_invert(
-    model: AnalyticDenoiser,
-    z0: np.ndarray,
-    grid: TimestepGrid,
-    s: NoiseSchedule,
-) -> np.ndarray:
+def ddim_invert(model: AnalyticDenoiser, z0: np.ndarray, grid: TimestepGrid) -> np.ndarray:
     """Invert a clean latent up the whole grid to ``grid.steps[0]`` in
     closed form, calling no model: ``ddim_sample``'s hops walked upward
     from 0, each projecting to clean and re-noising with one noise
     estimate, the model's at the hop's target on its current latent."""
-    return _chain(model, z0, grid, s, invert=True)
+    return _chain(model, z0, grid, invert=True)
 
 
-def _chain(
-    model: AnalyticDenoiser,
-    z: np.ndarray,
-    grid: TimestepGrid,
-    s: NoiseSchedule,
-    invert: bool,
-) -> np.ndarray:
+def _chain(model: AnalyticDenoiser, z: np.ndarray, grid: TimestepGrid, invert: bool) -> np.ndarray:
     """The grid's hops ``(a, b)`` from ``a`` to ``b`` composed into one map
     per eigenmode, no model call: ``grid.hops()`` down to 0, or (``invert``)
     the same hops reversed, each with its ends swapped, up from 0.
@@ -126,6 +108,7 @@ def _chain(
     if not grid.steps:
         return z
     model._check_shape(z)
+    s = model.schedule
     _check_order(grid.steps[0], 0, s)  # a grid's steps descend, so this bounds every hop
     hops = [(b, a) for a, b in reversed(list(grid.hops()))] if invert else grid.hops()
     gain, offset = 1.0, 0.0
@@ -151,14 +134,10 @@ def _chain(
 
 
 def sdedit_chain(
-    model: AnalyticDenoiser,
-    z_clean: np.ndarray,
-    grid: TimestepGrid,
-    s: NoiseSchedule,
-    rng: np.random.Generator,
+    model: AnalyticDenoiser, z_clean: np.ndarray, grid: TimestepGrid, rng: np.random.Generator
 ) -> np.ndarray:
     """SDEdit: forward-diffuse to ``grid.steps[0]`` with one fresh draw of
     noise, then denoise down the whole grid to a clean latent in closed
     form."""
     eps = rng.standard_normal(z_clean.shape)
-    return ddim_sample(model, forward_diffuse(z_clean, grid.steps[0], eps, s), grid, s)
+    return ddim_sample(model, forward_diffuse(z_clean, grid.steps[0], eps, model.schedule), grid)

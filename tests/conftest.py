@@ -36,10 +36,11 @@ def std_normal_prior():
 
 def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
     """Analytic denoiser over the default recipe's ``"t2v"`` or ``"t2i"``
-    prior at ``shape``."""
-    p = DEFAULT_CONFIG["priors"][which]
+    prior at ``shape``, on that model's recipe schedule."""
+    p, sched = DEFAULT_CONFIG["priors"][which], DEFAULT_CONFIG["schedules"]
     return AnalyticDenoiser(
-        make_gp_prior(*shape, p["rho"], p["spectrum_kind"], p["variance_scale"])
+        make_gp_prior(*shape, p["rho"], p["spectrum_kind"], p["variance_scale"]),
+        make_schedule(sched[which], sched["total_steps"]),
     )
 
 
@@ -54,17 +55,19 @@ def project_clean(z_t, eps_pred, t, s):
     return (z_t - np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(ab)
 
 
-def invert_hop(model, z, t_from, t_to, s):
-    """One DDIM inversion hop from ``t_from`` up to ``t_to``, as the clean
-    projection (``z`` itself at 0) and the re-noising it stands for, both
-    with the model's noise estimate at ``t_to`` on ``z``."""
+def invert_hop(model, z, t_from, t_to):
+    """One DDIM inversion hop from ``t_from`` up to ``t_to`` under the
+    model's schedule, as the clean projection (``z`` itself at 0) and the
+    re-noising it stands for, both with the model's noise estimate at
+    ``t_to`` on ``z``."""
+    s = model.schedule
     sampler._check_order(t_to, t_from, s)
-    eps = model.predict_eps(z, t_to, s)
+    eps = model.predict_eps(z, t_to)
     z0 = z if t_from == 0 else project_clean(z, eps, t_from, s)
     return forward_diffuse(z0, t_to, eps, s)
 
 
-def invert_by_hops(model, z0, grid, s):
+def invert_by_hops(model, z0, grid):
     """DDIM inversion as the explicit chain of ``invert_hop`` hops up the
     whole grid from 0 to ``grid.steps[0]``: the oracle for the program's
     closed form, which evaluates no model and shares no hop arithmetic
@@ -72,16 +75,16 @@ def invert_by_hops(model, z0, grid, s):
     ascending = [0, *reversed(grid.steps)]
     z = z0
     for a, b in zip(ascending[:-1], ascending[1:]):
-        z = invert_hop(model, z, a, b, s)
+        z = invert_hop(model, z, a, b)
     return z
 
 
-def sample_by_hops(model, z, chain, s):
+def sample_by_hops(model, z, chain):
     """DDIM denoising as the explicit chain of ``ddim_step`` hops down the
     descending timesteps ``chain``: the oracle for the program's closed form
     of ``ddim_sample`` and of ``sdedit_chain``'s denoising."""
     for t, t_prev in zip(chain[:-1], chain[1:]):
-        z = ddim_step(model, z, t, t_prev, s)
+        z = ddim_step(model, z, t, t_prev)
     return z
 
 

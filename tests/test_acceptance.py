@@ -34,6 +34,7 @@ from latent_elevator import (
     lpff,
     make_attention_params,
     make_default_plan,
+    make_schedule,
     select_timesteps,
 )
 from latent_elevator.attention import attention
@@ -126,12 +127,14 @@ def test_criterion_1_equation_oracles(sched_t2i):
     s = NoiseSchedule(alpha_bar=np.array([1.0, 0.81, 0.25]), kind="linear_beta")
 
     class Ones:
-        def predict_eps(self, z, t, sched):
+        schedule = s
+
+        def predict_eps(self, z, t):
             return np.ones_like(z)
 
-    out = ddim_step(Ones(), np.ones((1, 1, 2, 2)), 2, 1, s)
+    out = ddim_step(Ones(), np.ones((1, 1, 2, 2)), 2, 1)
     assert abs(out[0, 0, 0, 0] - 0.6770441675420776) < 1e-6
-    zero_out = ddim_step(Ones(), np.ones((1, 1, 2, 2)) * 0 + 1, 2, 1, s)
+    zero_out = ddim_step(Ones(), np.ones((1, 1, 2, 2)) * 0 + 1, 2, 1)
     assert abs(zero_out[0, 0, 0, 0] - (0.9 * (1 - np.sqrt(0.75)) / 0.5
                                        + np.sqrt(0.19))) < 1e-6
 
@@ -151,12 +154,12 @@ def test_criterion_1_equation_oracles(sched_t2i):
     # analytic noise prediction vs dense posterior oracle, 1e-5, 100 pairs
     prior = make_gp_prior(4, 2, 4, 4, rho=0.7, spectrum_kind="broadband",
                           variance_scale=1.2)
-    den = AnalyticDenoiser(prior)
+    den = AnalyticDenoiser(prior, sched_t2i)
     for _ in range(100):
         t = int(rng.integers(1, 1001))
         z = rng.standard_normal((4, 2, 4, 4))
         np.testing.assert_allclose(
-            den.predict_eps(z, t, sched_t2i),
+            den.predict_eps(z, t),
             oracle_eps(prior, z, t, sched_t2i),
             rtol=1e-5, atol=1e-8,
         )
@@ -194,7 +197,7 @@ def _roundtrip_gain(alpha_bar, steps, lam):
 def test_criterion_2_inversion_reconstruction(sched_t2i):
     start = time.perf_counter()
     prior = make_gp_prior(16, 4, 8, 8, rho=0.0, spectrum_kind="broadband")
-    den = AnalyticDenoiser(prior)
+    den = AnalyticDenoiser(prior, sched_t2i)
     grid = select_timesteps(sched_t2i, 50)
     # rho == 0: every temporal eigenvalue is 1, so the covariance is
     # diagonal in the 2-D DFT basis with the scaled spatial spectrum.
@@ -205,8 +208,8 @@ def test_criterion_2_inversion_reconstruction(sched_t2i):
     errs, floors, mismatches = [], [], []
     for seed in SEEDS:
         z0 = sample_prior(prior, np.random.default_rng(seed))
-        top = ddim_invert(den, z0, grid, sched_t2i)
-        back = ddim_sample(den, top, grid, sched_t2i)
+        top = ddim_invert(den, z0, grid)
+        back = ddim_sample(den, top, grid)
         expected = (z0.reshape(-1, 64) @ oracle_map.T).reshape(z0.shape)
         norm = np.linalg.norm(z0)
         errs.append(float(np.linalg.norm(back - z0) / norm))
@@ -232,11 +235,11 @@ def test_criterion_3_sampling_fidelity(sched_t2i):
     # samples folded into the channel axis: channels are independent and
     # identically distributed under the flat prior
     prior = make_gp_prior(4, base_c * n_samples, 4, 4, spectrum_kind="flat")
-    den = AnalyticDenoiser(prior)
+    den = AnalyticDenoiser(prior, sched_t2i)
     grid = select_timesteps(sched_t2i, 50)
     rng = np.random.default_rng(42)
     z = rng.standard_normal(prior.shape)
-    out = ddim_sample(den, z, grid, sched_t2i)
+    out = ddim_sample(den, z, grid)
     samples = out.reshape(4, n_samples, base_c, 4, 4).transpose(1, 0, 2, 3, 4)
     bias = samples.mean(axis=0)
     var = samples.var(axis=0)
@@ -338,7 +341,7 @@ def test_criterion_8_degenerate_equivalences(sched_t2i):
     z_elev, _ = elevate_sample(plan)
     z_hops = sample_by_hops(plan.t2i_model,
                             np.random.default_rng(13).standard_normal(plan.shape),
-                            [*plan.grid.steps, 0], plan.t2i_schedule)
+                            [*plan.grid.steps, 0])
     bit_identical = np.array_equal(z_elev, z_hops)
 
     # a zero-mix wrapper is bit-identical to its base
@@ -346,19 +349,19 @@ def test_criterion_8_degenerate_equivalences(sched_t2i):
     wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.0)
     z = np.random.default_rng(3).standard_normal((4, 4, 8, 8))
     wrapper_identity = np.array_equal(
-        wrapped.predict_eps(z, 500, sched_t2i),
-        base.predict_eps(z, 500, sched_t2i),
+        wrapped.predict_eps(z, 500),
+        base.predict_eps(z, 500),
     )
 
     # deterministic sampling ignores the global random stream, the only one
     # a generator-free sampler could read
-    den = AnalyticDenoiser(make_gp_prior(4, 2, 4, 4, spectrum_kind="flat"))
+    den = AnalyticDenoiser(make_gp_prior(4, 2, 4, 4, spectrum_kind="flat"), sched_t2i)
     grid = select_timesteps(sched_t2i, 25)
     z0 = np.random.default_rng(1).standard_normal((4, 2, 4, 4))
     np.random.seed(111)
-    a = ddim_sample(den, z0, grid, sched_t2i)
+    a = ddim_sample(den, z0, grid)
     np.random.seed(222)
-    b = ddim_sample(den, z0, grid, sched_t2i)
+    b = ddim_sample(den, z0, grid)
     seed_independent = np.array_equal(a, b)
 
     ok = bit_identical and wrapper_identity and seed_independent
@@ -398,9 +401,10 @@ def test_criterion_10_stylistic_synthesis(cache):
     h, w = SHAPE[2:]
     y, x = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")
     style = np.broadcast_to(np.cos(2 * np.pi * (2 * y + 3 * x)), SHAPE)
-    p = DEFAULT_CONFIG["priors"]["t2i"]
+    p, sched = DEFAULT_CONFIG["priors"]["t2i"], DEFAULT_CONFIG["schedules"]
     styled = AnalyticDenoiser(make_gp_prior(*SHAPE, p["rho"], p["spectrum_kind"],
-                                            p["variance_scale"], mean=style))
+                                            p["variance_scale"], mean=style),
+                              make_schedule(sched["t2i"], sched["total_steps"]))
 
     def coefficient(z):
         return float(np.vdot(z, style) / np.vdot(style, style))

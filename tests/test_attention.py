@@ -279,25 +279,25 @@ class TestFirstOnlyCrossFrame:
 
 
 class TestCrossFrameWrapper:
-    def test_mix_zero_is_bitwise_identity(self, sched_t2i, rng):
+    def test_mix_zero_is_bitwise_identity(self, rng):
         base = recipe_denoiser("t2i", (4, 4, 8, 8))
         wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.0)
         z = rng.standard_normal((4, 4, 8, 8))
         np.testing.assert_array_equal(
-            wrapped.predict_eps(z, 300, sched_t2i),
-            base.predict_eps(z, 300, sched_t2i),
+            wrapped.predict_eps(z, 300),
+            base.predict_eps(z, 300),
         )
 
-    def test_mix_one_identical_frames_share_prediction(self, sched_t2i, rng):
+    def test_mix_one_identical_frames_share_prediction(self, rng):
         base = recipe_denoiser("t2i", (4, 4, 8, 8))
         wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=1.0)
         frame = rng.standard_normal((1, 4, 8, 8))
         z = np.repeat(frame, 4, axis=0)
-        out = wrapped.predict_eps(z, 300, sched_t2i)
+        out = wrapped.predict_eps(z, 300)
         for i in range(1, 4):
             np.testing.assert_allclose(out[i], out[0], rtol=1e-9, atol=1e-12)
 
-    def test_mix_one_reduces_adjacent_frame_spread(self, sched_t2i):
+    def test_mix_one_reduces_adjacent_frame_spread(self):
         """Frame-0 anchoring shrinks the spread of per-frame predictions:
         median over 50 random latents."""
         base = recipe_denoiser("t2i", (6, 4, 8, 8))
@@ -306,7 +306,7 @@ class TestCrossFrameWrapper:
         anchored = CrossFrameDenoiser(base, params, mix=1.0)
 
         def spread(model, z):
-            eps = model.predict_eps(z, 400, sched_t2i)
+            eps = model.predict_eps(z, 400)
             return np.mean(np.linalg.norm(np.diff(eps, axis=0), axis=(1, 2)))
 
         diffs = []
@@ -315,20 +315,25 @@ class TestCrossFrameWrapper:
             diffs.append(spread(plain, z) - spread(anchored, z))
         assert np.median(diffs) > 0
 
-    def test_shape_and_determinism(self, sched_t2i, rng):
+    def test_shape_and_determinism(self, rng):
         base = recipe_denoiser("t2i", (3, 4, 4, 4))
         wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.5)
         z = rng.standard_normal((3, 4, 4, 4))
-        a = wrapped.predict_eps(z, 100, sched_t2i)
-        b = wrapped.predict_eps(z, 100, sched_t2i)
+        a = wrapped.predict_eps(z, 100)
+        b = wrapped.predict_eps(z, 100)
         assert a.shape == z.shape
         np.testing.assert_array_equal(a, b)
 
-    def test_incompatible_channel_width(self, sched_t2i, rng):
+    def test_runs_on_its_base_schedule(self):
+        base = recipe_denoiser("t2i", (3, 4, 4, 4))
+        wrapped = CrossFrameDenoiser(base, make_attention_params(4), mix=0.5)
+        assert wrapped.schedule is base.schedule
+
+    def test_incompatible_channel_width(self, rng):
         base = recipe_denoiser("t2i", (3, 4, 4, 4))
         wrapped = CrossFrameDenoiser(base, make_attention_params(3), mix=0.5)
         with pytest.raises(ValueError, match="incompatible shape"):
-            wrapped.predict_eps(rng.standard_normal((3, 4, 4, 4)), 100, sched_t2i)
+            wrapped.predict_eps(rng.standard_normal((3, 4, 4, 4)), 100)
 
     def test_mix_bounds(self):
         base = recipe_denoiser("t2i", (2, 4, 4, 4))

@@ -49,7 +49,7 @@ class TestAnalyticEps:
         # flat unit prior: eps_hat = sqrt(1 - ab) * z; at ab = 0.5 that is z / sqrt(2)
         s = half_alpha_schedule()
         z = rng.standard_normal((4, 2, 4, 4))
-        out = AnalyticDenoiser(std_normal_prior).predict_eps(z, 1, s)
+        out = AnalyticDenoiser(std_normal_prior, s).predict_eps(z, 1)
         np.testing.assert_allclose(out, z / np.sqrt(2), rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -66,13 +66,13 @@ class TestAnalyticEps:
     )
     def test_matches_dense_posterior_oracle(self, shape, rho, kind, sched_t2i):
         prior = make_gp_prior(*shape, rho=rho, spectrum_kind=kind, variance_scale=1.3)
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         r = np.random.default_rng(17)
         for _ in range(20):
             t = int(r.integers(1, 1001))
             z = r.standard_normal(shape)
             expected = oracle_eps(prior, z, t, sched_t2i)
-            got = den.predict_eps(z, t, sched_t2i)
+            got = den.predict_eps(z, t)
             np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-8)
 
     def test_mean_shift_equivariance(self, sched_t2i, rng):
@@ -82,7 +82,7 @@ class TestAnalyticEps:
                                 mean=delta)
         z = rng.standard_normal(prior.shape)
         np.testing.assert_allclose(
-            AnalyticDenoiser(shifted).predict_eps(z, 400, sched_t2i),
+            AnalyticDenoiser(shifted, sched_t2i).predict_eps(z, 400),
             oracle_eps(prior, z, 400, sched_t2i, shift=delta),
             rtol=1e-5, atol=1e-8,
         )
@@ -92,10 +92,10 @@ class TestAnalyticEps:
         prior = make_gp_prior(2, 1, 4, 4, variance_scale=0.0, mean=mean)
         t = 300
         z = np.sqrt(sched_t2i.alpha_bar[t]) * mean
-        out = AnalyticDenoiser(prior).predict_eps(z, t, sched_t2i)
+        out = AnalyticDenoiser(prior, sched_t2i).predict_eps(z, t)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
-    def test_rho_zero_skips_rotation_bitwise(self, sched_t2i, rng):
+    def test_rho_zero_skips_rotation_bitwise(self, rng):
         """At rho == 0 the temporal eigenbasis is exactly the identity, so
         skipping the rotation changes no bit of the prediction."""
         den = recipe_denoiser("t2i", (4, 2, 6, 5))
@@ -104,40 +104,40 @@ class TestAnalyticEps:
         rotating._u = np.eye(4)
         z = rng.standard_normal((4, 2, 6, 5))
         for t in (1, 300, 1000):
-            np.testing.assert_array_equal(den.predict_eps(z, t, sched_t2i),
-                                          rotating.predict_eps(z, t, sched_t2i))
+            np.testing.assert_array_equal(den.predict_eps(z, t),
+                                          rotating.predict_eps(z, t))
 
     def test_overflowing_variance_is_warning_free(self, sched_t2i, rng):
         # the config accepts variance_scale 1e308, which overflows some
         # eigenvalues to inf; their gain is exactly 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            den = AnalyticDenoiser(make_gp_prior(16, 4, 16, 16, 0.9, "lowpass", 1e308))
+            den = AnalyticDenoiser(make_gp_prior(16, 4, 16, 16, 0.9, "lowpass", 1e308), sched_t2i)
             assert np.isinf(den._lam).any()
-            eps = den.predict_eps(rng.standard_normal((16, 4, 16, 16)), 500, sched_t2i)
+            eps = den.predict_eps(rng.standard_normal((16, 4, 16, 16)), 500)
         assert np.all(np.isfinite(eps))
 
     def test_mean_modes_are_frozen_and_none_for_a_zero_mean(self, sched_t2i, rng):
         assert recipe_denoiser("t2v", (4, 2, 4, 4)).mean_modes is None
         mean = rng.standard_normal((4, 2, 4, 4))
-        den = AnalyticDenoiser(make_gp_prior(4, 2, 4, 4, 0.5, "lowpass", mean=mean))
+        den = AnalyticDenoiser(make_gp_prior(4, 2, 4, 4, 0.5, "lowpass", mean=mean), sched_t2i)
         np.testing.assert_array_equal(den.mean_modes, den.to_modes(mean))
         assert not den.mean_modes.flags.writeable
 
-    def test_deterministic_bitwise(self, sched_t2i, rng):
+    def test_deterministic_bitwise(self, rng):
         den = recipe_denoiser("t2v", (4, 2, 4, 4))
         z = rng.standard_normal((4, 2, 4, 4))
-        a = den.predict_eps(z, 500, sched_t2i)
-        b = den.predict_eps(z, 500, sched_t2i)
+        a = den.predict_eps(z, 500)
+        b = den.predict_eps(z, 500)
         np.testing.assert_array_equal(a, b)
         assert a.shape == z.shape
 
-    def test_validation(self, sched_t2i):
+    def test_validation(self):
         den = recipe_denoiser("t2i", (2, 1, 4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            den.predict_eps(np.zeros((2, 1, 4, 5)), 10, sched_t2i)
+            den.predict_eps(np.zeros((2, 1, 4, 5)), 10)
         with pytest.raises(ValueError, match="timestep out of range"):
-            den.predict_eps(np.zeros((2, 1, 4, 4)), 0, sched_t2i)
+            den.predict_eps(np.zeros((2, 1, 4, 4)), 0)
 
     def test_bayes_optimality_margin(self, sched_t2i):
         """Mean squared noise-prediction error of the exact posterior is
@@ -152,14 +152,14 @@ class TestAnalyticEps:
         base_c = 2
         prior = make_gp_prior(2, base_c * n_samples, 4, 4, rho=0.8,
                               spectrum_kind="broadband")
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         rng = np.random.default_rng(23)
         z0 = sample_prior(prior, rng)
         for t in (100, 250, 500, 750, 900):
             eps = rng.standard_normal(z0.shape)
             z_t = forward_diffuse(z0, t, eps, sched_t2i)
             mse = lambda pred: float(np.mean((eps - pred) ** 2))
-            analytic = mse(den.predict_eps(z_t, t, sched_t2i))
+            analytic = mse(den.predict_eps(z_t, t))
             others = min(mse(np.zeros_like(eps)), mse(z_t))
             assert analytic < others, (t, analytic, others)
             if t <= 500:
@@ -200,7 +200,7 @@ class TestModeLayout:
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     def test_equals_strided_passes_bitwise(self, shape, rho, sched_t2i, rng):
         mean = rng.standard_normal(shape)
-        den = AnalyticDenoiser(make_gp_prior(*shape, rho, "lowpass", mean=mean))
+        den = AnalyticDenoiser(make_gp_prior(*shape, rho, "lowpass", mean=mean), sched_t2i)
         assert (den._u is None) == (rho == 0.0)
         v = rng.standard_normal(shape)
         modes = den.to_modes(v)
@@ -210,17 +210,17 @@ class TestModeLayout:
         np.testing.assert_array_equal(den.from_modes(modes), strided_latent(den, modes))
         ab = sched_t2i.alpha_bar[400]
         eps = (strided_modes(den, v) - np.sqrt(ab) * strided_modes(den, mean)) * den.eps_gain(ab)
-        np.testing.assert_array_equal(den.predict_eps(v, 400, sched_t2i),
+        np.testing.assert_array_equal(den.predict_eps(v, 400),
                                       strided_latent(den, eps))
 
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     def test_returns_fresh_arrays(self, rho, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(4, 2, 6, 5, rho, "lowpass"))
+        den = AnalyticDenoiser(make_gp_prior(4, 2, 6, 5, rho, "lowpass"), sched_t2i)
         v, w = rng.standard_normal((2, 4, 2, 6, 5))
         modes, latent = den.to_modes(v), den.from_modes(den.to_modes(v))
-        eps = den.predict_eps(v, 400, sched_t2i)
+        eps = den.predict_eps(v, 400)
         kept = [a.copy() for a in (modes, latent, eps)]
-        den.predict_eps(w, 700, sched_t2i)
+        den.predict_eps(w, 700)
         den.from_modes(den.to_modes(w))
         for got, expected in zip((modes, latent, eps), kept):
             np.testing.assert_array_equal(got, expected)
@@ -259,26 +259,30 @@ class TestGuidance:
 
         def denoiser(mean):
             return AnalyticDenoiser(
-                make_gp_prior(*shape, rho=0.6, spectrum_kind="broadband", mean=mean))
+                make_gp_prior(*shape, rho=0.6, spectrum_kind="broadband", mean=mean), sched_t2i)
 
         z = rng.standard_normal(shape)
         for t in (100, 400, 900):
-            eps0 = denoiser(m0).predict_eps(z, t, sched_t2i)
-            eps1 = denoiser(m1).predict_eps(z, t, sched_t2i)
+            eps0 = denoiser(m0).predict_eps(z, t)
+            eps1 = denoiser(m1).predict_eps(z, t)
             for w in (0.0, 1.0, 3.0):
                 np.testing.assert_allclose(
                     eps0 + w * (eps1 - eps0),
-                    denoiser(m0 + w * (m1 - m0)).predict_eps(z, t, sched_t2i),
+                    denoiser(m0 + w * (m1 - m0)).predict_eps(z, t),
                     rtol=1e-12, atol=1e-12,
                 )
 
 
 class TestToyModels:
     def test_recipe_helper_matches_build_plan(self):
-        for which, expected in zip(("t2v", "t2i"), plan_priors((4, 2, 8, 8))):
-            prior = recipe_denoiser(which, (4, 2, 8, 8)).prior
-            for f in fields(prior):
-                np.testing.assert_array_equal(getattr(prior, f.name), getattr(expected, f.name))
+        plan = build_plan(resolve_config({"shape": [4, 2, 8, 8], "render": False}), 0)
+        for which, expected in (("t2v", plan.t2v_model), ("t2i", plan.t2i_model.base)):
+            den = recipe_denoiser(which, (4, 2, 8, 8))
+            for f in fields(den.prior):
+                np.testing.assert_array_equal(getattr(den.prior, f.name),
+                                              getattr(expected.prior, f.name))
+            assert den.schedule.kind == expected.schedule.kind
+            np.testing.assert_array_equal(den.schedule.alpha_bar, expected.schedule.alpha_bar)
 
     def test_t2v_prior_frame_correlation(self):
         prior, _ = plan_priors((4, 1, 4, 4))

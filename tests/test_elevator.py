@@ -48,15 +48,16 @@ def seeded_noise(plan):
     return np.random.default_rng(plan.seed).standard_normal(plan.shape)
 
 
-def sample_down(model, z, t, grid, s):
-    return ddim_sample(model, z, TimestepGrid(steps=tuple(u for u in grid.steps if u <= t)), s)
+def sample_down(model, z, t, grid):
+    return ddim_sample(model, z, TimestepGrid(steps=tuple(u for u in grid.steps if u <= t)))
 
 
 class TestPlanValidation:
     def test_mismatched_total_steps(self, small_plan):
-        other = make_schedule("linear_beta", 500)
+        video = AnalyticDenoiser(small_plan.t2v_model.prior,
+                                 make_schedule("scaled_linear_beta", 500))
         with pytest.raises(ValueError, match="share total_steps"):
-            replace(small_plan, t2v_schedule=other)
+            replace(small_plan, t2v_model=video)
 
     def test_unknown_inversion(self, small_plan):
         with pytest.raises(ValueError, match="inversion strategy"):
@@ -83,6 +84,33 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="mask length"):
             replace(small_plan, filter_mask=gaussian_mask(4, math.inf))
 
+    def test_mask_spatial_shape(self):
+        """Spatial gains that do not fit the frame are rejected with the
+        plan, not at the first refining step's filter."""
+        plan = make_default_plan(shape=[4, 4, 8, 8], num_steps=8, num_refine_steps=2,
+                                 n_sdedit=2)
+        mask = gaussian_mask(4, 0.25, spatial_shape=(6, 6))
+        with pytest.raises(ValueError, match=r"spatial gains \(6, 6\) != frame shape \(8, 8\)"):
+            replace(plan, filter_mask=mask)
+        fitting = replace(plan, filter_mask=gaussian_mask(4, 0.25, spatial_shape=(8, 8)))
+        assert np.all(np.isfinite(elevate_sample(fitting)[0]))
+
+    def test_grid_within_the_schedules(self):
+        """A grid must have a first step, at or below ``total_steps``, where
+        sampling starts: a plan that breaks that is rejected when built,
+        not in its first refining projection or its ``init`` record."""
+        plan = make_default_plan(shape=[4, 4, 8, 8], num_steps=8, num_refine_steps=2,
+                                 n_sdedit=2)
+        top, *rest = plan.grid.steps
+        assert top == 1000 and top in plan.grid.refine_set
+        beyond = TimestepGrid(steps=(1500, *rest),
+                              refine_set=plan.grid.refine_set - {top} | {1500})
+        with pytest.raises(ValueError, match=r"start at or below total_steps 1000, "
+                                             r"got steps \(1500,\)"):
+            replace(plan, grid=beyond)
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            replace(plan, grid=TimestepGrid(steps=()))
+
 
 class TestRefineTemporal:
     def test_requires_refinable_step(self, small_plan, rng):
@@ -106,10 +134,10 @@ class TestRefineTemporal:
             t = max(plan.grid.refine_set)
             z_t = rng.standard_normal(SMALL)
             clean_in = project_clean(
-                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
+                z_t, exact.predict_eps(z_t, t), t, sched_t2i
             )
             z_back = sample_down(exact, refine_temporal(z_t, t, plan, rng, []), t,
-                                 plan.grid, sched_t2i)
+                                 plan.grid)
             errs.append(np.linalg.norm(z_back - clean_in) / np.linalg.norm(clean_in))
         assert max(errs) < 0.03
 
@@ -128,14 +156,14 @@ class TestRefineTemporal:
             # replay the refiner's internals with an identical stream
             rng2 = np.random.default_rng(seed + 50)
             clean = project_clean(
-                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
+                z_t, exact.predict_eps(z_t, t), t, sched_t2i
             )
             clean = lpff(clean, plan.filter_mask)
             below = plan.grid.steps[plan.grid.index_of(t):]
-            clean2 = sdedit_chain(plan.t2v_model, clean, TimestepGrid(below[:plan.n_sdedit + 1]),
-                                  plan.t2v_schedule, rng2)
+            clean2 = sdedit_chain(plan.t2v_model, clean,
+                                  TimestepGrid(below[:plan.n_sdedit + 1]), rng2)
 
-            z_back = sample_down(exact, z_tilde, t, plan.grid, sched_t2i)
+            z_back = sample_down(exact, z_tilde, t, plan.grid)
             err = np.linalg.norm(z_back - clean2) / np.linalg.norm(clean2)
             assert err < 0.03
 
@@ -168,7 +196,7 @@ class TestRefineTemporal:
         then to 0, and the image model's hop-by-hop inversion up the grid
         from 0 to ``t``. Its trace is the four phases, all at ``t``."""
         plan = make_default_plan(shape=shape, **knobs)
-        s_i, s_v = plan.t2i_schedule, plan.t2v_schedule
+        s_i, s_v = plan.t2i_model.schedule, plan.t2v_model.schedule
         base = plan.t2i_model.base
         worst = 0.0
         for t in plan.grid.refine_set:
@@ -177,12 +205,12 @@ class TestRefineTemporal:
                 z_t = np.random.default_rng(seed + 20).standard_normal(shape)
                 trace = []
                 got = refine_temporal(z_t, t, plan, np.random.default_rng(seed), trace)
-                clean = lpff(project_clean(z_t, base.predict_eps(z_t, t, s_i), t, s_i),
+                clean = lpff(project_clean(z_t, base.predict_eps(z_t, t), t, s_i),
                              plan.filter_mask)
                 eps = np.random.default_rng(seed).standard_normal(shape)
                 clean = sample_by_hops(plan.t2v_model, forward_diffuse(clean, t, eps, s_v),
-                                       [*below[:plan.n_sdedit + 1], 0], s_v)
-                expected = invert_by_hops(base, clean, TimestepGrid(steps=below), s_i)
+                                       [*below[:plan.n_sdedit + 1], 0])
+                expected = invert_by_hops(base, clean, TimestepGrid(steps=below))
                 worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
                 assert [(r["phase"], r["timestep"]) for r in trace] == [
                     ("refine.project", t), ("refine.lpff", t), ("refine.sdedit", t),
@@ -200,11 +228,11 @@ class TestRefineTemporal:
             z0 = sample_prior(prior_i, rng)
             z_t = forward_diffuse(z0, t, rng.standard_normal(SMALL), sched_t2i)
             clean_in = project_clean(
-                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i
+                z_t, exact.predict_eps(z_t, t), t, sched_t2i
             )
             z_tilde = refine_temporal(z_t, t, plan, rng, [])
             clean_out = project_clean(
-                z_tilde, exact.predict_eps(z_tilde, t, sched_t2i), t, sched_t2i
+                z_tilde, exact.predict_eps(z_tilde, t), t, sched_t2i
             )
             gains.append(frame_consistency(clean_out) - frame_consistency(clean_in))
         assert np.median(gains) > 0
@@ -223,9 +251,9 @@ class TestRefineTemporal:
                        filter_mask=gaussian_mask(SMALL[0], math.inf))
         out = refine_temporal(z_t, t, plan, np.random.default_rng(3), [])
         # shared forward noise: frame differences carry only the clean content
-        s = plan.t2i_schedule
+        s = plan.t2i_model.schedule
         exact = plan.t2i_model.base
-        clean = project_clean(z_t, exact.predict_eps(z_t, t, s), t, s)
+        clean = project_clean(z_t, exact.predict_eps(z_t, t), t, s)
         resid = out - np.sqrt(s.alpha_bar[t]) * clean
         np.testing.assert_allclose(resid[1:], resid[:-1], rtol=1e-9, atol=1e-12)
 
@@ -236,7 +264,7 @@ class TestElevateSpatial:
         z = rng.standard_normal(SMALL)
         np.testing.assert_array_equal(
             elevate_spatial(z, t, t_prev, small_plan, []),
-            ddim_step(small_plan.t2i_model, z, t, t_prev, small_plan.t2i_schedule),
+            ddim_step(small_plan.t2i_model, z, t, t_prev),
         )
 
     def test_detail_injection_at_mid_chain(self, small_plan, sched_t2i):
@@ -251,10 +279,10 @@ class TestElevateSpatial:
             zv = sample_prior(prior_v, rng)
             z_t = forward_diffuse(zv, t, rng.standard_normal(SMALL), sched_t2i)
             before = spatial_detail(project_clean(
-                z_t, exact.predict_eps(z_t, t, sched_t2i), t, sched_t2i))
+                z_t, exact.predict_eps(z_t, t), t, sched_t2i))
             z_next = elevate_spatial(z_t, t, t_prev, small_plan, [])
             after = spatial_detail(project_clean(
-                z_next, exact.predict_eps(z_next, t_prev, sched_t2i),
+                z_next, exact.predict_eps(z_next, t_prev),
                 t_prev, sched_t2i))
             diffs.append(after - before)
         assert np.median(diffs) > 0
@@ -267,7 +295,7 @@ class TestElevateSample:
         plan = replace(refine_free_plan, seed=11)
         z_elev, _ = elevate_sample(plan)
         z_ref = sample_by_hops(plan.t2i_model, seeded_noise(plan),
-                               [*plan.grid.steps, 0], plan.t2i_schedule)
+                               [*plan.grid.steps, 0])
         np.testing.assert_array_equal(z_elev, z_ref)
 
     def test_same_seed_bitwise_reproducible(self):
@@ -308,8 +336,8 @@ class TestElevateSample:
             plan.grid.steps
         )
         for r in trace:
-            assert set(r) == {"timestep", "phase", "model", "schedule", "space",
-                              "mean", "std", "frame_corr"}
+            assert set(r) == {"timestep", "phase", "model", "space", "mean", "std",
+                              "frame_corr"}
             assert np.isfinite(r["mean"]) and np.isfinite(r["std"])
         # one recipe per refining step: filter, then an SDEdit chain that
         # ends in the video model's clean latent at the refining step
@@ -320,15 +348,10 @@ class TestElevateSample:
 
     def test_trace_violation_detection(self):
         bad = [
-            {"timestep": 500, "phase": "x", "model": "t2v", "schedule": "t2i",
-             "space": "noise", "mean": 0.0, "std": 1.0, "frame_corr": 0.0},
-        ]
-        assert any("schedule isolation" in v for v in trace_violations(bad))
-        bad = [
-            {"timestep": 500, "phase": "a", "model": "t2i", "schedule": "t2i",
-             "space": "noise", "mean": 0.0, "std": 1.0, "frame_corr": 0.0},
-            {"timestep": 500, "phase": "b", "model": "t2v", "schedule": "t2v",
-             "space": "noise", "mean": 0.0, "std": 1.0, "frame_corr": 0.0},
+            {"timestep": 500, "phase": "a", "model": "t2i", "space": "noise",
+             "mean": 0.0, "std": 1.0, "frame_corr": 0.0},
+            {"timestep": 500, "phase": "b", "model": "t2v", "space": "noise",
+             "mean": 0.0, "std": 1.0, "frame_corr": 0.0},
         ]
         assert any("direct hand-off" in v for v in trace_violations(bad))
 
@@ -360,7 +383,7 @@ class TestBaseline:
         plan = replace(small_plan, seed=3)
         z, trace = baseline_sample(plan)
         z_ref = sample_by_hops(plan.t2v_model, seeded_noise(plan),
-                               [*plan.grid.steps, 0], plan.t2v_schedule)
+                               [*plan.grid.steps, 0])
         np.testing.assert_array_equal(z, z_ref)
         assert trace_violations(trace) == []
         assert {r["phase"] for r in trace} == {"init", "baseline.step"}
@@ -376,11 +399,13 @@ class TestBaseline:
 
 
 class TestRecord:
-    def test_schedule_defaults_to_the_model(self):
+    def test_record_keys(self):
+        """A record names the model, whose own schedule it ran on, and no
+        schedule of its own."""
         trace: list = []
         _record(trace, 5, "x", "t2v", "noise", np.ones((2, 1, 2, 2)))
-        _record(trace, 5, "init", None, "noise", np.ones((2, 1, 2, 2)), "t2i")
-        assert [r["schedule"] for r in trace] == ["t2v", "t2i"]
+        assert list(trace[0]) == ["timestep", "phase", "model", "space", "mean", "std",
+                                  "frame_corr"]
         assert trace[0]["frame_corr"] == 1.0
 
     def test_single_frame_corr_is_nan(self):
@@ -446,8 +471,8 @@ class TestDefaultPlan:
         assert len(plan.grid.refine_set) == 5
         assert plan.n_sdedit == 9
         assert plan.grid.steps[0] in plan.grid.refine_set
-        assert plan.t2v_schedule.kind == "scaled_linear_beta"
-        assert plan.t2i_schedule.kind == "linear_beta"
+        assert plan.t2v_model.schedule.kind == "scaled_linear_beta"
+        assert plan.t2i_model.schedule.kind == "linear_beta"
 
     def test_override_plumbing(self):
         plan = make_default_plan(shape=SMALL, num_steps=10, num_refine_steps=2,

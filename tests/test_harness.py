@@ -142,14 +142,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("mode", ["elevate", "ablate_inversion"])
     def test_manifest_schedules_are_the_plans(self, mode, tmp_path):
-        """The manifest records the schedules of the plans that
-        ``resolve_config`` built, which every variant shares."""
+        """Each model of a plan ``resolve_config`` built carries the schedule
+        the config names, the inflated image model its base's, and the
+        manifest records those schedules, which every variant shares."""
         cfg = tiny(mode, seeds=[0], render=False)
         cfg["schedules"] = {"t2i": "cosine", "total_steps": 400}
         manifest = run(cfg, output_dir=tmp_path)
         kinds = {"t2i": "cosine", "t2v": "scaled_linear_beta"}
         for _, plan in harness._resolve(cfg)[1]:
-            for name, s in (("t2i", plan.t2i_schedule), ("t2v", plan.t2v_schedule)):
+            assert plan.t2i_model.schedule is plan.t2i_model.base.schedule
+            for name, model in (("t2i", plan.t2i_model.base), ("t2v", plan.t2v_model)):
+                s = model.schedule
+                assert (s.kind, s.total_steps) == (kinds[name], 400)
                 assert manifest["schedules"][name] == {
                     "kind": kinds[name], "total_steps": 400, "alpha_bar": s.alpha_bar.tolist()}
 
@@ -617,7 +621,7 @@ class TestRunModes:
         # the cell's refine-free override leaves as they are
         plan = build_plan(resolve_config(tiny("baseline_t2i")), seed=1)
         z = np.random.default_rng(1).standard_normal(plan.shape)
-        oracle = sample_by_hops(plan.t2i_model, z, [*plan.grid.steps, 0], plan.t2i_schedule)
+        oracle = sample_by_hops(plan.t2i_model, z, [*plan.grid.steps, 0])
         [row] = manifest["runs"]
         np.testing.assert_array_equal(load_latent(tmp_path / row["latent"]),
                                       oracle.astype(np.float32))

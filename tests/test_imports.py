@@ -1,7 +1,8 @@
 """Every imported name is read somewhere in its module, every parameter
 of a package function is read in its body, and every top-level function,
 class or assigned name of the package is read somewhere in it: an import,
-a parameter or a definition nothing reads is dead code."""
+a parameter or a definition nothing reads is dead code. No package
+function takes a schedule beside a model, which owns its schedule."""
 from __future__ import annotations
 
 import ast
@@ -129,3 +130,78 @@ def test_unread_definitions_are_flagged():
     }
     assert unread_definitions(sources) == ["a.py:Unused", "a.py:orphan", "c.py:HIGH",
                                            "c.py:LIMIT", "c.py:STALE", "c.py:bound"]
+
+
+# a model is a parameter of one of these types, or the self of a denoiser
+MODEL_TYPES = {"Denoiser", "AnalyticDenoiser", "CrossFrameDenoiser"}
+
+
+def _type_names(annotation) -> set:
+    """The names an annotation mentions, inside string annotations too."""
+    names = set()
+    for node in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _type_names(ast.parse(node.value, mode="eval").body)
+    return names
+
+
+def _functions(body, prefix: str = "", in_denoiser: bool = False):
+    """``(qualified name, function, is a method of a denoiser)`` for each
+    function in ``body``, in classes and functions too; a denoiser class is
+    one that defines ``predict_eps``."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            denoiser = any(isinstance(n, ast.FunctionDef) and n.name == "predict_eps"
+                           for n in node.body)
+            yield from _functions(node.body, f"{prefix}{node.name}.", denoiser)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node, in_denoiser
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def models_beside_schedules(source: str) -> list:
+    """Each function or method that takes both a model and a parameter
+    annotated ``NoiseSchedule``. A model carries its own schedule, so such
+    a signature lets a caller pair a model with another model's schedule.
+    A denoiser's ``__init__``, where a model receives its schedule, is
+    exempt."""
+    found = []
+    for name, fn, in_denoiser in _functions(ast.parse(source).body):
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        types = [_type_names(p.annotation) for p in params]
+        own = in_denoiser and fn.name != "__init__" and [p.arg for p in params[:1]] == ["self"]
+        model = own or any(t & MODEL_TYPES for t in types)
+        if model and any("NoiseSchedule" in t for t in types):
+            found.append(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_model_takes_a_schedule(path):
+    assert models_beside_schedules(path.read_text()) == []
+
+
+def test_models_beside_schedules_are_flagged():
+    source = ("from . import schedule\n"
+              "from .schedule import NoiseSchedule\n"
+              "class AnalyticDenoiser:\n"
+              "    def __init__(self, prior, schedule: NoiseSchedule):\n"
+              "        self.schedule = schedule\n"
+              "    def predict_eps(self, z, t, s: NoiseSchedule):\n        return z\n"
+              "    def eps_gain(self, ab):\n        return ab\n"
+              "class Grid:\n"
+              "    def at(self, s: 'NoiseSchedule'):\n        return s\n"
+              "def step(model: 'Denoiser', z, s: NoiseSchedule | None = None):\n"
+              "    return z\n"
+              "def chain(model: CrossFrameDenoiser, z, grid):\n    return z\n"
+              "def hop(s: schedule.NoiseSchedule, a, b):\n    return a\n"
+              "def sdedit(model: AnalyticDenoiser, *, rng, s: schedule.NoiseSchedule):\n"
+              "    def inner(m: AnalyticDenoiser, s: 'NoiseSchedule'):\n        return m\n"
+              "    return inner\n")
+    assert models_beside_schedules(source) == ["AnalyticDenoiser.predict_eps", "sdedit",
+                                               "sdedit.inner", "step"]

@@ -42,15 +42,16 @@ SHAPE = (2, 1, 4, 4)
 class ConstantModel:
     """Predicts a fixed tensor regardless of input."""
 
-    def __init__(self, value):
+    def __init__(self, value, schedule):
         self.value = value
+        self.schedule = schedule
 
-    def predict_eps(self, z, t, s):
+    def predict_eps(self, z, t):
         return np.broadcast_to(self.value, z.shape).copy()
 
 
-def zero_model():
-    return ConstantModel(0.0)
+def zero_model(schedule):
+    return ConstantModel(0.0, schedule)
 
 
 def custom_schedule(alpha_bar):
@@ -60,7 +61,7 @@ def custom_schedule(alpha_bar):
 class TestDdimStep:
     def test_zero_model_rescale(self, sched_t2i, rng):
         z = rng.standard_normal(SHAPE)
-        out = ddim_step(zero_model(), z, 500, 480, sched_t2i)
+        out = ddim_step(zero_model(sched_t2i), z, 500, 480)
         ratio = np.sqrt(sched_t2i.alpha_bar[480] / sched_t2i.alpha_bar[500])
         np.testing.assert_allclose(out, ratio * z, rtol=1e-12)
 
@@ -68,14 +69,14 @@ class TestDdimStep:
         z0 = rng.standard_normal(SHAPE)
         eps = rng.standard_normal(SHAPE)
         z_t = forward_diffuse(z0, 600, eps, sched_t2i)
-        out = ddim_step(ConstantModel(eps), z_t, 600, 400, sched_t2i)
+        out = ddim_step(ConstantModel(eps, sched_t2i), z_t, 600, 400)
         np.testing.assert_allclose(out, forward_diffuse(z0, 400, eps, sched_t2i),
                                    rtol=1e-9, atol=1e-12)
 
     def test_hand_case(self):
         # alpha_bar 0.25 -> 0.81 with unit latent and unit prediction
         s = custom_schedule([1.0, 0.81, 0.25])
-        out = ddim_step(ConstantModel(1.0), np.ones(SHAPE), 2, 1, s)
+        out = ddim_step(ConstantModel(1.0, s), np.ones(SHAPE), 2, 1)
         expected = 0.9 * ((1 - np.sqrt(0.75)) / 0.5) + np.sqrt(1 - 0.81)
         np.testing.assert_allclose(out, expected, rtol=1e-12)
         assert out[0, 0, 0, 0] == pytest.approx(0.6770441675420776)
@@ -83,9 +84,9 @@ class TestDdimStep:
     def test_order_violation(self, sched_t2i):
         z = np.zeros(SHAPE)
         with pytest.raises(ValueError, match="order violation"):
-            ddim_step(zero_model(), z, 100, 100, sched_t2i)
+            ddim_step(zero_model(sched_t2i), z, 100, 100)
         with pytest.raises(ValueError, match="order violation"):
-            ddim_step(zero_model(), z, 100, 200, sched_t2i)
+            ddim_step(zero_model(sched_t2i), z, 100, 200)
 
 
 class TestInversion:
@@ -94,7 +95,7 @@ class TestInversion:
         maps; their product is computed directly from alpha_bar and stays
         within 1e-4 of unity on an adjacent grid pair."""
         prior = make_gp_prior(*SHAPE, rho=0.0, spectrum_kind="flat")
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         a, b = 480, 500
         ab_a, ab_b = sched_t2i.alpha_bar[a], sched_t2i.alpha_bar[b]
         ca, sa = np.sqrt(ab_a), np.sqrt(1 - ab_a)
@@ -103,9 +104,9 @@ class TestInversion:
         w_coef = cb * (1 - sa * e) / ca + sb * e
         m_coef = ca * (1 - sb * e) / cb + sa * e
         z = rng.standard_normal(SHAPE)
-        up = invert_hop(den, z, a, b, sched_t2i)
+        up = invert_hop(den, z, a, b)
         np.testing.assert_allclose(up, w_coef * z, rtol=1e-12)
-        down = ddim_step(den, up, b, a, sched_t2i)
+        down = ddim_step(den, up, b, a)
         np.testing.assert_allclose(down, w_coef * m_coef * z, rtol=1e-12)
         assert np.linalg.norm(down - z) / np.linalg.norm(z) < 1e-4
 
@@ -113,21 +114,21 @@ class TestInversion:
         grid = select_timesteps(sched_t2i, 10)
         z0 = rng.standard_normal(SHAPE)
         t_min = grid.steps[-1]
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"), sched_t2i)
         np.testing.assert_allclose(
-            ddim_invert(den, z0, TimestepGrid(steps=(t_min,)), sched_t2i),
-            invert_hop(den, z0, 0, t_min, sched_t2i),
+            ddim_invert(den, z0, TimestepGrid(steps=(t_min,))),
+            invert_hop(den, z0, 0, t_min),
             rtol=1e-12,
         )
 
     def test_full_adjointness_standard_normal(self, sched_t2i, rng):
         # dense grid: invert-then-sample is the identity to 1e-4
         prior = make_gp_prior(*SHAPE, rho=0.0, spectrum_kind="flat")
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         grid = select_timesteps(sched_t2i, 400)
         z0 = rng.standard_normal(SHAPE)
-        top = ddim_invert(den, z0, grid, sched_t2i)
-        back = ddim_sample(den, top, grid, sched_t2i)
+        top = ddim_invert(den, z0, grid)
+        back = ddim_sample(den, top, grid)
         assert np.linalg.norm(back - z0) / np.linalg.norm(z0) < 1e-4
 
     def test_reconstruction_error_shrinks_with_grid_density(self, sched_t2i):
@@ -135,13 +136,13 @@ class TestInversion:
         that is first order, O(1/K): doubling the grid halves it. The
         50-step error on the detail-rich prior sits near 1.8e-2."""
         prior = make_gp_prior(4, 2, 8, 8, rho=0.0, spectrum_kind="broadband")
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         errs = {}
         for k in (50, 100, 200):
             grid = select_timesteps(sched_t2i, k)
             z0 = sample_prior(prior, np.random.default_rng(12))
-            top = ddim_invert(den, z0, grid, sched_t2i)
-            back = ddim_sample(den, top, grid, sched_t2i)
+            top = ddim_invert(den, z0, grid)
+            back = ddim_sample(den, top, grid)
             errs[k] = np.linalg.norm(back - z0) / np.linalg.norm(z0)
         assert errs[200] < errs[100] < errs[50] < 0.03
         assert 0.45 <= errs[100] / errs[50] <= 0.55
@@ -173,19 +174,19 @@ class TestClosedFormInversion:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
     def test_matches_hop_chain_at_every_target(self, name, sched_t2i):
         prior = CLOSED_FORM_PRIORS[name]()
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         steps = select_timesteps(sched_t2i, 50).steps
         z0 = sample_prior(prior, np.random.default_rng(1))
         worst = 0.0
         for i in range(len(steps)):
             grid = TimestepGrid(steps=steps[i:])
-            expected = invert_by_hops(den, z0, grid, sched_t2i)
-            got = ddim_invert(den, z0, grid, sched_t2i)
+            expected = invert_by_hops(den, z0, grid)
+            got = ddim_invert(den, z0, grid)
             worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
         assert worst < 1e-12, (name, worst)
 
     def test_errors_match_hop_chain(self, sched_t2i):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        prior = make_gp_prior(*SHAPE, spectrum_kind="flat")
         grid = select_timesteps(sched_t2i, 10)
         short = custom_schedule([1.0, 0.8, 0.5])
         floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
@@ -196,10 +197,11 @@ class TestClosedFormInversion:
              "degenerate alpha_bar at t=2"),
         ]
         for z0, g, sched, message in cases:
+            den = AnalyticDenoiser(prior, sched)
             with pytest.raises(ValueError, match=message):
-                ddim_invert(den, z0, g, sched)
+                ddim_invert(den, z0, g)
             with pytest.raises(ValueError, match=message):
-                invert_by_hops(den, z0, g, sched)
+                invert_by_hops(den, z0, g)
 
 
 def _rel_err(got, expected):
@@ -241,22 +243,22 @@ class TestClosedFormChains:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
     def test_ddim_sample_matches_step_loop(self, name, sched_t2i):
         prior = CLOSED_FORM_PRIORS[name]()
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         steps = select_timesteps(sched_t2i, 50).steps
         z = np.random.default_rng(1).standard_normal(prior.shape)
         worst = 0.0
         for start in (0, 17, 49):
             grid = TimestepGrid(steps=steps[start:])
             chain = [*grid.steps, 0]
-            got = ddim_sample(den, z, grid, sched_t2i)
-            expected = sample_by_hops(den, z, chain, sched_t2i)
+            got = ddim_sample(den, z, grid)
+            expected = sample_by_hops(den, z, chain)
             worst = max(worst, self.check(name, chain, got, expected, z))
         assert worst < 1e-12, (name, worst)
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
     def test_sdedit_chain_matches_step_loop(self, name, sched_t2i):
         prior = CLOSED_FORM_PRIORS[name]()
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         steps = select_timesteps(sched_t2i, 50).steps
         z_clean = sample_prior(prior, np.random.default_rng(1))
         worst = 0.0
@@ -266,9 +268,9 @@ class TestClosedFormChains:
             grid = TimestepGrid(steps=grid_steps)
             chain = [*grid.steps, 0]
             rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
-            got = sdedit_chain(den, z_clean, grid, sched_t2i, rng)
+            got = sdedit_chain(den, z_clean, grid, rng)
             z = _sdedit_draw(z_clean, grid, sched_t2i, oracle_rng)
-            expected = sample_by_hops(den, z, chain, sched_t2i)
+            expected = sample_by_hops(den, z, chain)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
             worst = max(worst, self.check(name, chain, got, expected, z))
         assert worst < 1e-12, (name, worst)
@@ -278,18 +280,18 @@ class TestClosedFormChains:
         # to inf, where the noise estimate is 0 and a step just rescales
         with np.errstate(over="ignore"):
             den = AnalyticDenoiser(make_gp_prior(*SHAPE, rho=0.5, spectrum_kind="lowpass",
-                                                 variance_scale=1e308))
+                                                 variance_scale=1e308), sched_t2i)
         assert np.any(den.eps_gain(0.5) == 0)
         grid = select_timesteps(sched_t2i, 50)
         z = rng.standard_normal(SHAPE)
-        expected = sample_by_hops(den, z, [*grid.steps, 0], sched_t2i)
-        assert _rel_err(ddim_sample(den, z, grid, sched_t2i), expected) < 1e-12
+        expected = sample_by_hops(den, z, [*grid.steps, 0])
+        assert _rel_err(ddim_sample(den, z, grid), expected) < 1e-12
 
     def test_tiny_variance_chain_is_exact(self, sched_t2i):
         """A chain to 0 under the 1e-300 prior matches, per mode, the product
         of hop gains ``r_b / r_a + k * g`` taken in 400-digit decimal
         arithmetic, where their cancellation costs nothing."""
-        den = AnalyticDenoiser(CLOSED_FORM_PRIORS[self.TINY]())
+        den = AnalyticDenoiser(CLOSED_FORM_PRIORS[self.TINY](), sched_t2i)
         grid = select_timesteps(sched_t2i, 50)
         D = decimal.Decimal
 
@@ -308,7 +310,7 @@ class TestClosedFormChains:
         z = np.random.default_rng(1).standard_normal(SHAPE)
         exact = den.from_modes(expected * den.to_modes(z))
         # the latents are about 1e-299, where norms underflow unscaled
-        assert _relative_error(ddim_sample(den, z, grid, sched_t2i), exact) < 1e-12
+        assert _relative_error(ddim_sample(den, z, grid), exact) < 1e-12
 
     @pytest.mark.parametrize("variance", [0.0, 5e-324])
     def test_underflowed_eigenvalue_chain(self, variance, sched_t2i, rng):
@@ -317,16 +319,16 @@ class TestClosedFormChains:
         ``f = 0`` without a warning, so a chain to 0 lands exactly on the
         zero mean, where the step loop's gain cancels to rounding."""
         den = AnalyticDenoiser(make_gp_prior(*SHAPE, rho=0.5, spectrum_kind="lowpass",
-                                             variance_scale=variance))
+                                             variance_scale=variance), sched_t2i)
         assert np.any(den._lam == 0)
         z = rng.standard_normal(SHAPE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ddim_sample(den, z, select_timesteps(sched_t2i, 50), sched_t2i)
+            out = ddim_sample(den, z, select_timesteps(sched_t2i, 50))
         assert np.all(np.isfinite(out)) and np.abs(out).max() < 1e-300
 
     def test_errors_match_step_loop(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        prior = make_gp_prior(*SHAPE, spectrum_kind="flat")
         grid = select_timesteps(sched_t2i, 10)
         z = rng.standard_normal(SHAPE)
         short = custom_schedule([1.0, 0.8, 0.5])
@@ -337,19 +339,21 @@ class TestClosedFormChains:
             (np.zeros((2, 1, 4, 5)), grid, sched_t2i),
         ]
         for z_in, g, sched in cases:
+            den = AnalyticDenoiser(prior, sched)
             chain = [*g.steps, 0]
-            assert _raised(lambda: ddim_sample(den, z_in, g, sched)) == _raised(
-                lambda: sample_by_hops(den, z_in, chain, sched))
-            got = _raised(lambda: sdedit_chain(den, z_in, g, sched, np.random.default_rng(0)))
+            assert _raised(lambda: ddim_sample(den, z_in, g)) == _raised(
+                lambda: sample_by_hops(den, z_in, chain))
+            got = _raised(lambda: sdedit_chain(den, z_in, g, np.random.default_rng(0)))
             expected = _raised(lambda: sample_by_hops(
-                den, _sdedit_draw(z_in, g, sched, np.random.default_rng(0)), chain, sched))
+                den, _sdedit_draw(z_in, g, sched, np.random.default_rng(0)), chain))
             assert got == expected
 
 
-def _composed_step(model, z, t, t_prev, s):
+def _composed_step(model, z, t, t_prev):
     """``ddim_step`` as the clean projection and re-noising it computes."""
+    s = model.schedule
     sampler._check_order(t, t_prev, s)
-    eps = model.predict_eps(z, t, s)
+    eps = model.predict_eps(z, t)
     return forward_diffuse(project_clean(z, eps, t, s), t_prev, eps, s)
 
 
@@ -358,9 +362,10 @@ class ReadOnlyModel:
 
     def __init__(self, model):
         self.model = model
+        self.schedule = model.schedule
 
-    def predict_eps(self, z, t, s):
-        eps = self.model.predict_eps(z, t, s)
+    def predict_eps(self, z, t):
+        eps = self.model.predict_eps(z, t)
         eps.setflags(write=False)
         return eps
 
@@ -373,13 +378,13 @@ class TestHopFormula:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PRIORS))
     def test_matches_projection_composition(self, name, sched_t2i):
         prior = CLOSED_FORM_PRIORS[name]()
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         z = np.random.default_rng(1).standard_normal(prior.shape)
         chain = [*select_timesteps(sched_t2i, 50).steps, 0]
         worst = 0.0
         for a, b in zip(chain[:-1], chain[1:]):
-            got = ddim_step(den, z, a, b, sched_t2i)
-            expected = _composed_step(den, z, a, b, sched_t2i)
+            got = ddim_step(den, z, a, b)
+            expected = _composed_step(den, z, a, b)
             if name == TestClosedFormChains.TINY and b == 0:
                 # both cancel to rounding noise; see TestClosedFormChains
                 for out in (got, expected):
@@ -389,30 +394,31 @@ class TestHopFormula:
         assert worst < 1e-14, (name, worst)
 
     def test_errors_match_projection_composition(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        prior = make_gp_prior(*SHAPE, spectrum_kind="flat")
+        den = AnalyticDenoiser(prior, sched_t2i)
         z = rng.standard_normal(SHAPE)
-        short = custom_schedule([1.0, 0.8, 0.5])
-        floor = custom_schedule([1.0, 0.5, 1e-9, 1e-10])
-        wrong_shape = ConstantModel(np.zeros((2, 1, 4, 5)))
-        cases = [  # (model, z, hi, lo, schedule), one fault each
-            (den, z, 300, 300, sched_t2i),
-            (den, z, 3, 1, short),
-            (den, z, 3, 2, floor),
-            (wrong_shape, z, 500, 400, sched_t2i),
-            (den, np.zeros((2, 1, 4, 5)), 500, 400, sched_t2i),
+        short = AnalyticDenoiser(prior, custom_schedule([1.0, 0.8, 0.5]))
+        floor = AnalyticDenoiser(prior, custom_schedule([1.0, 0.5, 1e-9, 1e-10]))
+        wrong_shape = ConstantModel(np.zeros((2, 1, 4, 5)), sched_t2i)
+        cases = [  # (model, z, hi, lo), one fault each
+            (den, z, 300, 300),
+            (short, z, 3, 1),
+            (floor, z, 3, 2),
+            (wrong_shape, z, 500, 400),
+            (den, np.zeros((2, 1, 4, 5)), 500, 400),
         ]
-        for model, z_in, hi, lo, sched in cases:
-            assert _raised(lambda: ddim_step(model, z_in, hi, lo, sched)) == _raised(
-                lambda: _composed_step(model, z_in, hi, lo, sched))
+        for model, z_in, hi, lo in cases:
+            assert _raised(lambda: ddim_step(model, z_in, hi, lo)) == _raised(
+                lambda: _composed_step(model, z_in, hi, lo))
 
-    def test_read_only_predictions(self, sched_t2i, rng):
+    def test_read_only_predictions(self, rng):
         den = recipe_denoiser("t2v", SHAPE)
         z = rng.standard_normal(SHAPE)
         model = ReadOnlyModel(den)
-        np.testing.assert_array_equal(ddim_step(model, z, 500, 480, sched_t2i),
-                                      ddim_step(den, z, 500, 480, sched_t2i))
+        np.testing.assert_array_equal(ddim_step(model, z, 500, 480),
+                                      ddim_step(den, z, 500, 480))
         inflated = CrossFrameDenoiser(model, make_attention_params(SHAPE[1], seed=0), 0.3)
-        assert np.all(np.isfinite(ddim_step(inflated, z, 500, 480, sched_t2i)))
+        assert np.all(np.isfinite(ddim_step(inflated, z, 500, 480)))
 
 
 def _warm_peak_kib(call) -> float:
@@ -434,16 +440,16 @@ class TestWarmStepMemory:
 
     SHAPE = (16, 4, 16, 16)
 
-    def test_analytic_step(self, sched_t2i, rng):
+    def test_analytic_step(self, rng):
         den = recipe_denoiser("t2v", self.SHAPE)
         z = rng.standard_normal(self.SHAPE)
-        assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480, sched_t2i)) < 448
+        assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480)) < 448
 
-    def test_inflated_step(self, sched_t2i, rng):
+    def test_inflated_step(self, rng):
         den = CrossFrameDenoiser(recipe_denoiser("t2i", self.SHAPE),
                                  make_attention_params(self.SHAPE[1], seed=0), 0.3)
         z = rng.standard_normal(self.SHAPE)
-        assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480, sched_t2i)) < 640
+        assert _warm_peak_kib(lambda: ddim_step(den, z, 500, 480)) < 640
 
 
 # Run in a fresh interpreter: inside the test session, earlier tests have
@@ -492,25 +498,25 @@ class TestWarmSampleCost:
 
 class TestSamplingLoops:
     def test_single_step_grid_projects(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"), sched_t2i)
         grid = TimestepGrid(steps=(700,))
         z = rng.standard_normal(SHAPE)
-        step = ddim_step(den, z, 700, 0, sched_t2i)
-        out = ddim_sample(den, z, grid, sched_t2i)
+        step = ddim_step(den, z, 700, 0)
+        out = ddim_sample(den, z, grid)
         assert _rel_err(out, step) < 1e-12
-        eps = den.predict_eps(z, 700, sched_t2i)
+        eps = den.predict_eps(z, 700)
         np.testing.assert_allclose(out, project_clean(z, eps, 700, sched_t2i),
                                    rtol=1e-12)
 
     def test_eta0_is_seed_independent(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"), sched_t2i)
         grid = select_timesteps(sched_t2i, 20)
         z = rng.standard_normal(SHAPE)
         # the global stream is the only one a generator-free sampler could read
         np.random.seed(111)
-        a = ddim_sample(den, z, grid, sched_t2i)
+        a = ddim_sample(den, z, grid)
         np.random.seed(222)
-        b = ddim_sample(den, z, grid, sched_t2i)
+        b = ddim_sample(den, z, grid)
         np.testing.assert_array_equal(a, b)
 
     @given(seed=st.integers(0, 2**31), k=st.integers(1, 12), top=st.integers(1, 1000))
@@ -522,7 +528,7 @@ class TestSamplingLoops:
         steps = sorted(r.choice(np.arange(1, top + 1), size=min(k, top),
                                 replace=False).tolist(), reverse=True)
         z = forward_diffuse(z0, steps[0], eps, sched_t2i)
-        out = sample_by_hops(ConstantModel(eps), z, [*steps, 0], sched_t2i)
+        out = sample_by_hops(ConstantModel(eps, sched_t2i), z, [*steps, 0])
         np.testing.assert_allclose(out, z0, rtol=1e-6, atol=1e-9)
 
 
@@ -530,13 +536,13 @@ class TestSdedit:
     def test_full_depth_reaches_zero(self, sched_t2i, rng):
         """Over the whole grid the edit denoises its draw all the way to
         timestep 0."""
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"), sched_t2i)
         grid = select_timesteps(sched_t2i, 10)
         z_clean = rng.standard_normal(SHAPE)
-        z = sdedit_chain(den, z_clean, grid, sched_t2i, np.random.default_rng(5))
+        z = sdedit_chain(den, z_clean, grid, np.random.default_rng(5))
         assert np.all(np.isfinite(z))
         z_top = _sdedit_draw(z_clean, grid, sched_t2i, np.random.default_rng(5))
-        expected = sample_by_hops(den, z_top, [*grid.steps, 0], sched_t2i)
+        expected = sample_by_hops(den, z_top, [*grid.steps, 0])
         assert _rel_err(z, expected) < 1e-12
 
     def test_degenerate_prior_contracts_toward_mean(self, sched_t2i):
@@ -544,20 +550,20 @@ class TestSdedit:
         mean: verified empirically over 50 seeds."""
         mean = np.random.default_rng(0).standard_normal(SHAPE)
         prior = make_gp_prior(*SHAPE, variance_scale=1e-6, mean=mean)
-        den = AnalyticDenoiser(prior)
+        den = AnalyticDenoiser(prior, sched_t2i)
         grid = select_timesteps(sched_t2i, 10)
         below = TimestepGrid(steps=grid.steps[4:8])  # three hops, then to 0
         wins = 0
         for seed in range(50):
             rng = np.random.default_rng(seed + 100)
             z_in = mean + rng.standard_normal(SHAPE)
-            clean = sdedit_chain(den, z_in, below, sched_t2i, rng)
+            clean = sdedit_chain(den, z_in, below, rng)
             if np.linalg.norm(clean - mean) < np.linalg.norm(z_in - mean):
                 wins += 1
         assert wins >= 45
 
     def test_preconditions(self, sched_t2i, rng):
-        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"))
+        den = AnalyticDenoiser(make_gp_prior(*SHAPE, spectrum_kind="flat"), sched_t2i)
         grid = select_timesteps(sched_t2i, 10)
         z = rng.standard_normal(SHAPE)
         with pytest.raises(ValueError, match="not on the grid"):
@@ -565,5 +571,4 @@ class TestSdedit:
         with pytest.raises(ValueError, match="strictly decreasing"):
             TimestepGrid(steps=(grid.steps[4], grid.steps[2]))  # no chain walks up
         with pytest.raises(ValueError, match="timestep out of range"):
-            sdedit_chain(den, z, TimestepGrid(steps=(sched_t2i.total_steps + 1,)),
-                         sched_t2i, rng)
+            sdedit_chain(den, z, TimestepGrid(steps=(sched_t2i.total_steps + 1,)), rng)
