@@ -46,8 +46,9 @@ class AnalyticDenoiser:
     noiseless limit. ``to_modes`` and ``from_modes`` are the orthonormal
     eigenbasis transform pair, on the half spectrum of the real 2-D DFT:
     the prior's ``S[k] == S[-k]`` symmetry makes those columns hold every
-    distinct eigenvalue. Modes are laid out ``(F, C, W // 2 + 1, H)``, the
-    half-spectrum axis before the height axis, so that every FFT pass runs
+    distinct eigenvalue. Each DFT pass is a real GEMM with a precomputed
+    matrix. Modes are laid out ``(F, C, W // 2 + 1, H)``, the
+    half-spectrum axis before the height axis, so that every pass runs
     along a contiguous axis. Timesteps index ``schedule``.
 
     Immutable after construction; safe for concurrent use.
@@ -57,8 +58,21 @@ class AnalyticDenoiser:
         self.prior = prior
         self.schedule = schedule
         F, C, H, W = prior.shape
-        self._half_shape = (F, C, H, W // 2 + 1)  # after the rfft over W
+        self._half_shape = (F, C, H, W // 2 + 1)  # after the W pass
         self._modes_shape = (F, C, W // 2 + 1, H)
+        re, im = _dft(W, W // 2 + 1)
+        # Hermitian weights: DC, and Nyquist at an even W, stand for one
+        # column of the full spectrum, every other column for two. Their
+        # sine rows are exactly 0, so like irfft the inverse ignores their
+        # imaginary parts.
+        k = np.arange(W // 2 + 1)[:, None]
+        weight = np.where((k == 0) | (2 * k == W), 1.0, 2.0)
+        self._rdft_w = np.stack([re, im], -1).reshape(W, -1)
+        self._irdft_w = np.stack([weight * re.T, weight * im.T], 1).reshape(-1, W)
+        re, im = _dft(H, H)
+        self._dft_h, self._idft_h = _block(re, im), _block(re, -im)
+        for a in (self._rdft_w, self._irdft_w, self._dft_h, self._idft_h):
+            a.setflags(write=False)
         lam_t, u = np.linalg.eigh(ar1_covariance(F, prior.temporal_rho))
         # (F, F) orthogonal eigenvectors; at rho == 0 the covariance is
         # exactly the identity, and so is u, so the rotation is skipped.
@@ -80,12 +94,18 @@ class AnalyticDenoiser:
             self.mean_modes = self.to_modes(prior.mean)
             self.mean_modes.setflags(write=False)
 
-    # numpy's FFT over the strided H axis of an (F, C, H, W // 2 + 1) half
-    # spectrum took about 1.4 times as long as a transposing copy plus the
-    # same pass along the contiguous last axis, with bit-identical results.
+    # Each DFT pass is one real GEMM with a matrix built once per model by
+    # ``_dft``. The W pass maps real rows straight into the float64 view of
+    # the complex half spectrum, and its inverse weighs the half spectrum's
+    # columns as irfft does. The H pass runs along a contiguous axis after a
+    # transposing copy, as the (2H, 2H) real block form of the complex DFT
+    # on the interleaved view (a complex GEMM ran on two BLAS threads and
+    # was slower). At 16 x 16 frames the four GEMMs take about 65 us of a
+    # prediction where numpy's FFT passes took about 150 us (see README).
     # The passes run in two buffers of the calling thread's workspace,
-    # "half" and "modes", of one size; the frame rotation writes into
-    # whichever its input is not in. The public pair returns fresh arrays.
+    # "half" and "modes", of one size; each pass or frame rotation writes
+    # into whichever its input is not in. The public pair returns fresh
+    # arrays.
     def to_modes(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of ``v`` in the prior's eigenbasis."""
         return self._to_modes(v).copy()
@@ -94,24 +114,25 @@ class AnalyticDenoiser:
         """``to_modes`` in this thread's workspace: the result is valid until
         the thread's next transform."""
         half = _scratch("half", self._half_shape, np.complex128)
-        np.fft.rfft(v, axis=-1, norm="ortho", out=half)
+        np.matmul(v.reshape(-1, self.prior.shape[3]), self._rdft_w, out=_rows(half))
         m = _scratch("modes", self._modes_shape, np.complex128)
         np.copyto(m, half.swapaxes(2, 3))
-        np.fft.fft(m, axis=-1, norm="ortho", out=m)
+        out = _scratch("half", self._modes_shape, np.complex128)
+        np.matmul(_rows(m), self._dft_h, out=_rows(out))
         if self._u is None:
-            return m
-        return _rotate(self._u.T, m, _scratch("half", self._modes_shape, np.complex128))
+            return out
+        return _rotate(self._u.T, out, m)
 
     def from_modes(self, m: np.ndarray) -> np.ndarray:
         """The real latent with eigenbasis coordinates ``m``, which may be
         ``_to_modes``'s workspace result."""
-        spatial = _scratch("modes", self._modes_shape, np.complex128)
         if self._u is not None:
-            m = _rotate(self._u, m, spatial)
-        np.fft.ifft(m, axis=-1, norm="ortho", out=spatial)
+            m = _rotate(self._u, m, _scratch("half", self._modes_shape, np.complex128))
+        spatial = _scratch("modes", self._modes_shape, np.complex128)
+        np.matmul(_rows(m), self._idft_h, out=_rows(spatial))
         half = _scratch("half", self._half_shape, np.complex128)
         np.copyto(half, spatial.swapaxes(2, 3))
-        return np.fft.irfft(half, n=self.prior.shape[3], axis=-1, norm="ortho")
+        return (_rows(half) @ self._irdft_w).reshape(self.prior.shape)
 
     def eps_gain(self, ab: float) -> np.ndarray:
         """Per-mode noise-prediction gain at signal level ``ab``."""
@@ -139,3 +160,32 @@ def _rotate(u: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
     np.matmul(u, flat, out=out.view(np.float64).reshape(m.shape[0], -1))
     return out
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The complex stack ``a`` as rows of its interleaved (real, imaginary)
+    float64 view along the last axis; a view when ``a`` is contiguous
+    complex128, as every workspace buffer is."""
+    a = np.ascontiguousarray(a, np.complex128)
+    return a.view(np.float64).reshape(-1, 2 * a.shape[-1])
+
+
+def _dft(n: int, cols: int) -> tuple:
+    """Real and imaginary parts of the unitary DFT matrix
+    ``exp(-2j pi j k / n) / sqrt(n)`` for ``j < n`` and ``k < cols``, from the
+    exactly reduced angle index ``j k mod n``: exact 0 and +-1 at quarter
+    turns."""
+    r = np.outer(np.arange(n), np.arange(cols)) % n
+    quarter, rest = np.divmod(4 * r, n)
+    angle = 2.0 * np.pi * r / n
+    cos = np.where(rest == 0, np.array([1.0, 0.0, -1.0, 0.0])[quarter], np.cos(angle))
+    sin = np.where(rest == 0, np.array([0.0, 1.0, 0.0, -1.0])[quarter], np.sin(angle))
+    return cos / np.sqrt(n), -sin / np.sqrt(n)
+
+
+def _block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real (2n, 2n) matrix that right-multiplies interleaved rows as the
+    complex matrix ``re + 1j * im`` right-multiplies complex rows."""
+    return np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1).reshape(
+        2 * re.shape[0], -1)
+

@@ -167,7 +167,7 @@ class TestAnalyticEps:
 
 
 def strided_modes(den, v):
-    """``to_modes`` as the plain half-spectrum FFT pair, the H pass along the
+    """``to_modes`` as numpy's half-spectrum FFT pair, the H pass along the
     strided axis, then laid out (F, C, W // 2 + 1, H) and rotated over
     frames as one real GEMM on the interleaved float64 view."""
     spec = np.fft.fft(np.fft.rfft(v, axis=-1, norm="ortho"), axis=-2, norm="ortho")
@@ -178,40 +178,104 @@ def strided_modes(den, v):
     return (den._u.T @ flat).reshape(spec.shape[:-1] + (-1,)).view(np.complex128)
 
 
-def strided_latent(den, m):
-    """``from_modes`` as the matching inverse of ``strided_modes``."""
+def strided_half(den, m):
+    """The half spectrum over W that ``strided_latent`` hands to ``irfft``."""
     if den._u is not None:
         flat = np.ascontiguousarray(m).view(np.float64).reshape(m.shape[0], -1)
         m = (den._u @ flat).reshape(m.shape[:-1] + (-1,)).view(np.complex128)
-    spec = np.fft.ifft(m.swapaxes(2, 3), axis=-2, norm="ortho")
-    return np.fft.irfft(spec, n=den.prior.shape[3], axis=-1, norm="ortho")
+    return np.fft.ifft(m.swapaxes(2, 3), axis=-2, norm="ortho")
+
+
+def strided_latent(den, m):
+    """``from_modes`` as the matching inverse of ``strided_modes``."""
+    return np.fft.irfft(strided_half(den, m), n=den.prior.shape[3], axis=-1, norm="ortho")
+
+
+def assert_rel_close(got, expected, bound=1e-14):
+    """Largest entry error at most ``bound`` of the largest reference entry:
+    the DFT matrices and numpy's FFT round differently, by a few ulps."""
+    err = np.abs(got - expected).max() / np.abs(expected).max()
+    assert err <= bound, err
 
 
 def workspace_buffers() -> list:
     return list(vars(workspace._workspace).values())
 
 
-class TestModeLayout:
-    """The transform pair runs each FFT pass along a contiguous axis through
-    the thread's workspace; it must equal the strided passes bit for bit
-    and never hand out workspace memory."""
+# even and odd frame sides, square and not, and the smallest 2 x 2 frame
+LAYOUT_SHAPES = {
+    "even_w": (4, 2, 6, 8),
+    "odd_w": (3, 2, 5, 7),
+    "odd_h_even_w": (3, 1, 7, 4),
+    "even_h_odd_w": (2, 2, 4, 5),
+    "square": (2, 1, 16, 16),
+    "2x2": (3, 2, 2, 2),
+}
 
-    @pytest.mark.parametrize("shape", [(4, 2, 6, 8), (3, 2, 5, 7)], ids=["even_w", "odd_w"])
+
+class TestModeLayout:
+    """The transform pair runs each DFT pass as a real GEMM along a
+    contiguous axis through the thread's workspace; it must match numpy's
+    strided FFT passes to rounding and never hand out workspace memory."""
+
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES.values(), ids=LAYOUT_SHAPES.keys())
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     def test_equals_strided_passes_bitwise(self, shape, rho, sched_t2i, rng):
+        """Named for the bit-for-bit match it checked while the pair ran
+        numpy's own FFT passes; the DFT matrices agree to 1e-14 relative."""
         mean = rng.standard_normal(shape)
         den = AnalyticDenoiser(make_gp_prior(*shape, rho, "lowpass", mean=mean), sched_t2i)
         assert (den._u is None) == (rho == 0.0)
         v = rng.standard_normal(shape)
         modes = den.to_modes(v)
         assert modes.shape == (shape[0], shape[1], shape[3] // 2 + 1, shape[2])
-        np.testing.assert_array_equal(modes, strided_modes(den, v))
-        np.testing.assert_array_equal(den.mean_modes, strided_modes(den, mean))
-        np.testing.assert_array_equal(den.from_modes(modes), strided_latent(den, modes))
+        assert_rel_close(modes, strided_modes(den, v))
+        assert_rel_close(den.mean_modes, strided_modes(den, mean))
+        assert_rel_close(den.from_modes(modes), strided_latent(den, modes))
         ab = sched_t2i.alpha_bar[400]
         eps = (strided_modes(den, v) - np.sqrt(ab) * strided_modes(den, mean)) * den.eps_gain(ab)
-        np.testing.assert_array_equal(den.predict_eps(v, 400),
-                                      strided_latent(den, eps))
+        assert_rel_close(den.predict_eps(v, 400), strided_latent(den, eps))
+
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES.values(), ids=LAYOUT_SHAPES.keys())
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    def test_self_conjugate_modes_of_a_real_latent_are_real(self, shape, rho, sched_t2i, rng):
+        """The modes at W frequency 0 (and W / 2 for an even W) and H
+        frequency 0 (and H / 2 for an even H) equal their own conjugates, so
+        for a real latent their imaginary parts are exactly 0: the sines at
+        those angles are exact zeros, not rounded ones."""
+        den = AnalyticDenoiser(make_gp_prior(*shape, rho, "lowpass"), sched_t2i)
+        F, C, H, W = shape
+        modes = den.to_modes(rng.standard_normal(shape))
+        for kw in {0, W // 2} if W % 2 == 0 else {0}:
+            for kh in {0, H // 2} if H % 2 == 0 else {0}:
+                np.testing.assert_array_equal(modes[:, :, kw, kh].imag, 0.0)
+
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES.values(), ids=LAYOUT_SHAPES.keys())
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    def test_from_modes_ignores_imaginary_dc_and_nyquist_like_irfft(self, shape, rho,
+                                                                    sched_t2i, rng):
+        """Modes of no real latent: after the H pass their W frequency 0
+        (and W / 2 for an even W) hold nonzero imaginary parts, which
+        ``irfft`` drops, and so must ``from_modes``."""
+        den = AnalyticDenoiser(make_gp_prior(*shape, rho, "lowpass"), sched_t2i)
+        m = rng.standard_normal(den._modes_shape + (2,)) @ np.array([1.0, 1j])
+        W = shape[3]
+        dropped = strided_half(den, m)[..., [0, W // 2] if W % 2 == 0 else [0]].imag
+        assert np.all(dropped != 0)
+        assert_rel_close(den.from_modes(m), strided_latent(den, m))
+
+    def test_no_fft_call_and_read_only_matrices(self, sched_t2i, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("AnalyticDenoiser called numpy's FFT")
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        shape = (4, 2, 6, 5)
+        den = AnalyticDenoiser(
+            make_gp_prior(*shape, 0.9, "lowpass", mean=rng.standard_normal(shape)), sched_t2i)
+        den.from_modes(den.to_modes(den.predict_eps(rng.standard_normal(shape), 400)))
+        for matrix in (den._rdft_w, den._irdft_w, den._dft_h, den._idft_h):
+            assert not matrix.flags.writeable
 
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     def test_returns_fresh_arrays(self, rho, sched_t2i, rng):
