@@ -160,8 +160,6 @@ class CrossFrameDenoiser:
         if self.mix == 0.0:
             return eps
         f, c, h, w = eps.shape
-        if c != self.params.width:
-            raise ValueError(f"incompatible shape: {c} channels vs width {self.params.width}")
         tokens = eps.transpose(0, 2, 3, 1).reshape(f, h * w, c)
         attended = first_only_cross_frame(tokens, self.params)
         attended = attended.reshape(f, h, w, c).transpose(0, 3, 1, 2)

@@ -428,11 +428,14 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         "tool": {"name": "latent-elevator", "version": __version__},
         "mode": resolved["mode"],
         "resolved_config": _strict_json(resolved),
-        # the schedules every cell ran, which variants do not vary, each with
-        # its full coefficient array, so a foreign implementation can audit them
+        # the schedules every cell ran, which variants do not vary: each one's
+        # kind and length, which make_schedule rebuilds it from, its terminal
+        # alpha_bar, which the plan's floor check decides on, and the sha256
+        # of its alpha_bar as little-endian float64 bytes, to audit a rebuild
         "schedules": {
             name: {"kind": s.kind, "total_steps": s.total_steps,
-                   "alpha_bar": s.alpha_bar.tolist()}
+                   "alpha_bar_T": float(s.alpha_bar[-1]),
+                   "alpha_bar_sha256": hashlib.sha256(s.alpha_bar.astype("<f8")).hexdigest()}
             for name, s in (("t2i", first.t2i_model.schedule), ("t2v", first.t2v_model.schedule))
         },
         "runs": runs,
@@ -446,24 +449,6 @@ def run(config: dict | None = None, output_dir=None) -> dict:
         names += [r["latent"], r["trace"], *r["renders"]]
     for name in sorted(names):
         manifest["files"][name] = sha256_file(out / name)
-    write_atomic(out / "manifest.json", _manifest_json(manifest).encode())
+    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, allow_nan=False).encode())
     return manifest
 
-
-def _manifest_json(manifest: dict) -> str:
-    """The manifest as JSON indented by 2, but each schedule's ``alpha_bar``
-    on one line: ``indent`` forces json's pure-Python encoder, which spends
-    most of a manifest's encoding time on those 2 x (T + 1) floats, so
-    they are encoded apart by its C encoder and spliced in for stand-ins.
-    A stand-in starts with NUL, which no other string of a manifest holds:
-    the output directory could not have been created with one."""
-    schedules = manifest["schedules"]
-    stand_ins = {name: f"\0alpha_bar of {name}" for name in schedules}
-    text = json.dumps(
-        {**manifest, "schedules": {name: {**cfg, "alpha_bar": stand_ins[name]}
-                                   for name, cfg in schedules.items()}},
-        indent=2, allow_nan=False)
-    for name, cfg in schedules.items():
-        text = text.replace(json.dumps(stand_ins[name]),
-                            json.dumps(cfg["alpha_bar"], allow_nan=False))
-    return text

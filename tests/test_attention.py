@@ -332,7 +332,7 @@ class TestCrossFrameWrapper:
     def test_incompatible_channel_width(self, rng):
         base = recipe_denoiser("t2i", (3, 4, 4, 4))
         wrapped = CrossFrameDenoiser(base, make_attention_params(3), mix=0.5)
-        with pytest.raises(ValueError, match="incompatible shape"):
+        with pytest.raises(ValueError, match="shape mismatch: token width 4 vs 3"):
             wrapped.predict_eps(rng.standard_normal((3, 4, 4, 4)), 100)
 
     def test_mix_bounds(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -40,6 +41,14 @@ def tiny(mode, **extra):
     for key, value in extra.items():
         cfg[key] = value
     return cfg
+
+
+def schedule_entry(kind, total_steps) -> dict:
+    """The manifest's record of the schedule ``make_schedule`` builds: its
+    terminal alpha_bar and the sha256 of its little-endian float64 bytes."""
+    alpha_bar = make_schedule(kind, total_steps).alpha_bar
+    return {"kind": kind, "total_steps": total_steps, "alpha_bar_T": float(alpha_bar[-1]),
+            "alpha_bar_sha256": hashlib.sha256(alpha_bar.astype("<f8")).hexdigest()}
 
 
 class TestConfig:
@@ -154,8 +163,7 @@ class TestConfig:
             for name, model in (("t2i", plan.t2i_model.base), ("t2v", plan.t2v_model)):
                 s = model.schedule
                 assert (s.kind, s.total_steps) == (kinds[name], 400)
-                assert manifest["schedules"][name] == {
-                    "kind": kinds[name], "total_steps": 400, "alpha_bar": s.alpha_bar.tolist()}
+                assert manifest["schedules"][name] == schedule_entry(kinds[name], 400)
 
     def test_ablate_steps_beyond_schedule_writes_nothing(self, tmp_path):
         cfg = tiny("ablate_steps", seeds=[0], render=False)
@@ -438,7 +446,7 @@ def small_configs(draw):
 def test_config_is_rejected_or_runs_clean(config):
     """Any config is either rejected up front with ValueError, or it runs to
     completion with no trace violation and a manifest listing exactly the
-    files on disk."""
+    files on disk, whose file is standard JSON that reads back as it."""
     assert set(paths(config)) <= {*LEAF_VALUES, *DRAWN}
     try:
         resolve_config(config)
@@ -449,6 +457,8 @@ def test_config_is_rejected_or_runs_clean(config):
         assert all(r["trace_violations"] == [] for r in manifest["runs"])
         on_disk = {p.name for p in Path(tmp).iterdir()} - {"manifest.json"}
         assert set(manifest["files"]) == on_disk
+        text = (Path(tmp) / "manifest.json").read_text()
+        assert json.loads(text, parse_constant=refuse) == manifest
 
 
 def refuse(constant):
@@ -474,31 +484,21 @@ class TestRunModes:
         assert len(lines) == 3  # header + one row per seed
         assert "elevate" in manifest["aggregate"]
         # the manifest carries auditable schedules: each one's kind and
-        # length plus the full array, which make_schedule rebuilds exactly
+        # length, which make_schedule rebuilds it from, and what a rebuild
+        # is checked against
         schedules = manifest["resolved_config"]["schedules"]
         for name in ("t2i", "t2v"):
             entry = manifest["schedules"][name]
-            assert list(entry) == ["kind", "total_steps", "alpha_bar"]
+            assert list(entry) == ["kind", "total_steps", "alpha_bar_T", "alpha_bar_sha256"]
             assert (entry["kind"], entry["total_steps"]) == (schedules[name],
                                                              schedules["total_steps"])
-            rebuilt = make_schedule(entry["kind"], entry["total_steps"])
-            assert rebuilt.alpha_bar.tolist() == entry["alpha_bar"]
+            assert entry == schedule_entry(entry["kind"], entry["total_steps"])
 
     def test_manifest_file_reads_back_as_the_returned_manifest(self, tmp_path):
         manifest = run(tiny("elevate", seeds=[0]), output_dir=tmp_path)
         text = (tmp_path / "manifest.json").read_text()
+        assert text == json.dumps(manifest, indent=2, allow_nan=False)
         assert json.loads(text) == manifest
-        # each schedule's coefficient array sits on one line, the rest is
-        # indented by 2
-        lines = [line for line in text.splitlines() if '"alpha_bar"' in line]
-        assert len(lines) == len(manifest["schedules"]) == 2
-        for line, entry in zip(lines, manifest["schedules"].values()):
-            assert line == '      "alpha_bar": ' + json.dumps(entry["alpha_bar"])
-        stubbed = {**manifest, "schedules": {
-            name: {**entry, "alpha_bar": []} for name, entry in manifest["schedules"].items()}}
-        assert [line for line in text.splitlines() if '"alpha_bar"' not in line] == [
-            line for line in json.dumps(stubbed, indent=2).splitlines()
-            if '"alpha_bar"' not in line]
 
     def test_manifest_lists_every_file_with_checksum(self, tmp_path):
         manifest = run(tiny("baseline_t2v", seeds=[0]), output_dir=tmp_path)
