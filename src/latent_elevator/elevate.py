@@ -82,11 +82,6 @@ class ElevatorPlan:
         if not steps or steps[0] > total_steps:
             raise ValueError(f"plan invalid: grid must be nonempty and start at or below "
                              f"total_steps {total_steps}, got steps {steps[:1]}")
-        for t in self.grid.refine_set:
-            if self.n_sdedit > len(steps) - steps.index(t):
-                raise ValueError(
-                    f"plan invalid: n_sdedit {self.n_sdedit} exceeds grid depth below {t}"
-                )
 
     @property
     def shape(self) -> tuple:
@@ -138,8 +133,8 @@ def refine_temporal(
 
     Each leg is one closed-form chain on the grid's steps from ``t`` down
     (``below``), so refining calls no model: the image model's projection
-    at ``t``, the video model's SDEdit over ``n_sdedit`` hops and then to
-    0, and the image model's inversion up the whole of ``below``."""
+    at ``t``, the video model's SDEdit over at most ``n_sdedit`` hops of
+    ``below`` and then to 0, and the image model's inversion up ``below``."""
     if t not in plan.grid.refine_set:
         raise ValueError(f"step not refinable: {t} not in refine_set")
     # The clean projection and the inversion use the uninflated posterior:

@@ -167,7 +167,7 @@ def _resolve(config: dict | None) -> tuple:
     for variant in _variants_for(resolved):
         try:
             plan = build_plan(_deep_merge(resolved, {"plan": variant["plan"]}), seeds[0])
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, MemoryError) as err:
             raise ValueError(f"invalid config: {variant['name']}: {err}") from err
         variants.append((variant, plan))
     return resolved, variants

@@ -39,7 +39,7 @@ from latent_elevator import (
 )
 from latent_elevator.attention import attention
 from latent_elevator.harness import DEFAULT_CONFIG, run as harness_run
-from latent_elevator.metrics import compute_report, frame_consistency
+from latent_elevator.metrics import MetricReport, compute_report, frame_consistency
 from latent_elevator.schedule import NoiseSchedule
 from latent_elevator.synth import make_gp_prior, sample_prior
 
@@ -435,3 +435,47 @@ def test_criterion_10_stylistic_synthesis(cache):
     for name, margin in margins.items():
         assert margin > 0, name
     assert elapsed < 120.0
+
+
+SWEEP_COUNTS = (1, 2, 3, 5, 10, 25, 26, 50)
+SWEEP_SEEDS = range(6)
+
+
+def test_refining_count_sweep(cache):
+    """The refining count as a reported trade-off, not a criterion: one
+    ``SWEEP`` line per count with the seed 0-5 medians of every metric and
+    the seeds on which ``elevate`` beats the video baseline on frame
+    consistency and the image baseline on spectrum distance to the image
+    prior, losing counts included. Up to 25 of the 50 steps the refining
+    steps spread over the grid's high-noise half, from 26 over the whole
+    grid, where the last steps' SDEdit chains stop at its end. Asserted is
+    only that every count builds and runs."""
+    start = time.perf_counter()
+    recipe = DEFAULT_CONFIG["plan"]["num_refine_steps"]
+
+    def reports(latents):
+        return [compute_report(z, cache.prior_v, cache.prior_i) for z in latents]
+
+    def medians(rows):
+        return ", ".join(f"{name} {np.median([getattr(r, name) for r in rows]):.4f}"
+                         for name in MetricReport.field_names())
+
+    video, image = (reports(cache.latent(v, seed) for seed in SWEEP_SEEDS)
+                    for v in ("t2v50", "t2i50"))
+    print(f"\nSWEEP baseline_t2v: {medians(video)}")
+    print(f"SWEEP baseline_t2i: {medians(image)}")
+    for count in SWEEP_COUNTS:
+        if count == recipe:
+            latents = [cache.latent("elevate", seed) for seed in SWEEP_SEEDS]
+        else:
+            latents = [elevate_sample(make_default_plan(seed=seed, num_refine_steps=count))[0]
+                       for seed in SWEEP_SEEDS]
+        rows = reports(latents)
+        fc_wins = sum(r.frame_consistency > v.frame_consistency for r, v in zip(rows, video))
+        sd_wins = sum(r.spectrum_distance_t2i < i.spectrum_distance_t2i
+                      for r, i in zip(rows, image))
+        print(f"SWEEP num_refine_steps {count}: {medians(rows)}; frame consistency above "
+              f"baseline_t2v on {fc_wins}/{len(rows)} seeds, spectrum distance to the image "
+              f"prior below baseline_t2i on {sd_wins}/{len(rows)} seeds")
+    print(f"SWEEP {len(SWEEP_COUNTS)} counts x {len(SWEEP_SEEDS)} seeds, "
+          f"{time.perf_counter() - start:.1f}s")

@@ -64,10 +64,17 @@ class TestPlanValidation:
             replace(small_plan, inversion="oracle")
 
     def test_sdedit_depth(self, small_plan):
+        """An SDEdit chain stops at the grid's end: on a plan that refines
+        only the grid's last step (depth 1), an ``n_sdedit`` past that depth
+        is the same plan as one equal to it, latent and trace bit for bit."""
         deep = frozenset({small_plan.grid.steps[-1]})
         grid = TimestepGrid(steps=small_plan.grid.steps, refine_set=deep)
-        with pytest.raises(ValueError, match="exceeds grid depth"):
-            replace(small_plan, grid=grid)
+        z, trace = elevate_sample(replace(small_plan, grid=grid, n_sdedit=1))
+        for n_sdedit in (2, 9):
+            z_deep, trace_deep = elevate_sample(replace(small_plan, grid=grid,
+                                                        n_sdedit=n_sdedit))
+            assert np.array_equal(z_deep, z)
+            assert trace_deep == trace
 
     def test_image_prior_shape(self, small_plan):
         other = CrossFrameDenoiser(recipe_denoiser("t2i", (4, 2, 8, 8)),
@@ -169,7 +176,8 @@ class TestRefineTemporal:
 
     def test_sdedit_chain_down_to_timestep_zero(self):
         """An SDEdit chain as deep as the grid below its refining step runs
-        to timestep 0, where the video model's latent is already clean."""
+        to timestep 0, where the video model's latent is already clean; a
+        deeper ``n_sdedit`` stops there too, bit for bit."""
         shape = (4, 4, 8, 8)
         knobs = {"num_steps": 8, "num_refine_steps": 1}
         plan = make_default_plan(shape=shape, n_sdedit=8, **knobs)
@@ -180,8 +188,11 @@ class TestRefineTemporal:
                 if r["phase"] == "refine.sdedit"] == [(t, "clean")]
         assert trace_violations(trace) == []
         assert np.all(np.isfinite(z))
-        with pytest.raises(ValueError, match="exceeds grid depth"):
-            make_default_plan(shape=shape, n_sdedit=9, **knobs)
+        for n_sdedit in (9, 60):
+            z_deep, trace_deep = elevate_sample(
+                make_default_plan(shape=shape, n_sdedit=n_sdedit, **knobs))
+            assert np.array_equal(z_deep, z)
+            assert trace_deep == trace
 
     @pytest.mark.parametrize("shape, knobs", [
         (SMALL, {}),

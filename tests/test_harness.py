@@ -174,7 +174,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("plan,match", [
         ({"crossframe_mix": 2.0}, "mix"),
-        ({"n_sdedit": 60}, "n_sdedit"),
+        ({"n_sdedit": -1}, "n_sdedit"),
         ({"filter": {"d0": 0}}, "d0"),
         ({"filter": {"axes": ["spatial"]}}, "axes"),
     ])
@@ -372,8 +372,8 @@ NAN = float("nan")
 # in range on its own, invalid values include wrong types.
 LEAF_VALUES = {
     ("plan", "num_steps"): ([2, 5, 8], [0, -1, 2.5, "8"]),
-    ("plan", "num_refine_steps"): ([0, 1, 2], [9, -1, 1.0, None]),
-    ("plan", "n_sdedit"): ([0, 1, 2, 3], [9, -1, 2.5]),
+    ("plan", "num_refine_steps"): ([0, 1, 2, 8], [9, -1, 1.0, None]),
+    ("plan", "n_sdedit"): ([0, 1, 2, 3, 9], [-1, 2.5]),
     ("plan", "crossframe_mix"): ([0.0, 0.3, 1.0], [2.0, -1.0, NAN, True]),
     ("plan", "inversion"): (["ddim", "same_noise", "random_noise"], ["exact", 0]),
     ("plan", "filter", "d0"): ([0.25, 0.05, 2, math.inf], [0, -1.0, NAN, "0.25"]),
@@ -629,6 +629,24 @@ class TestRunModes:
         assert {r["phase"] for r in trace} == {"init", "elevate.step"}
         assert row["trace_violations"] == []
 
+    def test_every_step_refining_runs(self, tmp_path):
+        """Refining at every sampling step runs clean, with the four
+        refining records at each step: the SDEdit chains of the last steps,
+        whose grid below is shallower than ``n_sdedit``, stop at its end."""
+        cfg = tiny("elevate", seeds=[0], render=False)
+        cfg["plan"] = {"num_steps": 8, "num_refine_steps": 8, "n_sdedit": 2}
+        manifest = run(cfg, output_dir=tmp_path)
+        [row] = manifest["runs"]
+        assert row["trace_violations"] == []
+        trace = [json.loads(line) for line in (tmp_path / row["trace"]).read_text().splitlines()]
+        steps = build_plan(resolve_config(cfg), seed=0).grid.steps
+        assert len(steps) == 8
+        phases = ("refine.project", "refine.lpff", "refine.sdedit", "refine.invert.ddim")
+        assert [(r["timestep"], r["phase"]) for r in trace if r["phase"].startswith("refine.")
+                ] == [(t, phase) for t in steps for phase in phases]
+        resolved = resolve_config({"plan": {"num_refine_steps": 50}})
+        assert resolved["plan"]["num_refine_steps"] == 50
+
     def test_roundtrip_mode_reports_error_and_check_fails(self, tmp_path):
         # stateless first-order inversion cannot reach 1e-3 at 50 steps, so
         # the roundtrip check is expected to report a failure honestly
@@ -779,6 +797,27 @@ class TestCli:
         assert main(["elevate", "--config", str(cfg_path),
                      "--output", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unallocatable_models_are_a_config_error(self, tmp_path, monkeypatch, capsys):
+        """A variant whose models cannot be allocated is rejected up front
+        like any other bad value: the CLI prints one ``error:`` line, exits
+        2 and writes nothing."""
+        def unallocatable(kind, total_steps):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(harness, "make_schedule", unallocatable)
+        config = {"schedules": {"total_steps": 1000000000}}
+        with pytest.raises(ValueError, match="invalid config: elevate: Unable to allocate"):
+            resolve_config(config)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["baseline_t2v", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: invalid config: baseline_t2v: Unable to allocate 7.45 GiB for an array"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_cli_check_failure_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
