@@ -11,7 +11,8 @@ from latent_elevator import (
     first_only_cross_frame,
     make_attention_params,
 )
-from latent_elevator.attention import _EXP_LIMIT, attention
+from latent_elevator.attention import _EXP_LIMIT, _EXP_LIMIT_F32, attention
+from latent_elevator.workspace import _scratch
 
 from conftest import recipe_denoiser
 
@@ -29,13 +30,28 @@ def naive_attention(q, k, v):
     return out
 
 
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def f32_atol(q, k, v):
+    """The float32 path's error bound. A weight is off by its logit's
+    float32 rounding, about eps times the kernel's bound B, and by exp's,
+    about eps; a weighted mean of values moves by at most twice that
+    relative error times max|v|, and the cast values and the value GEMM's
+    sums add about one more eps of max|v|: ``2 eps (B + 2) max|v|``."""
+    bound = _logit_bound(q.reshape(-1, q.shape[-1]), k, v)
+    return 2 * F32_EPS * (bound + 2) * np.abs(v).max()
+
+
 class TestAttention:
     def test_single_key_broadcasts_value(self, rng):
         q = rng.standard_normal((5, 3))
         k = rng.standard_normal((1, 3))
         v = rng.standard_normal((1, 3))
+        # the one weight is exp(0) = 1, so the output is v rounded once to
+        # float32, within half an eps
         np.testing.assert_allclose(attention(q, k, v), np.repeat(v, 5, axis=0),
-                                   rtol=1e-12)
+                                   rtol=F32_EPS / 2)
 
     def test_saturated_match(self):
         # orthogonal keys, one overwhelming match per query
@@ -65,9 +81,10 @@ class TestAttention:
         k = rng.standard_normal((6, 3))
         v = rng.standard_normal((6, 3))
         perm = np.random.default_rng(1).permutation(6)
+        # each side within f32_atol of the exact result
         np.testing.assert_allclose(attention(q, k, v),
                                    attention(q, k[perm], v[perm]),
-                                   rtol=1e-9, atol=1e-12)
+                                   rtol=0, atol=2 * f32_atol(q, k, v))
 
     def test_broadcasts_over_leading_query_axes(self, rng):
         q = rng.standard_normal((2, 3, 5, 4))
@@ -101,7 +118,7 @@ class TestQueryBlocks:
         assert out.shape == (3, 250, 2)
         for i in range(3):
             np.testing.assert_allclose(out[i], naive_attention(q[i], k, v),
-                                       rtol=1e-12, atol=1e-12)
+                                       rtol=0, atol=f32_atol(q, k, v))
 
     def test_large_logits_stay_finite(self, rng):
         # logits near 1e3 overflow exp unless each row's max is subtracted
@@ -139,9 +156,11 @@ class TestQueryBlocks:
         assert peak < 16 * 2**20
 
     def test_warm_call_reuses_its_workspace(self, rng):
-        # 16 frames of 256 tokens: one 512 KiB logits block per 256 rows.
-        # Fresh, the blocks and the value GEMM's output took 1212 KiB; from
-        # the workspace the call holds its 128 KiB output and small arrays
+        # 16 frames of 256 tokens: one 256 KiB float32 logits block per 256
+        # rows. Fresh, the float64 blocks and the value GEMM's output took
+        # 1212 KiB, and a fresh float32 cast of the queries alone made the
+        # peak 348 KiB; from the workspace the call holds its 128 KiB output
+        # and small arrays
         q = rng.standard_normal((16, 256, 4))
         k, v = rng.standard_normal((256, 4)), rng.standard_normal((256, 4))
         first = attention(q, k, v)
@@ -165,19 +184,84 @@ def _logit_bound(q, k, v):
             + math.log(max(np.abs(v).max(), 1.0)))
 
 
+def bound_at(rng, bound):
+    """Queries, off-center keys and values whose kernel bound is ``bound``."""
+    q = rng.standard_normal((5, 4))
+    k = rng.standard_normal((7, 4)) + 3.0  # off-center keys
+    v = rng.standard_normal((7, 3))
+    # the bound is linear in the query scale beyond its log terms
+    logs = _logit_bound(np.zeros_like(q), k, v)
+    q *= (bound - logs) / (_logit_bound(q, k, v) - logs)
+    assert _logit_bound(q, k, v) == pytest.approx(bound)
+    return q, k, v
+
+
+def huge_values(rng, scale):
+    # log(1e306) alone exceeds the limit; the weights stay ordinary
+    q = rng.standard_normal((5, 4)) * scale
+    k = rng.standard_normal((7, 4))
+    v = rng.standard_normal((7, 3)) * 1e306
+    return q, k, v
+
+
+def huge_keys(rng):
+    # 300 keys near 1e306 sum past the float64 max; 3 keys of +-1.7e308
+    # have a finite mean, 5.7e307, but a key minus it overflows. The keys
+    # are then used as given, on the shifted path.
+    q = rng.standard_normal((5, 4)) * 1e-3
+    same_sign = rng.uniform(1e306, 2e306, (300, 4))
+    mixed = np.array([[1.7e308], [-1.7e308], [1.7e308]]) * rng.uniform(0.99, 1, (3, 4))
+    return [(q, k, rng.standard_normal((k.shape[0], 3))) for k in (same_sign, mixed)]
+
+
+def huge_flat_values(rng):
+    # 6 weights of at most 1 times |v| < 1.5e307 sum below the float64
+    # max, so the unnormalized product of a row-max softmax is finite
+    # here, and so must the kernel's be, however flat the weights
+    v = rng.uniform(-1.5e307, 1.5e307, (6, 2))
+    return [(rng.standard_normal((4, 3)) * q_scale, rng.standard_normal((6, 3)), v)
+            for q_scale in (0.0, 1.0, 1e3)]
+
+
+def float64_kernel(q, k, v):
+    """The kernel's float64 arithmetic, step for step, on one block of
+    query rows: centered keys unless centering overflows, ``1/sqrt(d)``
+    folded into the keys, the row max subtracted when the bound fails the
+    float64 limit, then ``exp`` and the value GEMM with its ones column."""
+    n, d = k.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = k - k.mean(axis=0)
+        centered_ok = bool(np.all(np.isfinite(centered)))
+        if centered_ok:
+            k = centered
+        bound = (np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max()
+                 / math.sqrt(d) + math.log(n) + math.log(max(np.abs(v).max(), 1.0)))
+    v_ones = np.ones((n, v.shape[1] + 1))
+    v_ones[:, :-1] = v
+    e = q @ (k.T / np.sqrt(d))
+    if not (centered_ok and bound < _EXP_LIMIT):
+        e -= e.max(axis=1, keepdims=True)
+    num = np.exp(e) @ v_ones
+    return num[:, :-1] / num[:, -1:]
+
+
+OVERFLOW_CASES = {
+    "below_guard": lambda rng: [bound_at(rng, _EXP_LIMIT - 10.0)],
+    "above_guard": lambda rng: [bound_at(rng, _EXP_LIMIT + 10.0)],
+    "huge_values": lambda rng: [huge_values(rng, 1.0)],
+    "huge_values_x30": lambda rng: [huge_values(rng, 30.0)],
+    "huge_keys": huge_keys,
+    "huge_flat_values": huge_flat_values,
+}
+
+
 class TestOverflowGuard:
     """The kernel skips the row-max pass unless its logit bound could
     overflow a weight or a numerator; both sides match the oracle."""
 
     @pytest.mark.parametrize("margin", [-10.0, 10.0])
     def test_both_sides_of_the_guard_match_oracle(self, rng, margin):
-        q = rng.standard_normal((5, 4))
-        k = rng.standard_normal((7, 4)) + 3.0  # off-center keys
-        v = rng.standard_normal((7, 3))
-        # the bound is linear in the query scale beyond its log terms
-        logs = _logit_bound(np.zeros_like(q), k, v)
-        q *= (_EXP_LIMIT + margin - logs) / (_logit_bound(q, k, v) - logs)
-        assert _logit_bound(q, k, v) == pytest.approx(_EXP_LIMIT + margin)
+        q, k, v = bound_at(rng, _EXP_LIMIT + margin)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = attention(q, k, v)
@@ -185,38 +269,86 @@ class TestOverflowGuard:
 
     @pytest.mark.parametrize("scale", [1.0, 30.0])
     def test_huge_values_take_the_guard_and_match_oracle(self, rng, scale):
-        # log(1e306) alone exceeds the limit; the weights stay ordinary
-        q = rng.standard_normal((5, 4)) * scale
-        k = rng.standard_normal((7, 4))
-        v = rng.standard_normal((7, 3)) * 1e306
+        q, k, v = huge_values(rng, scale)
         assert _logit_bound(q, k, v) > _EXP_LIMIT
         np.testing.assert_allclose(attention(q, k, v), naive_attention(q, k, v),
                                    rtol=1e-12, atol=0)
 
     def test_huge_keys_match_oracle(self, rng):
-        # 300 keys near 1e306 sum past the float64 max; 3 keys of +-1.7e308
-        # have a finite mean, 5.7e307, but a key minus it overflows. The
-        # keys are then used as given, on the shifted path.
-        q = rng.standard_normal((5, 4)) * 1e-3
-        same_sign = rng.uniform(1e306, 2e306, (300, 4))
-        mixed = np.array([[1.7e308], [-1.7e308], [1.7e308]]) * rng.uniform(0.99, 1, (3, 4))
-        for k in (same_sign, mixed):
-            v = rng.standard_normal((k.shape[0], 3))
+        for q, k, v in huge_keys(rng):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = attention(q, k, v)
             np.testing.assert_allclose(out, naive_attention(q, k, v), rtol=1e-12, atol=0)
 
     def test_huge_values_stay_finite(self, rng):
-        # 6 weights of at most 1 times |v| < 1.5e307 sum below the float64
-        # max, so the unnormalized product of a row-max softmax is finite
-        # here, and so must the kernel's be, however flat the weights
-        v = rng.uniform(-1.5e307, 1.5e307, (6, 2))
-        for q_scale in (0.0, 1.0, 1e3):
-            out = attention(rng.standard_normal((4, 3)) * q_scale,
-                            rng.standard_normal((6, 3)), v)
+        for q, k, v in huge_flat_values(rng):
+            out = attention(q, k, v)
             assert np.all(np.isfinite(out))
             assert np.all(np.abs(out) <= np.abs(v).max())
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+    def test_returns_the_float64_result_bitwise(self, rng, case):
+        # every case's bound is above the float32 limit, so the float32
+        # path leaves its bytes as they were
+        for q, k, v in OVERFLOW_CASES[case](rng):
+            np.testing.assert_array_equal(attention(q, k, v), float64_kernel(q, k, v))
+
+
+class TestFloat32Path:
+    """Below ``_EXP_LIMIT_F32`` the blocks run in float32, to within
+    ``f32_atol`` of the oracle; above it, in float64 as before."""
+
+    @pytest.mark.parametrize("margin", [-10.0, 10.0])
+    def test_both_sides_of_the_float32_limit_match_oracle(self, rng, margin):
+        q, k, v = bound_at(rng, _EXP_LIMIT_F32 + margin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        if margin < 0:
+            np.testing.assert_allclose(out, naive_attention(q, k, v),
+                                       rtol=0, atol=f32_atol(q, k, v))
+        else:
+            np.testing.assert_allclose(out, naive_attention(q, k, v), rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(out, float64_kernel(q, k, v))
+
+    def test_a_logit_at_the_limit_stays_finite(self):
+        # two opposite keys, already centered, and a query along them: one
+        # logit meets the Cauchy-Schwarz bound, at the limit less log 2
+        x = np.array([[3.0, -1.0, 2.0, 1.0]])
+        k, v = np.vstack([x, -x]), np.array([[1.0, -1.0], [0.5, 0.25]])
+        logit = _EXP_LIMIT_F32 - 1e-6 - math.log(2)
+        q = x * (logit * 2.0 / np.sum(x * x))
+        assert _logit_bound(q, k, v) < _EXP_LIMIT_F32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        np.testing.assert_allclose(out, naive_attention(q, k, v),
+                                   rtol=0, atol=f32_atol(q, k, v))
+
+    def test_near_equal_logits_keep_a_normalizer_of_at_least_one(self, rng):
+        # keys 1e3 off center and within 1e-4 of each other: as given, the
+        # logits would reach about +-1e3 and overflow or underflow float32's
+        # exp; centered, each row's logits are near 0 and average 0, so its
+        # largest weight, and its normalizer, is at least 1
+        q = rng.standard_normal((8, 4))
+        k = 1e3 + rng.standard_normal((50, 4)) * 1e-4
+        v = rng.standard_normal((50, 3))
+        out = attention(q, k, v)
+        # the kernel leaves its float32 numerators, normalizer last, in this
+        # thread's workspace
+        num = _scratch("num", (8, 4), np.float32)
+        assert np.all(num[:, -1] >= 1.0)
+        np.testing.assert_allclose(out, naive_attention(q, k, v),
+                                   rtol=0, atol=f32_atol(q, k, v))
+
+    def test_tiny_values_are_scaled_not_flushed(self, rng):
+        # values of 1e-60 are zero in float32; scaled by a power of two into
+        # [0.5, 1) and back, they keep float32's relative precision
+        q, k = rng.standard_normal((5, 4)), rng.standard_normal((7, 4))
+        v = rng.standard_normal((7, 3)) * 1e-60
+        np.testing.assert_allclose(attention(q, k, v), naive_attention(q, k, v),
+                                   rtol=0, atol=f32_atol(q, k, v))
 
 
 class TestFirstOnlyCrossFrame:
@@ -242,9 +374,10 @@ class TestFirstOnlyCrossFrame:
         out = first_only_cross_frame(frames, params)
         k0 = frames[0] @ params.w_k
         v0 = frames[0] @ params.w_v
+        q = frames @ params.w_q
         for i in range(3):
-            expected = naive_attention(frames[i] @ params.w_q, k0, v0)
-            np.testing.assert_allclose(out[i], expected, rtol=1e-6, atol=1e-9)
+            expected = naive_attention(q[i], k0, v0)
+            np.testing.assert_allclose(out[i], expected, rtol=0, atol=f32_atol(q, k0, v0))
 
     def test_is_attention_of_the_first_frame(self, rng):
         # the kernel in full, one softmax over all frames' queries at once
@@ -254,10 +387,10 @@ class TestFirstOnlyCrossFrame:
         logits = q @ k0.T / np.sqrt(4)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         # the kernel folds 1/sqrt(d) into the keys and normalizes its outputs,
-        # not its weights: the same arithmetic up to rounding order
+        # not its weights, and runs its blocks in float32
         np.testing.assert_allclose(first_only_cross_frame(frames, params),
                                    e / e.sum(axis=-1, keepdims=True) @ v0,
-                                   rtol=1e-12, atol=1e-15)
+                                   rtol=0, atol=f32_atol(q, k0, v0))
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="share one shape"):

@@ -371,7 +371,11 @@ class TestTinyVideoPriorVariance:
     """Both refining projections are closed-form hops whose gains have no
     cancelling terms, so shrinking the video prior's variance below where
     a projection ``(z - q * eps) / r`` cancels (about 1e-16) leaves the
-    default recipe's output measuring the same."""
+    default recipe's output measuring the same, to the float32 rounding of
+    its attention blocks (at most 8.4e-12 here). That attention scales its
+    values by a power of two first; without it, the eps values of about
+    1e-99 that reach it at 1e-100 underflow float32 and move the measure by
+    8.3e-5."""
 
     @staticmethod
     def consistency(variance):
@@ -386,7 +390,7 @@ class TestTinyVideoPriorVariance:
 
     @pytest.mark.parametrize("variance", [1e-17, 1e-100, 1e-300])
     def test_frame_consistency_matches_1e_14(self, reference, variance):
-        assert abs(self.consistency(variance) - reference) <= 1e-12
+        assert abs(self.consistency(variance) - reference) <= 1e-10
 
 
 class TestBaseline:

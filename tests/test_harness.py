@@ -510,6 +510,15 @@ class TestRunModes:
         for rel, digest in manifest["files"].items():
             assert sha256_file(tmp_path / rel) == digest
 
+    @pytest.mark.parametrize("mode", ["elevate", "baseline_t2v"])
+    def test_manifest_digests_are_the_files_read_back(self, mode, tmp_path):
+        # hashed here, not through the harness, so the digests stay checked
+        # whichever way the harness comes by them
+        manifest = run(tiny(mode, seeds=[0]), output_dir=tmp_path)
+        assert len(manifest["files"]) == 2 + 4 + 1  # latent, trace, renders, csv
+        for rel, digest in manifest["files"].items():
+            assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest
+
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("rename failed")
