@@ -69,28 +69,28 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     larger than one block is ever held. The logits block and the value
     GEMM's output live in the calling thread's workspace, which later calls
     reuse; the returned array is always fresh. Each block is one logits
-    GEMM, one in-place ``exp`` and one value GEMM:
+    GEMM, one in-place ``exp`` and one value GEMM; ``v`` carries an extra
+    ones column, so the value GEMM also returns each row's normalizer.
 
-    - The keys are centered, ``k - mean(k)``. That shifts every logit of a
-      query row by the same ``q . mean(k)``, which softmax ignores, and
-      leaves each row averaging 0 over the keys, so its largest weight,
-      and with it its normalizer, is at least 1.
-    - ``v`` carries an extra ones column, so the value GEMM also returns
-      each row's normalizer, and the outputs are divided by it at the end.
-    - A row's max is subtracted, as a plain softmax does, only when the
-      Cauchy-Schwarz bound ``max ||q|| * max ||k - mean(k)|| / sqrt(d)`` on
-      every centered logit, plus ``log n_keys`` and ``log max|v|``, could
-      overflow a weight or a numerator, or when centering the keys would
-      overflow; then the keys are used as given.
-    - When that bound is below ``_EXP_LIMIT_F32``, the three block steps
-      run in float32, at about half their float64 cost; the projections,
-      the centering and the bound stay in float64. The values are first
-      scaled by ``2^-e``, ``e`` the ``frexp`` exponent of ``max|v|``, and
-      the output by ``2^e``: attention is linear in ``v``, so both scalings
-      are exact, and tiny values do not underflow float32. Outputs then
-      differ from the float64 kernel's by float32 rounding, a few float32
-      eps of ``max|v|`` that grow with the bound. Every other call runs in
-      float64 as described above, unchanged.
+    One bound picks the regime: ``max ||q|| * max ||k - mean(k)|| / sqrt(d)``
+    (Cauchy-Schwarz, on every centered logit) plus ``log n_keys`` and
+    ``log max|v|``. Centering shifts a query row's logits by ``q . mean(k)``,
+    which softmax ignores, and leaves them averaging 0, so the row's largest
+    weight, and with it its normalizer, is at least 1.
+
+    - Below ``_EXP_LIMIT_F32`` the blocks run in float32 on the centered
+      keys, at about half the float64 cost. The values are scaled by
+      ``2^-e``, ``e`` the ``frexp`` exponent of ``max|v|``, and the output
+      by ``2^e``: attention is linear in ``v``, so both are exact, and tiny
+      values do not underflow. Outputs differ from float64's by a few
+      float32 eps of ``max|v|`` that grow with the bound.
+    - Below ``_EXP_LIMIT`` they run in float64 on the centered keys.
+    - Otherwise a weight or a numerator could overflow: they run in float64
+      on the keys as given, each row's max subtracted, as a plain softmax
+      does. Overflowing centering and inf/NaN inputs make the bound inf or
+      NaN, and so land here.
+
+    The float64 regimes and the output are float64 whatever the input dtype.
     """
     q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
     if q.ndim < 2 or k.ndim != 2 or v.ndim != 2:
@@ -102,45 +102,32 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     if k.shape[0] < 1:
         raise ValueError("need at least one key/value row")
     n_keys, d = k.shape
+    rows = q.reshape(-1, d)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = k - k.mean(axis=0)
-    # keys whose sum or centering overflows stay as they are, on the shifted
-    # path, as do inf/NaN keys
-    centered_ok = bool(np.all(np.isfinite(centered)))
-    if centered_ok:
-        k = centered
-    k_t = k.T / np.sqrt(d)
-    rows = q.reshape(-1, d)
-    dtype = np.result_type(rows, k_t, v)
-    # a norm that overflows, or inf/NaN inputs, make the bound inf or NaN,
-    # and so take the shifted path
-    with np.errstate(over="ignore", invalid="ignore"):
         q_max = np.sqrt(np.einsum("ij,ij->i", rows, rows).max(initial=0.0))
-        k_max = np.sqrt(np.einsum("ij,ij->i", k, k).max())
+        k_max = np.sqrt(np.einsum("ij,ij->i", centered, centered).max())
         bound = q_max * k_max / np.sqrt(d)
-    v_max = np.abs(v).max()
+    v_max = np.abs(v).max(initial=0.0)
     bound += math.log(n_keys) + math.log(max(v_max, 1.0))
-    shift = not (centered_ok and bound < _EXP_LIMIT)
+    shift = not bound < _EXP_LIMIT
+    # the float64 root makes the keys, and so the float64 regimes, float64
+    k_t = (k if shift else centered).T / np.sqrt(d)
+    dtype = block_dtype = np.result_type(rows, k_t, v)
     scale = 0
-    if centered_ok and bound < _EXP_LIMIT_F32:
+    if bound < _EXP_LIMIT_F32:
         block_dtype = np.float32
         scale = int(np.frexp(v_max)[1])
         v = np.ldexp(v, -scale)
         k_t = k_t.astype(block_dtype)
-        rows_f32 = _scratch("rows", rows.shape, block_dtype)
-        rows_f32[...] = rows
-        rows = rows_f32
-    else:
-        block_dtype = dtype
     v_ones = np.ones((n_keys, v.shape[1] + 1), dtype=block_dtype)
     v_ones[:, :-1] = v
     num = _scratch("num", (rows.shape[0], v_ones.shape[1]), block_dtype)
     step = max(1, _BLOCK // n_keys)
-    logits = _scratch("logits", (min(step, rows.shape[0]), n_keys),
-                      np.result_type(rows, k_t))
+    logits = _scratch("logits", (min(step, rows.shape[0]), n_keys), block_dtype)
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
-        e = np.matmul(block, k_t, out=logits[:block.shape[0]])
+        e = np.matmul(block.astype(block_dtype, copy=False), k_t, out=logits[:len(block)])
         if shift:
             e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
@@ -157,8 +144,8 @@ def first_only_cross_frame(frames: np.ndarray, params: AttentionParams) -> np.nd
     ``frames`` is an ``(F, n, width)`` stack of token matrices. Frame 0's
     output is its own self-attention.
     """
-    if frames.ndim != 3:
-        raise ValueError(f"expected (F, n, width) tokens, got shape {frames.shape}")
+    if frames.ndim != 3 or frames.shape[0] < 1:
+        raise ValueError(f"expected (F, n, width) tokens of F >= 1, got shape {frames.shape}")
     if frames.shape[2] != params.width:
         raise ValueError(f"shape mismatch: token width {frames.shape[2]} vs {params.width}")
     return attention(frames @ params.w_q, frames[0] @ params.w_k, frames[0] @ params.w_v)

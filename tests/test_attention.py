@@ -11,7 +11,10 @@ from latent_elevator import (
     first_only_cross_frame,
     make_attention_params,
 )
+import latent_elevator.attention as attention_module
 from latent_elevator.attention import _EXP_LIMIT, _EXP_LIMIT_F32, attention
+from latent_elevator.elevate import elevate_sample
+from latent_elevator.harness import make_default_plan
 from latent_elevator.workspace import _scratch
 
 from conftest import recipe_denoiser
@@ -143,6 +146,11 @@ class TestQueryBlocks:
                         rng.standard_normal((5, 3)))
         assert out.shape == (0, 3)
 
+    def test_zero_width_values(self, rng):
+        out = attention(rng.standard_normal((2, 3, 4)), rng.standard_normal((5, 4)),
+                        np.empty((5, 0)))
+        assert out.shape == (2, 3, 0)
+
     def test_memory_does_not_grow_with_frames_times_keys_squared(self, rng):
         # F * n^2 float64 logits would take 16 * 1024^2 * 8 B = 128 MiB
         params = make_attention_params(4, seed=1)
@@ -158,9 +166,9 @@ class TestQueryBlocks:
     def test_warm_call_reuses_its_workspace(self, rng):
         # 16 frames of 256 tokens: one 256 KiB float32 logits block per 256
         # rows. Fresh, the float64 blocks and the value GEMM's output took
-        # 1212 KiB, and a fresh float32 cast of the queries alone made the
-        # peak 348 KiB; from the workspace the call holds its 128 KiB output
-        # and small arrays
+        # 1212 KiB, and a fresh float32 cast of all the queries made the
+        # peak 348 KiB; from the workspace the call holds its 128 KiB output,
+        # one block's 4 KiB of cast queries and small arrays
         q = rng.standard_normal((16, 256, 4))
         k, v = rng.standard_normal((256, 4)), rng.standard_normal((256, 4))
         first = attention(q, k, v)
@@ -225,21 +233,22 @@ def huge_flat_values(rng):
 
 def float64_kernel(q, k, v):
     """The kernel's float64 arithmetic, step for step, on one block of
-    query rows: centered keys unless centering overflows, ``1/sqrt(d)``
-    folded into the keys, the row max subtracted when the bound fails the
-    float64 limit, then ``exp`` and the value GEMM with its ones column."""
+    query rows: the bound from the centered keys; below the float64 limit
+    the centered keys, at or above it the keys as given and the row max
+    subtracted; ``1/sqrt(d)`` folded into the keys, then ``exp`` and the
+    value GEMM with its ones column."""
     n, d = k.shape
     with np.errstate(over="ignore", invalid="ignore"):
         centered = k - k.mean(axis=0)
-        centered_ok = bool(np.all(np.isfinite(centered)))
-        if centered_ok:
-            k = centered
-        bound = (np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max()
+        bound = (np.linalg.norm(q, axis=1).max() * np.linalg.norm(centered, axis=1).max()
                  / math.sqrt(d) + math.log(n) + math.log(max(np.abs(v).max(), 1.0)))
+    shift = not bound < _EXP_LIMIT
+    if not shift:
+        k = centered
     v_ones = np.ones((n, v.shape[1] + 1))
     v_ones[:, :-1] = v
     e = q @ (k.T / np.sqrt(d))
-    if not (centered_ok and bound < _EXP_LIMIT):
+    if shift:
         e -= e.max(axis=1, keepdims=True)
     num = np.exp(e) @ v_ones
     return num[:, :-1] / num[:, -1:]
@@ -256,8 +265,10 @@ OVERFLOW_CASES = {
 
 
 class TestOverflowGuard:
-    """The kernel skips the row-max pass unless its logit bound could
-    overflow a weight or a numerator; both sides match the oracle."""
+    """At or above ``_EXP_LIMIT`` a weight or a numerator could overflow,
+    and the kernel subtracts each row's max from the logits of the keys as
+    given; below it, it uses the centered keys unshifted. Both sides match
+    the oracle."""
 
     @pytest.mark.parametrize("margin", [-10.0, 10.0])
     def test_both_sides_of_the_guard_match_oracle(self, rng, margin):
@@ -342,6 +353,16 @@ class TestFloat32Path:
         np.testing.assert_allclose(out, naive_attention(q, k, v),
                                    rtol=0, atol=f32_atol(q, k, v))
 
+    def test_float32_inputs_above_the_limit_stay_float64(self, rng):
+        # the float64 regimes run in float64 whatever the input dtype
+        q, k, v = (a.astype(np.float32) for a in bound_at(rng, _EXP_LIMIT_F32 + 10.0))
+        assert _EXP_LIMIT_F32 < _logit_bound(q, k, v) < _EXP_LIMIT
+        out = attention(q, k, v)
+        assert out.dtype == np.float64
+        # the oracle's dot products are float64 on the same values
+        exact = naive_attention(*(a.astype(np.float64) for a in (q, k, v)))
+        np.testing.assert_allclose(out, exact, rtol=1e-12, atol=0)
+
     def test_tiny_values_are_scaled_not_flushed(self, rng):
         # values of 1e-60 are zero in float32; scaled by a power of two into
         # [0.5, 1) and back, they keep float32's relative precision
@@ -349,6 +370,41 @@ class TestFloat32Path:
         v = rng.standard_normal((7, 3)) * 1e-60
         np.testing.assert_allclose(attention(q, k, v), naive_attention(q, k, v),
                                    rtol=0, atol=f32_atol(q, k, v))
+
+
+class TestRegimeTraffic:
+    """Which regime the recipe's calls take, read by a spy on every call."""
+
+    @staticmethod
+    def _bounds(monkeypatch, plans):
+        # ``first_only_cross_frame`` calls the module attribute
+        bounds, kernel = [], attention_module.attention
+
+        def spy(q, k, v):
+            bounds.append(_logit_bound(q.reshape(-1, q.shape[-1]), k, v))
+            return kernel(q, k, v)
+
+        monkeypatch.setattr(attention_module, "attention", spy)
+        for plan in plans:
+            elevate_sample(plan)
+        return bounds
+
+    def test_elevate_runs_every_call_in_float32(self, monkeypatch):
+        # the float32 regime is what makes ``elevate`` fast; a recipe change
+        # that moved its calls to float64 would lose that silently
+        bounds = self._bounds(monkeypatch, (make_default_plan(seed=s) for s in range(4)))
+        assert len(bounds) == 4 * 50
+        assert max(bounds) < _EXP_LIMIT_F32
+
+    def test_image_baseline_regimes(self, monkeypatch):
+        # reported, not pinned: an image model bounded under every schedule
+        # is expected to move these counts
+        plans = (make_default_plan(seed=s, num_refine_steps=0) for s in range(2))
+        bounds = np.array(self._bounds(monkeypatch, plans))
+        assert len(bounds) == 2 * 50
+        below = [int(np.sum(bounds < limit)) for limit in (_EXP_LIMIT_F32, _EXP_LIMIT)]
+        print(f"\nREGIMES baseline_t2i seeds 0-1: float32 {below[0]}, "
+              f"float64 {below[1] - below[0]}, float64 shifted {len(bounds) - below[1]}")
 
 
 class TestFirstOnlyCrossFrame:
@@ -391,6 +447,10 @@ class TestFirstOnlyCrossFrame:
         np.testing.assert_allclose(first_only_cross_frame(frames, params),
                                    e / e.sum(axis=-1, keepdims=True) @ v0,
                                    rtol=0, atol=f32_atol(q, k0, v0))
+
+    def test_empty_frame_stack_rejected(self):
+        with pytest.raises(ValueError, match="F >= 1"):
+            first_only_cross_frame(np.empty((0, 6, 4)), make_attention_params(4))
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="share one shape"):
