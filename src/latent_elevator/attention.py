@@ -19,15 +19,20 @@ from .workspace import _scratch
 
 # logits per query block: 256 KiB of float32 (512 KiB of float64), within a
 # 2 MiB L2 cache; at the default 16x4x16x16 shape 2^16 ran fastest in float32
-# too, if narrowly (median 1.17 ms per call, against 1.20 ms at 2^15 and
-# 1.22 ms at 2^17)
+# with base-2 weights too, if narrowly (median 0.94 ms per call, against 1.06
+# ms at 2^15 and 0.99 ms at 2^17)
 _BLOCK = 1 << 16
+# The limits bound logits in natural-log units. The blocks take exp2 of the
+# logits times log2(e), which overflows where exp of the logits does:
+# 700 log2(e) = 1009.9 < 1024 and 80 log2(e) = 115.4 < 128.
 # exp(709.78) is the largest finite float64; the margin absorbs the rounding
 # of the logits GEMM and of the value GEMM's sums
 _EXP_LIMIT = 700.0
 # the same for float32, whose exp overflows above 88.72; below it every
-# weight is also at least exp(-80) = 1.8e-35, a normal float32
+# weight is also at least exp(-80) = 2^-115.4 = 1.8e-35, a normal float32
 _EXP_LIMIT_F32 = 80.0
+_LOG2E = math.log2(math.e)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class AttentionParams:
@@ -69,8 +74,13 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     larger than one block is ever held. The logits block and the value
     GEMM's output live in the calling thread's workspace, which later calls
     reuse; the returned array is always fresh. Each block is one logits
-    GEMM, one in-place ``exp`` and one value GEMM; ``v`` carries an extra
+    GEMM, one in-place ``exp2`` and one value GEMM; ``v`` carries an extra
     ones column, so the value GEMM also returns each row's normalizer.
+    The weights are base 2, as in FlashAttention-2: ``log2(e)`` scales the
+    logits, so ``exp2`` gives ``exp``'s weights at about half its cost in
+    float32. The bound and the limits stay in natural-log units, and
+    ``exp2`` of a logit times ``log2(e)`` overflows where ``exp`` of the
+    logit does.
 
     One bound picks the regime: ``max ||q|| * max ||k - mean(k)|| / sqrt(d)``
     (Cauchy-Schwarz, on every centered logit) plus ``log n_keys`` and
@@ -79,7 +89,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     weight, and with it its normalizer, is at least 1.
 
     - Below ``_EXP_LIMIT_F32`` the blocks run in float32 on the centered
-      keys, at about half the float64 cost. The values are scaled by
+      keys, at about half the float64 cost, if the queries and the scaled
+      keys are finite in float32. The values are scaled by
       ``2^-e``, ``e`` the ``frexp`` exponent of ``max|v|``, and the output
       by ``2^e``: attention is linear in ``v``, so both are exact, and tiny
       values do not underflow. Outputs differ from float64's by a few
@@ -87,8 +98,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     - Below ``_EXP_LIMIT`` they run in float64 on the centered keys.
     - Otherwise a weight or a numerator could overflow: they run in float64
       on the keys as given, each row's max subtracted, as a plain softmax
-      does. Overflowing centering and inf/NaN inputs make the bound inf or
-      NaN, and so land here.
+      does, and only then scaled by ``log2(e)``. Overflowing centering and
+      inf/NaN inputs make the bound inf or NaN, and so land here.
 
     The float64 regimes and the output are float64 whatever the input dtype.
     """
@@ -105,17 +116,26 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     rows = q.reshape(-1, d)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = k - k.mean(axis=0)
-        q_max = np.sqrt(np.einsum("ij,ij->i", rows, rows).max(initial=0.0))
+        # the squared query norms borrow the logits workspace, which no
+        # block has used yet; a GEMV sums them faster than a row-wise einsum
+        squares = np.multiply(rows, rows, out=_scratch("logits", rows.shape, rows.dtype))
+        q_max = np.sqrt((squares @ np.ones(d)).max(initial=0.0))
         k_max = np.sqrt(np.einsum("ij,ij->i", centered, centered).max())
         bound = q_max * k_max / np.sqrt(d)
     v_max = np.abs(v).max(initial=0.0)
     bound += math.log(n_keys) + math.log(max(v_max, 1.0))
     shift = not bound < _EXP_LIMIT
-    # the float64 root makes the keys, and so the float64 regimes, float64
-    k_t = (k if shift else centered).T / np.sqrt(d)
+    # Base-2 logits. Unshifted, log2(e) joins 1/sqrt(d) on the centered keys,
+    # whose squared norms a finite bound keeps finite, so they scale finitely.
+    # Keys as given may be near the float64 max: shifted, the logits are
+    # scaled after the row max is subtracted. The float64 root makes the
+    # keys, and so the float64 regimes, float64.
+    k_scale = (1.0 if shift else _LOG2E) / np.sqrt(d)
+    k_t = (k if shift else centered).T * k_scale
     dtype = block_dtype = np.result_type(rows, k_t, v)
     scale = 0
-    if bound < _EXP_LIMIT_F32:
+    # the row norms bound every entry, so both casts stay finite
+    if bound < _EXP_LIMIT_F32 and max(q_max, k_max * k_scale) < _F32_MAX:
         block_dtype = np.float32
         scale = int(np.frexp(v_max)[1])
         v = np.ldexp(v, -scale)
@@ -130,9 +150,17 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         e = np.matmul(block.astype(block_dtype, copy=False), k_t, out=logits[:len(block)])
         if shift:
             e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
+            # a logit below -1.2e308 scales to -inf, whose exp2 is 0 as its exp was
+            with np.errstate(over="ignore"):
+                e *= _LOG2E
+        np.exp2(e, out=e)
         np.matmul(e, v_ones, out=num[start:start + step])
-    out = np.divide(num[:, :-1], num[:, -1:], dtype=dtype)
+    # one reciprocal per row, then one multiply per value column: each runs
+    # along all the rows, where a row-wise broadcast would loop over v's width
+    recip = np.reciprocal(num[:, -1], dtype=dtype)
+    out = np.empty((rows.shape[0], v.shape[1]), dtype)
+    for j in range(v.shape[1]):
+        np.multiply(num[:, j], recip, out=out[:, j])
     if scale:
         np.ldexp(out, scale, out=out)
     return out.reshape(*q.shape[:-1], v.shape[1])

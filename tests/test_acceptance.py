@@ -44,7 +44,7 @@ from latent_elevator.schedule import NoiseSchedule
 from latent_elevator.synth import make_gp_prior, sample_prior
 
 from conftest import dft_matrix, project_clean, recipe_denoiser, sample_by_hops
-from test_attention import naive_attention
+from test_attention import bound_at, f32_atol, naive_attention
 from test_denoiser import oracle_eps
 from test_freqfilter import dft_filter_oracle
 
@@ -145,11 +145,16 @@ def test_criterion_1_equation_oracles(sched_t2i):
                                dft_filter_oracle(video, mask.gains).real,
                                rtol=1e-6, atol=1e-9)
 
-    # attention vs naive oracle, 1e-6
-    q, k, v = (rng.standard_normal((5, 4)), rng.standard_normal((7, 4)),
-               rng.standard_normal((7, 4)))
+    # attention vs naive oracle: float32 blocks within their rounding bound
+    # on 100 draws, float64 blocks to 1e-12 on a draw between the limits
+    for _ in range(100):
+        q, k, v = (rng.standard_normal((5, 4)), rng.standard_normal((7, 4)),
+                   rng.standard_normal((7, 4)))
+        np.testing.assert_allclose(attention(q, k, v), naive_attention(q, k, v),
+                                   rtol=0, atol=f32_atol(q, k, v))
+    q, k, v = bound_at(rng, 300.0)
     np.testing.assert_allclose(attention(q, k, v), naive_attention(q, k, v),
-                               rtol=1e-6, atol=1e-9)
+                               rtol=1e-12, atol=0)
 
     # analytic noise prediction vs dense posterior oracle, 1e-5, 100 pairs
     prior = make_gp_prior(4, 2, 4, 4, rho=0.7, spectrum_kind="broadband",

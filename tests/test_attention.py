@@ -192,11 +192,12 @@ def _logit_bound(q, k, v):
             + math.log(max(np.abs(v).max(), 1.0)))
 
 
-def bound_at(rng, bound):
-    """Queries, off-center keys and values whose kernel bound is ``bound``."""
+def bound_at(rng, bound, n_keys=7, v_scale=1.0):
+    """Queries, ``n_keys`` off-center keys and values whose kernel bound is
+    ``bound``, which must exceed the bound's ``log n`` and ``log max|v|``."""
     q = rng.standard_normal((5, 4))
-    k = rng.standard_normal((7, 4)) + 3.0  # off-center keys
-    v = rng.standard_normal((7, 3))
+    k = rng.standard_normal((n_keys, 4)) + 3.0  # off-center keys
+    v = rng.standard_normal((n_keys, 3)) * v_scale
     # the bound is linear in the query scale beyond its log terms
     logs = _logit_bound(np.zeros_like(q), k, v)
     q *= (bound - logs) / (_logit_bound(q, k, v) - logs)
@@ -222,6 +223,17 @@ def huge_keys(rng):
     return [(q, k, rng.standard_normal((k.shape[0], 3))) for k in (same_sign, mixed)]
 
 
+def extreme_keys_d1(rng):
+    # one-wide keys near the float64 max: their logits are finite, but the
+    # keys times log2(e) are not, so the shifted regime scales its logits
+    # after subtracting the row max. The first keys' sum overflows, and the
+    # second's centered squares do, so both calls take that regime.
+    near_max = np.array([[1.7e308], [1.6e308], [1.65e308]])
+    opposite = np.array([[1.7e308], [-1.7e308]])
+    return [(np.array([[1.0], [0.5]]), near_max, rng.standard_normal((3, 2))),
+            (np.zeros((2, 1)), opposite, rng.standard_normal((2, 2)))]
+
+
 def huge_flat_values(rng):
     # 6 weights of at most 1 times |v| < 1.5e307 sum below the float64
     # max, so the unnormalized product of a row-max softmax is finite
@@ -234,24 +246,26 @@ def huge_flat_values(rng):
 def float64_kernel(q, k, v):
     """The kernel's float64 arithmetic, step for step, on one block of
     query rows: the bound from the centered keys; below the float64 limit
-    the centered keys, at or above it the keys as given and the row max
-    subtracted; ``1/sqrt(d)`` folded into the keys, then ``exp`` and the
-    value GEMM with its ones column."""
+    the centered keys times ``log2(e) / sqrt(d)``, at or above it the keys
+    as given times ``1/sqrt(d)`` and the row max subtracted before the
+    logits are scaled by ``log2(e)``; then ``exp2``, the value GEMM with its
+    ones column, and each row times its normalizer's reciprocal."""
     n, d = k.shape
+    log2e = math.log2(math.e)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = k - k.mean(axis=0)
         bound = (np.linalg.norm(q, axis=1).max() * np.linalg.norm(centered, axis=1).max()
                  / math.sqrt(d) + math.log(n) + math.log(max(np.abs(v).max(), 1.0)))
     shift = not bound < _EXP_LIMIT
-    if not shift:
-        k = centered
     v_ones = np.ones((n, v.shape[1] + 1))
     v_ones[:, :-1] = v
-    e = q @ (k.T / np.sqrt(d))
+    e = q @ ((k if shift else centered).T * ((1.0 if shift else log2e) / math.sqrt(d)))
     if shift:
         e -= e.max(axis=1, keepdims=True)
-    num = np.exp(e) @ v_ones
-    return num[:, :-1] / num[:, -1:]
+        with np.errstate(over="ignore"):
+            e *= log2e
+    num = np.exp2(e) @ v_ones
+    return num[:, :-1] * (1.0 / num[:, -1:])
 
 
 OVERFLOW_CASES = {
@@ -260,6 +274,7 @@ OVERFLOW_CASES = {
     "huge_values": lambda rng: [huge_values(rng, 1.0)],
     "huge_values_x30": lambda rng: [huge_values(rng, 30.0)],
     "huge_keys": huge_keys,
+    "extreme_keys_d1": extreme_keys_d1,
     "huge_flat_values": huge_flat_values,
 }
 
@@ -286,7 +301,7 @@ class TestOverflowGuard:
                                    rtol=1e-12, atol=0)
 
     def test_huge_keys_match_oracle(self, rng):
-        for q, k, v in huge_keys(rng):
+        for q, k, v in huge_keys(rng) + extreme_keys_d1(rng):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = attention(q, k, v)
@@ -362,6 +377,36 @@ class TestFloat32Path:
         # the oracle's dot products are float64 on the same values
         exact = naive_attention(*(a.astype(np.float64) for a in (q, k, v)))
         np.testing.assert_allclose(out, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bound", [1.0, 10.0, 40.0, 79.9])
+    def test_bound_sweep_within_f32_atol(self, bound):
+        # 20 draws per bound; a bound of 1 is below log 7, so it takes two
+        # keys and values under 1
+        n_keys, v_scale = (2, 0.1) if bound < 2 else (7, 1.0)
+        for seed in range(20):
+            q, k, v = bound_at(np.random.default_rng(seed), bound, n_keys, v_scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = attention(q, k, v)
+            num = _scratch("num", (5, 4), np.float32)
+            assert np.all(num[:, -1] >= 1.0)
+            np.testing.assert_allclose(out, naive_attention(q, k, v),
+                                       rtol=0, atol=f32_atol(q, k, v))
+
+    @pytest.mark.parametrize("big", ["keys", "queries"])
+    def test_operands_past_the_float32_max_run_in_float64(self, rng, big):
+        # keys of 1e39 and queries of 1e-40 bound their logits well below
+        # the limit, but the keys' float32 cast would overflow to inf and
+        # turn every output NaN; so would the queries' the other way round
+        q, k = rng.standard_normal((5, 4)) * 1e-40, rng.standard_normal((7, 4)) * 1e39
+        if big == "queries":
+            q, k = q * 1e79, k * 1e-79
+        v = rng.standard_normal((7, 3))
+        assert _logit_bound(q, k, v) < _EXP_LIMIT_F32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        np.testing.assert_allclose(out, naive_attention(q, k, v), rtol=1e-12, atol=0)
 
     def test_tiny_values_are_scaled_not_flushed(self, rng):
         # values of 1e-60 are zero in float32; scaled by a power of two into
@@ -442,8 +487,8 @@ class TestFirstOnlyCrossFrame:
         q, k0, v0 = frames @ params.w_q, frames[0] @ params.w_k, frames[0] @ params.w_v
         logits = q @ k0.T / np.sqrt(4)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        # the kernel folds 1/sqrt(d) into the keys and normalizes its outputs,
-        # not its weights, and runs its blocks in float32
+        # the kernel folds log2(e)/sqrt(d) into the keys and normalizes its
+        # outputs, not its weights, and runs its blocks in float32
         np.testing.assert_allclose(first_only_cross_frame(frames, params),
                                    e / e.sum(axis=-1, keepdims=True) @ v0,
                                    rtol=0, atol=f32_atol(q, k0, v0))
