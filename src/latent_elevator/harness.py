@@ -64,7 +64,8 @@ DEFAULT_CONFIG = {
     "schedules": {"total_steps": 1000, "t2i": "linear_beta", "t2v": "scaled_linear_beta"},
     "priors": {
         "t2v": {"rho": 0.9, "spectrum_kind": "lowpass", "variance_scale": 1.0},
-        "t2i": {"rho": 0.0, "spectrum_kind": "broadband", "variance_scale": 1.0},
+        # an image model's frames are independent: make_gp_prior's rho 0
+        "t2i": {"spectrum_kind": "broadband", "variance_scale": 1.0},
     },
     "plan": {
         "num_steps": 50,
@@ -74,7 +75,6 @@ DEFAULT_CONFIG = {
         "crossframe_mix": 0.3,
         "inversion": "ddim",
     },
-    "ablate_steps": {"step_counts": [50, 100]},
 }
 
 
@@ -158,11 +158,6 @@ def _resolve(config: dict | None) -> tuple:
             raise ValueError(f"invalid config: priors.{name}.variance_scale must be finite "
                              f"and >= {np.finfo(float).tiny} (the smallest normal float64), "
                              f"got {prior['variance_scale']}")
-    counts = resolved["ablate_steps"]["step_counts"]
-    if resolved["mode"] == "ablate_steps" and (len(counts) < 2 or len(set(counts)) < len(counts)):
-        raise ValueError(
-            f"invalid config: ablate_steps.step_counts needs >= 2 distinct counts, got {counts}"
-        )
     variants = []
     for variant in _variants_for(resolved):
         try:
@@ -179,10 +174,9 @@ def build_plan(resolved: dict, seed: int) -> ElevatorPlan:
     variant's ``plan`` override merged over it."""
     f, c, h, w = resolved["shape"]
     plan_cfg, filt = resolved["plan"], resolved["plan"]["filter"]
-    pv, pi = resolved["priors"]["t2v"], resolved["priors"]["t2i"]
     sched = resolved["schedules"]
-    t2v_prior = make_gp_prior(f, c, h, w, pv["rho"], pv["spectrum_kind"], pv["variance_scale"])
-    t2i_prior = make_gp_prior(f, c, h, w, pi["rho"], pi["spectrum_kind"], pi["variance_scale"])
+    t2v_prior, t2i_prior = (make_gp_prior(f, c, h, w, **resolved["priors"][name])
+                            for name in ("t2v", "t2i"))
     params = make_attention_params(c, seed=ATTENTION_SEED)
     t2i_base = AnalyticDenoiser(t2i_prior, make_schedule(sched["t2i"], sched["total_steps"]))
     grid = select_refine_steps(select_timesteps(t2i_base.schedule, plan_cfg["num_steps"]),
@@ -216,20 +210,21 @@ def make_default_plan(seed: int = 0, shape=None, **plan) -> ElevatorPlan:
 def _variants_for(resolved: dict) -> list:
     """The cells of one seed: each variant's name, kind and the ``plan``
     override it runs with over the resolved config. The image baseline is
-    an ``elevate`` cell on a plan with no refining steps."""
+    an ``elevate`` cell on a plan with no refining steps. ``ablate_steps``
+    runs each model at the plan's ``num_steps`` n, and the video one at 2n."""
     mode, plain = resolved["mode"], {"num_refine_steps": 0}  # only elevate refines
     if mode == "baseline_t2v":
         return [{"name": mode, "kind": "baseline", "plan": plain}]
     if mode == "roundtrip":
         return [{"name": mode, "kind": "roundtrip", "plan": plain}]
     if mode == "ablate_steps":
-        counts = resolved["ablate_steps"]["step_counts"]
-        k = counts[0]
+        n = resolved["plan"]["num_steps"]
         return [
-            *({"name": f"baseline_t2v_{n}", "kind": "baseline",
-               "plan": {**plain, "num_steps": n}} for n in counts),
-            {"name": f"baseline_t2i_{k}", "kind": "elevate", "plan": {**plain, "num_steps": k}},
-            {"name": f"elevate_{k}", "kind": "elevate", "plan": {"num_steps": k}},
+            {"name": f"baseline_t2v_{n}", "kind": "baseline", "plan": plain},
+            {"name": f"baseline_t2v_{2 * n}", "kind": "baseline",
+             "plan": {**plain, "num_steps": 2 * n}},
+            {"name": f"baseline_t2i_{n}", "kind": "elevate", "plan": plain},
+            {"name": f"elevate_{n}", "kind": "elevate", "plan": {}},
         ]
     arms = {
         "elevate": {"elevate": {}},
@@ -333,10 +328,9 @@ def _run_checks(resolved: dict, agg: dict, runs: list) -> dict:
             agg["temporal"]["spatial_detail"] > agg["spatial_temporal"]["spatial_detail"],
         )
     elif mode == "ablate_steps":
-        counts = resolved["ablate_steps"]["step_counts"]
-        b0, b1 = f"baseline_t2v_{counts[0]}", f"baseline_t2v_{counts[1]}"
-        elev = f"elevate_{counts[0]}"
-        t2i = f"baseline_t2i_{counts[0]}"
+        n = resolved["plan"]["num_steps"]
+        b0, b1 = f"baseline_t2v_{n}", f"baseline_t2v_{2 * n}"
+        elev, t2i = f"elevate_{n}", f"baseline_t2i_{n}"
         for metric, baseline in (
             ("spectrum_distance_t2i", b0),
             ("frame_consistency", t2i),

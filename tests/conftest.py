@@ -37,9 +37,9 @@ def std_normal_prior():
 def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
     """Analytic denoiser over the default recipe's ``"t2v"`` or ``"t2i"``
     prior at ``shape``, on that model's recipe schedule."""
-    p, sched = DEFAULT_CONFIG["priors"][which], DEFAULT_CONFIG["schedules"]
+    sched = DEFAULT_CONFIG["schedules"]
     return AnalyticDenoiser(
-        make_gp_prior(*shape, p["rho"], p["spectrum_kind"], p["variance_scale"]),
+        make_gp_prior(*shape, **DEFAULT_CONFIG["priors"][which]),
         make_schedule(sched[which], sched["total_steps"]),
     )
 

@@ -54,7 +54,7 @@ def _report(criterion, ok, detail):
 
 
 SEEDS = range(20)
-SHAPE = (16, 4, 16, 16)
+SHAPE = tuple(DEFAULT_CONFIG["shape"])
 
 
 class RunsCache:
@@ -62,8 +62,8 @@ class RunsCache:
 
     def __init__(self):
         self._latents = {}
-        self.prior_v = make_gp_prior(*SHAPE, rho=0.9, spectrum_kind="lowpass")
-        self.prior_i = make_gp_prior(*SHAPE, rho=0.0, spectrum_kind="broadband")
+        self.prior_v, self.prior_i = (make_gp_prior(*SHAPE, **DEFAULT_CONFIG["priors"][name])
+                                      for name in ("t2v", "t2i"))
 
     def _build(self, variant, seed):
         if variant in ("elevate", "same_noise", "random_noise"):
@@ -406,9 +406,8 @@ def test_criterion_10_stylistic_synthesis(cache):
     h, w = SHAPE[2:]
     y, x = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")
     style = np.broadcast_to(np.cos(2 * np.pi * (2 * y + 3 * x)), SHAPE)
-    p, sched = DEFAULT_CONFIG["priors"]["t2i"], DEFAULT_CONFIG["schedules"]
-    styled = AnalyticDenoiser(make_gp_prior(*SHAPE, p["rho"], p["spectrum_kind"],
-                                            p["variance_scale"], mean=style),
+    sched = DEFAULT_CONFIG["schedules"]
+    styled = AnalyticDenoiser(make_gp_prior(*SHAPE, **DEFAULT_CONFIG["priors"]["t2i"], mean=style),
                               make_schedule(sched["t2i"], sched["total_steps"]))
 
     def coefficient(z):

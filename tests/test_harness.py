@@ -58,6 +58,20 @@ class TestConfig:
         assert resolved["schedules"] == {"total_steps": 1000, "t2i": "linear_beta",
                                          "t2v": "scaled_linear_beta"}
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_num_steps_sets_every_variant_grid(self, mode):
+        """``plan.num_steps`` alone sets how many steps each variant takes:
+        raising it lengthens every variant's grid, the doubled video
+        baseline of ``ablate_steps`` too."""
+        def grid_lengths(num_steps):
+            cfg = tiny(mode, seeds=[0], render=False)
+            cfg["plan"]["num_steps"] = num_steps
+            return [len(plan.grid.steps) for _, plan in harness._resolve(cfg)[1]]
+
+        short, long = grid_lengths(8), grid_lengths(12)
+        assert len(short) == len(long)
+        assert all(a < b for a, b in zip(short, long))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             resolve_config({"plan": {"n_sdedi": 3}})
@@ -112,7 +126,14 @@ class TestConfig:
         # metric thresholds are fixed
         ({"metrics": {}}, "metrics"),
         ({"metrics": {"flicker_cutoff": 0.15}}, "metrics"),
-    ], ids=["metrics", "metrics.flicker_cutoff"])
+        # ablate_steps runs the plan's num_steps and twice it
+        ({"ablate_steps": {}}, "ablate_steps"),
+        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": [50, 100]}},
+         "ablate_steps"),
+        # an image model's frames are independent
+        ({"priors": {"t2i": {"rho": 0.0}}}, "priors.t2i.rho"),
+    ], ids=["metrics", "metrics.flicker_cutoff", "ablate_steps", "ablate_steps.step_counts",
+            "priors.t2i.rho"])
     def test_removed_leaves_are_unknown_keys(self, config, path):
         with pytest.raises(ValueError, match=f"invalid config: unknown key '{path}'"):
             resolve_config(config)
@@ -166,9 +187,10 @@ class TestConfig:
                 assert manifest["schedules"][name] == schedule_entry(kinds[name], 400)
 
     def test_ablate_steps_beyond_schedule_writes_nothing(self, tmp_path):
+        # 600 steps fit the 1000-step schedule, their double does not
         cfg = tiny("ablate_steps", seeds=[0], render=False)
-        cfg["ablate_steps"] = {"step_counts": [50, 2000]}
-        with pytest.raises(ValueError, match="baseline_t2v_2000: num_steps out of range"):
+        cfg["plan"]["num_steps"] = 600
+        with pytest.raises(ValueError, match="baseline_t2v_1200: num_steps out of range"):
             run(cfg, output_dir=tmp_path / "out")
         assert list(tmp_path.rglob("*")) == []
 
@@ -192,9 +214,6 @@ class TestConfig:
         ({"jobs": True}, "jobs"),
         ({"plan": {"filter": 0.25}}, "plan.filter must be a mapping"),
         ({"output_dir": 7}, "output_dir"),
-        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": []}}, "step_counts"),
-        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": [50]}}, "step_counts"),
-        ({"mode": "ablate_steps", "ablate_steps": {"step_counts": [50, 50]}}, "step_counts"),
         ({"shape": [4, 4, 1, 8]}, "H, W >= 2"),
         ({"shape": [4, 4, 8, 1]}, "H, W >= 2"),
         ({"priors": {"t2i": {"variance_scale": 0}}}, "priors.t2i.variance_scale"),
@@ -207,8 +226,7 @@ class TestConfig:
         ("x", "must be a mapping"),
         (3, "must be a mapping"),
     ], ids=["seeds-str", "seeds-int", "seeds-negative", "seeds-bool", "n_sdedit-float",
-            "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int",
-            "step_counts-empty", "step_counts-one", "step_counts-repeated", "height-1",
+            "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int", "height-1",
             "width-1", "variance-zero", "variance-nan", "variance-inf", "variance-minus-inf",
             "variance-subnormal",
             "config-list", "config-str", "config-int"])
@@ -265,15 +283,17 @@ KNOB_ALTERNATIVES = {
     "filter.axes": ["temporal", "spatial"],
 }
 
+# One alternative per prior leaf, which neither default prior takes.
+PRIOR_ALTERNATIVES = {"rho": 0.5, "spectrum_kind": "flat", "variance_scale": 2.0}
+
 # One alternative per leaf of DEFAULT_CONFIG's schedules and priors, as a
 # config override, named for what it changes.
 SAMPLING_ALTERNATIVES = {
     "schedules.t2i.kind": {"schedules": {"t2i": "scaled_linear_beta"}},
     "schedules.t2v.kind": {"schedules": {"t2v": "linear_beta"}},
     "schedules.total_steps": {"schedules": {"total_steps": 500}},
-    **{f"priors.{name}.{key}": {"priors": {name: {key: value}}}
-       for name, kind in (("t2v", "flat"), ("t2i", "lowpass"))
-       for key, value in (("rho", 0.5), ("spectrum_kind", kind), ("variance_scale", 2.0))},
+    **{f"priors.{name}.{key}": {"priors": {name: {key: PRIOR_ALTERNATIVES[key]}}}
+       for name, prior in DEFAULT_CONFIG["priors"].items() for key in prior},
 }
 
 
@@ -348,8 +368,7 @@ class TestAblationArmsAreOverrides:
     # a base whose filter axes and inversion differ from some arm's
     BASE = dict(tiny("elevate", seeds=[0], render=False),
                 plan={**TINY["plan"], "inversion": "random_noise",
-                      "filter": {"axes": ["temporal", "spatial"], "d0": 0.2}},
-                ablate_steps={"step_counts": [8, 16]})
+                      "filter": {"axes": ["temporal", "spatial"], "d0": 0.2}})
 
     @pytest.fixture(scope="class")
     def ablation_files(self, tmp_path_factory):
@@ -380,7 +399,6 @@ LEAF_VALUES = {
     ("plan", "filter", "axes"): ([["temporal"], ["temporal", "spatial"], ("temporal",)],
                                  [["spatial"], [], "temporal", [1]]),
     ("priors", "t2v", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
-    ("priors", "t2i", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
     ("priors", "t2i", "variance_scale"): ([1.0, 0.5], [0.0, -1.0, NAN]),
     ("priors", "t2v", "variance_scale"): ([1.0, 2], [0, NAN]),
     ("priors", "t2v", "spectrum_kind"): (["lowpass", "broadband", "flat"], ["bogus"]),
@@ -390,8 +408,6 @@ LEAF_VALUES = {
     ("seeds",): ([[0], [0, 1], [5]], [[-1], [0, 0], "0", 3]),
     ("render",): ([True, False], ["no"]),
     ("check",): ([True, False], [1]),
-    ("ablate_steps", "step_counts"): ([[2, 4], [8, 1], [2, 8, 5]],
-                                      [[3], [3, 3], [], [0, 2], [2, 2.5]]),
 }
 ALWAYS_SET = (("plan", "num_steps"), ("plan", "num_refine_steps"), ("plan", "n_sdedit"))
 # The leaves small_configs draws from its own ranges, and those no config of
@@ -674,8 +690,7 @@ class TestRunModes:
         completes."""
         cfg = {"shape": [5, 3, 3, 2], "render": False, "seeds": [0, 1],
                "schedules": {"total_steps": 10},
-               "priors": {"t2v": {"rho": 0.0, "variance_scale": 1e-300},
-                          "t2i": {"rho": 0.3}},
+               "priors": {"t2v": {"rho": 0.0, "variance_scale": 1e-300}},
                "plan": {"num_steps": 2, "num_refine_steps": 1, "n_sdedit": 2,
                         "crossframe_mix": 1.0}}
         manifest = run(cfg, output_dir=tmp_path)
@@ -704,7 +719,6 @@ class TestRunModes:
 
     def test_ablate_steps_variants(self, tmp_path):
         cfg = tiny("ablate_steps", seeds=[0], render=False)
-        cfg["ablate_steps"] = {"step_counts": [8, 16]}
         manifest = run(cfg, output_dir=tmp_path)
         assert set(manifest["aggregate"]) == {
             "baseline_t2v_8", "baseline_t2v_16", "baseline_t2i_8", "elevate_8",
