@@ -97,9 +97,10 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
       float32 eps of ``max|v|`` that grow with the bound.
     - Below ``_EXP_LIMIT`` they run in float64 on the centered keys.
     - Otherwise a weight or a numerator could overflow: they run in float64
-      on the keys as given, each row's max subtracted, as a plain softmax
-      does, and only then scaled by ``log2(e)``. Overflowing centering and
-      inf/NaN inputs make the bound inf or NaN, and so land here.
+      on the centered keys, or on the keys as given where a centered entry
+      is not finite, each row's max subtracted, as a plain softmax does,
+      and only then scaled by ``log2(e)``. Overflowing centering and inf/NaN
+      inputs make the bound inf or NaN, and so land here.
 
     The float64 regimes and the output are float64 whatever the input dtype.
     """
@@ -125,13 +126,17 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     v_max = np.abs(v).max(initial=0.0)
     bound += math.log(n_keys) + math.log(max(v_max, 1.0))
     shift = not bound < _EXP_LIMIT
+    # Shifted, the keys as given only where centering overflowed: nearly
+    # equal keys near the float64 max have overflowing logits as given, but
+    # not centered, and softmax ignores the difference.
+    keys = k if shift and not np.isfinite(centered).all() else centered
     # Base-2 logits. Unshifted, log2(e) joins 1/sqrt(d) on the centered keys,
     # whose squared norms a finite bound keeps finite, so they scale finitely.
-    # Keys as given may be near the float64 max: shifted, the logits are
-    # scaled after the row max is subtracted. The float64 root makes the
-    # keys, and so the float64 regimes, float64.
+    # Shifted keys may be near the float64 max: the logits are scaled after
+    # the row max is subtracted. The float64 root makes the keys, and so the
+    # float64 regimes, float64.
     k_scale = (1.0 if shift else _LOG2E) / np.sqrt(d)
-    k_t = (k if shift else centered).T * k_scale
+    k_t = keys.T * k_scale
     dtype = block_dtype = np.result_type(rows, k_t, v)
     scale = 0
     # the row norms bound every entry, so both casts stay finite

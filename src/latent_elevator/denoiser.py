@@ -78,8 +78,9 @@ class AnalyticDenoiser:
         # exactly the identity, and so is u, so the rotation is skipped.
         self._u = None if prior.temporal_rho == 0 else u
         # Combined eigenvalues broadcast over the (F, C, W // 2 + 1, H) modes.
-        # A variance_scale near the float64 maximum, which the config
-        # accepts, overflows some to inf, where eps_gain is exactly 0.
+        # A variance_scale near the float64 maximum, which a prior built
+        # directly may take, overflows some to inf, where eps_gain is
+        # exactly 0.
         with np.errstate(over="ignore"):
             self._lam = (
                 prior.variance_scale

@@ -63,14 +63,18 @@ def gaussian_mask(
     spatial = None
     # A tiny d0 overflows the exponent to -inf, or underflows d0**2 to 0
     # and divides by it; both give the DC-only limit once DC is pinned to 1.
+    # Squared as a numpy scalar, a huge d0 overflows d0**2 to inf, as d0 =
+    # inf does, where a Python float's square would raise: every gain is
+    # then 1. Both take the same pow, so a finite square keeps its bits.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gains = np.exp(-(f ** 2) / (2.0 * d0 ** 2))
+        width = 2.0 * np.float64(d0) ** 2
+        gains = np.exp(-(f ** 2) / width)
         if spatial_shape is not None:
             h, w = spatial_shape
             fy = np.fft.fftfreq(h)
             fx = np.fft.fftfreq(w)
             f2 = fy[:, None] ** 2 + fx[None, :] ** 2
-            spatial = np.exp(-f2 / (2.0 * d0 ** 2))
+            spatial = np.exp(-f2 / width)
             spatial[0, 0] = 1.0
     gains[0] = 1.0
     return LowPassMask(gains=gains, spatial_gains=spatial)

@@ -62,10 +62,12 @@ DEFAULT_CONFIG = {
     "shape": [16, 4, 16, 16],
     # each model's schedule kind, on one timestep axis both index
     "schedules": {"total_steps": 1000, "t2i": "linear_beta", "t2v": "scaled_linear_beta"},
+    # latents are unit variance, make_gp_prior's default, in the latent
+    # space both models share
     "priors": {
-        "t2v": {"rho": 0.9, "spectrum_kind": "lowpass", "variance_scale": 1.0},
+        "t2v": {"rho": 0.9, "spectrum_kind": "lowpass"},
         # an image model's frames are independent: make_gp_prior's rho 0
-        "t2i": {"spectrum_kind": "broadband", "variance_scale": 1.0},
+        "t2i": {"spectrum_kind": "broadband"},
     },
     "plan": {
         "num_steps": 50,
@@ -105,7 +107,11 @@ def _leaf(default, value, where: str):
         if value == "inf":
             return math.inf
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"invalid config: {where} must be a float, got an integer "
+                                 f"beyond the float range") from None
     elif default is None:
         if value is None or isinstance(value, str):
             return value
@@ -133,8 +139,10 @@ def _resolve(config: dict | None) -> tuple:
     if resolved["mode"] not in MODES:
         raise ValueError(f"invalid config: unknown mode {resolved['mode']!r}")
     seeds = resolved["seeds"]
-    if not seeds or min(seeds) < 0:
-        raise ValueError(f"invalid config: seeds must be nonempty and >= 0, got {seeds}")
+    # below 2**64 a seed has at most 20 digits in a cell's file names
+    if not seeds or min(seeds) < 0 or max(seeds) >= 2 ** 64:
+        raise ValueError(f"invalid config: seeds must be nonempty, >= 0 and < 2**64, "
+                         f"got {seeds}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"invalid config: duplicate seeds in {seeds} would share output files")
     if resolved["jobs"] < 1:
@@ -151,13 +159,6 @@ def _resolve(config: dict | None) -> tuple:
         raise ValueError(
             f"invalid config: render needs channels in {RENDER_CHANNELS}, got {channels}"
         )
-    for name, prior in resolved["priors"].items():
-        # zero mean: a zero variance gives all-zero latents, an infinite one
-        # degenerate ones, and a subnormal one underflows the exact latent
-        if not np.finfo(float).tiny <= prior["variance_scale"] < math.inf:
-            raise ValueError(f"invalid config: priors.{name}.variance_scale must be finite "
-                             f"and >= {np.finfo(float).tiny} (the smallest normal float64), "
-                             f"got {prior['variance_scale']}")
     variants = []
     for variant in _variants_for(resolved):
         try:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def recipe_denoiser(which: str, shape) -> AnalyticDenoiser:
         make_gp_prior(*shape, **DEFAULT_CONFIG["priors"][which]),
         make_schedule(sched[which], sched["total_steps"]),
     )
+
+
+def with_video_variance(plan, variance):
+    """``plan`` with its video prior's variance at ``variance``: the latents
+    of every configured plan are unit variance, so only a plan built
+    directly reaches another."""
+    model = plan.t2v_model
+    prior = replace(model.prior, variance_scale=variance)
+    return replace(plan, t2v_model=AnalyticDenoiser(prior, model.schedule))
 
 
 def project_clean(z_t, eps_pred, t, s):

@@ -243,11 +243,20 @@ def huge_flat_values(rng):
             for q_scale in (0.0, 1.0, 1e3)]
 
 
+def near_max_keys(rng):
+    # nearly equal keys near the float64 max: as given, every logit
+    # overflows to inf and the row max subtracted leaves NaN; centered,
+    # they are about 1e293, and softmax ignores the centering
+    n = rng.standard_normal
+    return [(100 * np.abs(n((5, 4))), 1e307 + 1e291 * n((7, 4)), n((7, 3)))]
+
+
 def float64_kernel(q, k, v):
     """The kernel's float64 arithmetic, step for step, on one block of
     query rows: the bound from the centered keys; below the float64 limit
-    the centered keys times ``log2(e) / sqrt(d)``, at or above it the keys
-    as given times ``1/sqrt(d)`` and the row max subtracted before the
+    the centered keys times ``log2(e) / sqrt(d)``, at or above it the
+    centered keys, or the keys as given where a centered entry is not
+    finite, times ``1/sqrt(d)`` and the row max subtracted before the
     logits are scaled by ``log2(e)``; then ``exp2``, the value GEMM with its
     ones column, and each row times its normalizer's reciprocal."""
     n, d = k.shape
@@ -259,7 +268,8 @@ def float64_kernel(q, k, v):
     shift = not bound < _EXP_LIMIT
     v_ones = np.ones((n, v.shape[1] + 1))
     v_ones[:, :-1] = v
-    e = q @ ((k if shift else centered).T * ((1.0 if shift else log2e) / math.sqrt(d)))
+    keys = k if shift and not np.all(np.isfinite(centered)) else centered
+    e = q @ (keys.T * ((1.0 if shift else log2e) / math.sqrt(d)))
     if shift:
         e -= e.max(axis=1, keepdims=True)
         with np.errstate(over="ignore"):
@@ -276,14 +286,15 @@ OVERFLOW_CASES = {
     "huge_keys": huge_keys,
     "extreme_keys_d1": extreme_keys_d1,
     "huge_flat_values": huge_flat_values,
+    "near_max_keys": near_max_keys,
 }
 
 
 class TestOverflowGuard:
     """At or above ``_EXP_LIMIT`` a weight or a numerator could overflow,
-    and the kernel subtracts each row's max from the logits of the keys as
-    given; below it, it uses the centered keys unshifted. Both sides match
-    the oracle."""
+    and the kernel subtracts each row's max from the logits of the centered
+    keys, or of the keys as given where centering overflows; below it, it
+    uses the centered keys unshifted. Both sides match the oracle."""
 
     @pytest.mark.parametrize("margin", [-10.0, 10.0])
     def test_both_sides_of_the_guard_match_oracle(self, rng, margin):
@@ -306,6 +317,14 @@ class TestOverflowGuard:
                 warnings.simplefilter("error")
                 out = attention(q, k, v)
             np.testing.assert_allclose(out, naive_attention(q, k, v), rtol=1e-12, atol=0)
+
+    def test_near_max_keys_match_the_centered_oracle(self, rng):
+        [(q, k, v)] = near_max_keys(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = attention(q, k, v)
+        np.testing.assert_allclose(out, naive_attention(q, k - k.mean(axis=0), v),
+                                   rtol=1e-12, atol=0)
 
     def test_huge_values_stay_finite(self, rng):
         for q, k, v in huge_flat_values(rng):

@@ -108,8 +108,8 @@ class TestAnalyticEps:
                                           rotating.predict_eps(z, t))
 
     def test_overflowing_variance_is_warning_free(self, sched_t2i, rng):
-        # the config accepts variance_scale 1e308, which overflows some
-        # eigenvalues to inf; their gain is exactly 0
+        # a prior built directly may take variance_scale 1e308, which
+        # overflows some eigenvalues to inf; their gain is exactly 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             den = AnalyticDenoiser(make_gp_prior(16, 4, 16, 16, 0.9, "lowpass", 1e308), sched_t2i)

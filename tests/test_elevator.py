@@ -23,12 +23,17 @@ from latent_elevator import (
 )
 from latent_elevator.elevate import _record
 from latent_elevator.freqfilter import lpff
-from latent_elevator.harness import build_plan, resolve_config
 from latent_elevator.metrics import frame_consistency, spatial_detail
 from latent_elevator.sampler import sdedit_chain
 from latent_elevator.synth import make_gp_prior, sample_prior
 
-from conftest import invert_by_hops, project_clean, recipe_denoiser, sample_by_hops
+from conftest import (
+    invert_by_hops,
+    project_clean,
+    recipe_denoiser,
+    sample_by_hops,
+    with_video_variance,
+)
 
 SMALL = (8, 2, 8, 8)
 
@@ -369,19 +374,17 @@ class TestElevateSample:
 
 class TestTinyVideoPriorVariance:
     """Both refining projections are closed-form hops whose gains have no
-    cancelling terms, so shrinking the video prior's variance below where
-    a projection ``(z - q * eps) / r`` cancels (about 1e-16) leaves the
-    default recipe's output measuring the same, to the float32 rounding of
-    its attention blocks (at most 8.4e-12 here). That attention scales its
-    values by a power of two first; without it, the eps values of about
-    1e-99 that reach it at 1e-100 underflow float32 and move the measure by
-    8.3e-5."""
+    cancelling terms, so shrinking the video prior's variance, on a plan
+    built directly, below where a projection ``(z - q * eps) / r`` cancels
+    (about 1e-16) leaves the default recipe's output measuring the same,
+    to the float32 rounding of its attention blocks (at most 8.4e-12
+    here). That attention scales its values by a power of two first;
+    without it, the eps values of about 1e-99 that reach it at 1e-100
+    underflow float32 and move the measure by 8.3e-5."""
 
     @staticmethod
     def consistency(variance):
-        config = resolve_config({"render": False,
-                                 "priors": {"t2v": {"variance_scale": variance}}})
-        z, _ = elevate_sample(build_plan(config, seed=0))
+        z, _ = elevate_sample(with_video_variance(make_default_plan(), variance))
         return frame_consistency(z)
 
     @pytest.fixture(scope="class")

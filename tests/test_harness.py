@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from latent_elevator.harness import (
 from latent_elevator.schedule import make_schedule
 from latent_elevator.videoio import load_latent, save_latent
 
-from conftest import sample_by_hops
+from conftest import sample_by_hops, with_video_variance
+
+NAN = float("nan")
 
 # Small, fast configuration exercised by most harness tests.
 TINY = {
@@ -132,11 +135,32 @@ class TestConfig:
          "ablate_steps"),
         # an image model's frames are independent
         ({"priors": {"t2i": {"rho": 0.0}}}, "priors.t2i.rho"),
+        # latents are unit variance, so no prior variance is a setting: not
+        # out-of-range ones
+        *[({"priors": {name: {"variance_scale": value}}}, f"priors.{name}.variance_scale")
+          for name, value in (("t2i", 0), ("t2v", NAN), ("t2v", math.inf),
+                              ("t2i", -math.inf), ("t2v", 1e-310))],
+        # and not those that ran: a roundtrip at 1e76 stopped in save_latent
+        # and one at 1e-250 in compute_report, both leaving files behind; an
+        # elevate run at 1e-100 saved an all-zero latent and measured it;
+        # and a video baseline at 1e-30 reported a negative frame consistency
+        *[({"mode": mode, "shape": [4, 4, 8, 8], "render": False,
+            "priors": {name: {"variance_scale": value}}},
+           f"priors.{name}.variance_scale")
+          for mode, name, value in (("roundtrip", "t2i", 1e76), ("roundtrip", "t2i", 1e-250),
+                                    ("elevate", "t2v", 1e-100),
+                                    ("baseline_t2v", "t2v", 1e-30))],
     ], ids=["metrics", "metrics.flicker_cutoff", "ablate_steps", "ablate_steps.step_counts",
-            "priors.t2i.rho"])
-    def test_removed_leaves_are_unknown_keys(self, config, path):
-        with pytest.raises(ValueError, match=f"invalid config: unknown key '{path}'"):
+            "priors.t2i.rho", "variance-zero", "variance-nan", "variance-inf",
+            "variance-minus-inf", "variance-subnormal", "roundtrip-t2i-1e76",
+            "roundtrip-t2i-1e-250", "elevate-t2v-1e-100", "baseline_t2v-t2v-1e-30"])
+    def test_removed_leaves_are_unknown_keys(self, config, path, tmp_path):
+        match = f"invalid config: unknown key '{path}'"
+        with pytest.raises(ValueError, match=match):
             resolve_config(config)
+        with pytest.raises(ValueError, match=match):
+            run(config, output_dir=tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("schedule,value", [
         ("t2v", {"params": {"beta_start": 1e-4, "beta_end": 2e-2}}),
@@ -216,20 +240,17 @@ class TestConfig:
         ({"output_dir": 7}, "output_dir"),
         ({"shape": [4, 4, 1, 8]}, "H, W >= 2"),
         ({"shape": [4, 4, 8, 1]}, "H, W >= 2"),
-        ({"priors": {"t2i": {"variance_scale": 0}}}, "priors.t2i.variance_scale"),
-        ({"priors": {"t2v": {"variance_scale": float("nan")}}}, "priors.t2v.variance_scale"),
-        ({"priors": {"t2v": {"variance_scale": math.inf}}}, "priors.t2v.variance_scale"),
-        ({"priors": {"t2i": {"variance_scale": -math.inf}}}, "priors.t2i.variance_scale"),
-        ({"priors": {"t2v": {"variance_scale": 1e-310}}},
-         "priors.t2v.variance_scale .*2.2250738585072014e-308"),
+        # float() of it raises OverflowError
+        ({"plan": {"crossframe_mix": 10 ** 400}}, "plan.crossframe_mix must be a float"),
+        # its file names would be too long for the file system
+        ({"seeds": [0, 10 ** 300]}, "seeds .*< 2\\*\\*64"),
         ([1], "must be a mapping"),
         ("x", "must be a mapping"),
         (3, "must be a mapping"),
     ], ids=["seeds-str", "seeds-int", "seeds-negative", "seeds-bool", "n_sdedit-float",
             "render-str", "jobs-bool", "filter-not-mapping", "output_dir-int", "height-1",
-            "width-1", "variance-zero", "variance-nan", "variance-inf", "variance-minus-inf",
-            "variance-subnormal",
-            "config-list", "config-str", "config-int"])
+            "width-1", "float-beyond-range", "seed-too-large", "config-list", "config-str",
+            "config-int"])
     def test_configs_that_would_crash_mid_run(self, config, match):
         with pytest.raises(ValueError, match=f"invalid config: .*{match}"):
             resolve_config(config)
@@ -284,7 +305,7 @@ KNOB_ALTERNATIVES = {
 }
 
 # One alternative per prior leaf, which neither default prior takes.
-PRIOR_ALTERNATIVES = {"rho": 0.5, "spectrum_kind": "flat", "variance_scale": 2.0}
+PRIOR_ALTERNATIVES = {"rho": 0.5, "spectrum_kind": "flat"}
 
 # One alternative per leaf of DEFAULT_CONFIG's schedules and priors, as a
 # config override, named for what it changes.
@@ -386,7 +407,6 @@ class TestAblationArmsAreOverrides:
         assert ablation_files[mode][f"{arm}_seed0000.elvt"] == files[f"{plain}_seed0000.elvt"]
 
 
-NAN = float("nan")
 # (valid, invalid) values per config path; "valid" means the right type and
 # in range on its own, invalid values include wrong types.
 LEAF_VALUES = {
@@ -395,12 +415,12 @@ LEAF_VALUES = {
     ("plan", "n_sdedit"): ([0, 1, 2, 3, 9], [-1, 2.5]),
     ("plan", "crossframe_mix"): ([0.0, 0.3, 1.0], [2.0, -1.0, NAN, True]),
     ("plan", "inversion"): (["ddim", "same_noise", "random_noise"], ["exact", 0]),
-    ("plan", "filter", "d0"): ([0.25, 0.05, 2, math.inf], [0, -1.0, NAN, "0.25"]),
+    ("plan", "filter", "d0"): ([0.25, 0.05, 2, math.inf, 1e-300, 1e300],
+                               [0, -1.0, NAN, "0.25"]),
     ("plan", "filter", "axes"): ([["temporal"], ["temporal", "spatial"], ("temporal",)],
                                  [["spatial"], [], "temporal", [1]]),
-    ("priors", "t2v", "rho"): ([0.0, 0.5, 0.99], [1.0, -0.5, NAN]),
-    ("priors", "t2i", "variance_scale"): ([1.0, 0.5], [0.0, -1.0, NAN]),
-    ("priors", "t2v", "variance_scale"): ([1.0, 2], [0, NAN]),
+    ("priors", "t2v", "rho"): ([0.0, 0.5, 0.99, -0.5, 0.999999, -0.999999],
+                              [1.0, -1.0, NAN]),
     ("priors", "t2v", "spectrum_kind"): (["lowpass", "broadband", "flat"], ["bogus"]),
     ("priors", "t2i", "spectrum_kind"): (["broadband", "flat", "lowpass"], ["bogus"]),
     ("schedules", "t2i"): (["linear_beta", "scaled_linear_beta", "cosine"], ["bogus"]),
@@ -449,14 +469,10 @@ def small_configs(draw):
     return config
 
 
-# found by this test: a NaN variance passed the prior's check and a zero one
-# (the config's priors have zero mean) made all-zero latents no metric takes
-@example(config={"mode": "baseline_t2i", "shape": [2, 1, 2, 2],
-                 "plan": {"num_steps": 2, "num_refine_steps": 0, "n_sdedit": 0},
-                 "priors": {"t2i": {"variance_scale": NAN}}})
-@example(config={"mode": "baseline_t2v", "shape": [2, 1, 2, 2],
-                 "plan": {"num_steps": 2, "num_refine_steps": 0, "n_sdedit": 0},
-                 "priors": {"t2v": {"variance_scale": 0}}})
+# a d0 whose square overflows a Python float once crashed resolve_config
+@example(config={"mode": "ablate_filter", "shape": [2, 1, 2, 2],
+                 "plan": {"num_steps": 2, "num_refine_steps": 1, "n_sdedit": 1,
+                          "filter": {"d0": 1e300}}})
 @given(config=small_configs())
 @settings(max_examples=150, deadline=None)
 def test_config_is_rejected_or_runs_clean(config):
@@ -580,6 +596,17 @@ class TestRunModes:
         m2 = run(replay, output_dir=tmp_path / "b")
         assert m1["files"] == m2["files"]
 
+    def test_huge_d0_runs_as_infinite_d0(self, tmp_path):
+        # a d0 whose square overflows a float gives every temporal and
+        # spatial gain 1, as an infinite one does
+        digests = [
+            run(tiny("elevate", seeds=[0], render=False,
+                     plan=dict(TINY["plan"], filter={"d0": d0, "axes": ["temporal", "spatial"]})),
+                output_dir=tmp_path / str(d0))["files"]["elevate_seed0000.elvt"]
+            for d0 in (1e300, math.inf)
+        ]
+        assert digests[0] == digests[1]
+
     def test_parallel_equals_serial(self, tmp_path):
         serial = run(tiny("elevate"), output_dir=tmp_path / "s")
         parallel = run(tiny("elevate", jobs=2), output_dir=tmp_path / "p")
@@ -684,30 +711,30 @@ class TestRunModes:
         assert not manifest["checks"]["passed"]
         assert any("roundtrip" in f for f in manifest["checks"]["failures"])
 
-    def test_tiny_video_prior_variance_writes_a_manifest(self, tmp_path):
-        """At video-prior variance 1e-300 the video projection's gains are
-        tiny but nonzero, so the latent stays measurable and the run
-        completes."""
+    def test_tiny_video_prior_variance_cells_measure_finite(self, tmp_path):
+        """At video-prior variance 1e-300, on a plan built directly, the
+        video projection's gains are tiny but nonzero, so each cell's
+        latent stays measurable."""
         cfg = {"shape": [5, 3, 3, 2], "render": False, "seeds": [0, 1],
-               "schedules": {"total_steps": 10},
-               "priors": {"t2v": {"rho": 0.0, "variance_scale": 1e-300}},
+               "schedules": {"total_steps": 10}, "priors": {"t2v": {"rho": 0.0}},
                "plan": {"num_steps": 2, "num_refine_steps": 1, "n_sdedit": 2,
                         "crossframe_mix": 1.0}}
-        manifest = run(cfg, output_dir=tmp_path)
-        assert (tmp_path / "manifest.json").exists()
-        for r in manifest["runs"]:
-            assert all(math.isfinite(v) for v in r["metrics"].values())
+        resolved, [(variant, plan)] = harness._resolve(cfg)
+        for seed in resolved["seeds"]:
+            cell = with_video_variance(replace(plan, seed=seed), 1e-300)
+            row = harness._run_one(resolved, variant, cell, str(tmp_path))
+            assert row["trace_violations"] == []
+            assert all(math.isfinite(v) for v in row["metrics"].values())
 
-    def test_tiny_video_prior_variance_writes_a_strict_json_trace(self, tmp_path):
-        """At video-prior variance 1e-200 the video model's latents have
-        sums of squares that underflow to 0; their trace records are still
-        taken, on a power-of-two rescaling, as finite standard JSON."""
-        cfg = {"shape": [4, 4, 8, 8], "render": False,
-               "priors": {"t2v": {"variance_scale": 1e-200}}}
-        manifest = run(cfg, output_dir=tmp_path)
-        text = (tmp_path / manifest["runs"][0]["trace"]).read_text()
-        records = [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
-        assert all(r["std"] > 0 for r in records)
+    def test_tiny_video_prior_variance_traces_strict_json(self):
+        """At video-prior variance 1e-200, on a plan built directly, the
+        video model's latents have sums of squares that underflow to 0;
+        their trace records are still taken, on a power-of-two rescaling,
+        as finite standard JSON."""
+        plan = with_video_variance(harness.make_default_plan(shape=[4, 4, 8, 8]), 1e-200)
+        _, trace = elevate_sample(plan)
+        json.dumps(trace, allow_nan=False)
+        assert all(r["std"] > 0 for r in trace)
 
     def test_ablate_variants_present(self, tmp_path):
         cfg = tiny("ablate_inversion", seeds=[0], render=False)

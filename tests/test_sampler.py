@@ -284,8 +284,9 @@ class TestClosedFormChains:
         assert worst < 1e-12, (name, worst)
 
     def test_overflowing_prior_variance_matches_step_loop(self, sched_t2i, rng):
-        # the config accepts variance_scale 1e308; some eigenvalues overflow
-        # to inf, where the noise estimate is 0 and a step just rescales
+        # a prior built directly may take variance_scale 1e308; some
+        # eigenvalues overflow to inf, where the noise estimate is 0 and a
+        # step just rescales
         with np.errstate(over="ignore"):
             den = AnalyticDenoiser(make_gp_prior(*SHAPE, rho=0.5, spectrum_kind="lowpass",
                                                  variance_scale=1e308), sched_t2i)
